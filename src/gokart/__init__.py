@@ -8,6 +8,7 @@ Submodules:
     planning     -- follow-the-gap reactive planner
     drivebus     -- simulated by-wire CAN bus and subsystem ECUs
     sim          -- kinematic vehicle, sensor emulation, closed-loop runner
+    fileio       -- headed CSV tables and binary PGM/PPM images
     cli          -- command-line entry point
 """
 

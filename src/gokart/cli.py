@@ -2,9 +2,10 @@
 
 Subcommands: optimize-raceline, localize, perceive, simulate. Every
 subcommand accepts --config (key=value file), --seed, --out-dir, and
-repeatable --set key=value overrides; overrides apply after the config file
-(and, for simulate, after the scenario file). Exit codes: 0 success,
-1 runtime/algorithmic failure, 2 usage or configuration error.
+repeatable --set key=value overrides. Parameters merge in one order for
+every subcommand: the config file, then (for simulate) the scenario file,
+then the overrides, then --seed. Exit codes: 0 success, 1 runtime/algorithmic
+failure, 2 usage or configuration error (including out-of-range values).
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import numpy as np
 
 from .localization import (ReplayFormatError, read_replay_log, run_replay,
                            write_pose_log)
-from .perception import (ImageFormatError, detect_boundaries, read_ppm,
-                         write_pgm, write_scan_csv)
+from .fileio import read_netpbm, write_netpbm
+from .perception import ImageFormatError, detect_boundaries, write_scan_csv
 from .track import (OptimizationError, TrackFormatError, build_raceline,
                     centerline_curvature_cost, estimated_lap_time,
                     offset_curvature_cost, optimize_min_curvature,
                     read_track_csv, write_raceline_csv)
-from .sim import (ScenarioError, build_scenario, load_scenario,
-                  parse_scenario_text, run_closed_loop)
+from .sim import (ScenarioError, build_scenario, parse_scenario_text,
+                  run_closed_loop)
 
 _CONFIG_ERRORS = (ScenarioError, TrackFormatError, ReplayFormatError,
                   ImageFormatError)
@@ -39,12 +40,16 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE", help="parameter override (repeatable)")
 
 
-def _gather_raw(args) -> dict[str, str]:
+def _gather_raw(args, scenario: Path | None = None) -> dict[str, str]:
+    """The raw parameter mapping: --config, then the scenario file, then
+    each --set, then --seed; later sources win."""
     raw: dict[str, str] = {}
-    if args.config:
-        path = Path(args.config)
+    for kind, path in (("config", args.config), ("scenario", scenario)):
+        if not path:
+            continue
+        path = Path(path)
         if not path.exists():
-            raise ScenarioError(f"config file not found: {path}")
+            raise ScenarioError(f"{kind} file not found: {path}")
         raw.update(parse_scenario_text(path.read_text()))
     for item in args.overrides:
         if "=" not in item:
@@ -97,14 +102,14 @@ def cmd_localize(args) -> int:
 
 def cmd_perceive(args) -> int:
     cfg = build_scenario(_gather_raw(args))
-    img = read_ppm(args.image_ppm)
+    img = read_netpbm(args.image_ppm, b"P6", ImageFormatError)
     h = load_homography(args.homography)
     scan, mask, bev_mask = detect_boundaries(img, h, cfg.perception, cfg.bev)
     out = _out_dir(args)
     write_scan_csv(out / "scan.csv", scan)
     if args.debug:
-        write_pgm(out / "mask.pgm", mask)
-        write_pgm(out / "bev.pgm", bev_mask)
+        write_netpbm(out / "mask.pgm", mask * 255)
+        write_netpbm(out / "bev.pgm", bev_mask * 255)
     finite = int(np.sum(scan.distances < scan.max_range))
     print(f"scan: {finite}/{len(scan.distances)} rays hit grass -> "
           f"{out / 'scan.csv'}")
@@ -112,26 +117,9 @@ def cmd_perceive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    overrides: dict[str, str] = {}
-    for item in args.overrides:
-        if "=" not in item:
-            raise ScenarioError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     scenario_path = Path(args.scenario)
-    if not scenario_path.exists():
-        raise ScenarioError(f"scenario file not found: {scenario_path}")
-    if args.config:
-        # config file merges under the scenario file
-        base = _gather_raw(argparse.Namespace(config=args.config, overrides=[],
-                                              seed=None))
-        base.update(parse_scenario_text(scenario_path.read_text()))
-        base.update(overrides)
-        scenario = build_scenario(base, base_dir=scenario_path.parent)
-    else:
-        scenario = load_scenario(scenario_path, overrides)
+    scenario = build_scenario(_gather_raw(args, scenario_path),
+                              base_dir=scenario_path.parent)
     report = run_closed_loop(scenario)
     out = _out_dir(args)
     (out / "report.json").write_text(report.to_json() + "\n")

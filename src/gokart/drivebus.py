@@ -33,6 +33,8 @@ STEERING_SCALE = 1000.0   # rad -> mrad
 SPEED_SCALE = 1000.0      # m/s -> mm/s
 BRAKE_SCALE = 10000.0     # fraction -> 0.01 %
 
+STEERING_LIMIT = 1.0      # rad, physical steering stop
+
 
 class FrameDecodeError(ValueError):
     """A CAN frame could not be decoded."""
@@ -53,8 +55,9 @@ class DriveCommand:
     kill: bool = False
 
     def __post_init__(self):
-        if abs(self.steering) > 1.0 + 1e-9:
-            raise ValueError("steering exceeds the 1.0 rad physical limit")
+        if abs(self.steering) > STEERING_LIMIT + 1e-9:
+            raise ValueError(
+                f"steering exceeds the {STEERING_LIMIT} rad physical limit")
         if self.speed < 0.0:
             raise ValueError("speed must be >= 0")
         if not 0.0 <= self.brake <= 1.0:

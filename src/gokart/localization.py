@@ -13,12 +13,12 @@ single code path.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import read_table, write_table
 from .geometry import normalize_angle
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -245,48 +245,21 @@ class ReplayRow:
     omega: float
 
 
+def _parse_valid(text: str) -> float:
+    return float(text.strip() in ("1", "1.0", "true"))
+
+
 def read_replay_log(path) -> list[ReplayRow]:
     """Parse a sensor replay CSV; raises ReplayFormatError with the offending
     line number on malformed input."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReplayFormatError(f"{path}: empty replay log") from None
-        header = [h.strip() for h in header]
-        for col in REPLAY_COLUMNS:
-            if col not in header:
-                raise ReplayFormatError(f"{path}: missing column '{col}'")
-        idx = {col: header.index(col) for col in REPLAY_COLUMNS}
-        rows: list[ReplayRow] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) < len(header):
-                raise ReplayFormatError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(rec)}")
-            try:
-                vals = {col: rec[idx[col]].strip() for col in REPLAY_COLUMNS}
-                row = ReplayRow(
-                    t=float(vals["t_s"]),
-                    lat=float(vals["lat_rad"]),
-                    lon=float(vals["lon_rad"]),
-                    gnss_valid=vals["gnss_valid"].strip() in ("1", "1.0", "true"),
-                    gnss_var=float(vals["gnss_var_m2"]),
-                    imu_yaw=float(vals["imu_yaw_rad"]),
-                    imu_yaw_var=float(vals["imu_yaw_var_rad2"]),
-                    v=float(vals["v_mps"]),
-                    omega=float(vals["omega_radps"]),
-                )
-            except ValueError as exc:
-                raise ReplayFormatError(f"{path} line {lineno}: {exc}") from None
-            if rows and row.t <= rows[-1].t:
-                raise ReplayFormatError(
-                    f"{path} line {lineno}: non-monotone timestamp {row.t}")
-            rows.append(row)
-    if not rows:
-        raise ReplayFormatError(f"{path}: no data rows")
+    arr, lines = read_table(path, REPLAY_COLUMNS, ReplayFormatError,
+                            {"gnss_valid": _parse_valid})
+    rows: list[ReplayRow] = []
+    for lineno, (t, lat, lon, valid, *rest) in zip(lines, arr.tolist()):
+        if rows and t <= rows[-1].t:
+            raise ReplayFormatError(
+                f"{path} line {lineno}: non-monotone timestamp {t}")
+        rows.append(ReplayRow(t, lat, lon, bool(valid), *rest))
     return rows
 
 
@@ -325,18 +298,10 @@ def run_replay(rows: list[ReplayRow], params: EkfParams | None = None):
 
 
 def write_pose_log(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSE_LOG_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, POSE_LOG_COLUMNS, rows)
 
 
 def read_pose_log(path):
     """Read back a pose log written by write_pose_log (lossless)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != POSE_LOG_COLUMNS:
-            raise ReplayFormatError(f"{path}: malformed pose log header")
-        return [tuple(float(v) for v in rec) for rec in reader if rec]
+    arr, _ = read_table(path, POSE_LOG_COLUMNS, ReplayFormatError)
+    return [tuple(row) for row in arr.tolist()]

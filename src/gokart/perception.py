@@ -8,12 +8,13 @@ angle at the vehicle heading, counter-clockwise positive).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+
+from .fileio import read_table, write_table
 
 SCAN_SIZE = 361
 
@@ -25,7 +26,7 @@ SKY_RGB = (90, 140, 235)
 
 
 class ImageFormatError(ValueError):
-    """A PPM/PGM file could not be parsed."""
+    """An image (PPM/PGM) or depth-scan file could not be parsed."""
 
 
 @dataclass(frozen=True)
@@ -217,110 +218,22 @@ def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
 
 # --- file interfaces ---------------------------------------------------------
 
-def _read_header_tokens(data: bytes, count: int):
-    """Pull `count` whitespace-separated header tokens, skipping comments.
-
-    Returns (tokens, offset of the payload byte)."""
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ImageFormatError("truncated image header")
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i + 1
-
-
-def write_ppm(path, img: np.ndarray) -> None:
-    """Write an (H, W, 3) uint8 image as binary PPM (P6)."""
-    h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        tokens, offset = _read_header_tokens(data, 4)
-    except ImageFormatError as exc:
-        raise ImageFormatError(f"{path}: {exc}") from None
-    if tokens[0] != b"P6":
-        raise ImageFormatError(f"{path}: not a binary PPM (P6) file")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ImageFormatError(f"{path}: malformed PPM header") from None
-    if maxval != 255:
-        raise ImageFormatError(f"{path}: only maxval 255 is supported")
-    need = w * h * 3
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-def write_pgm(path, mask: np.ndarray) -> None:
-    """Write a 0/1 mask as binary PGM (P5) with values 0/255."""
-    h, w = mask.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write((np.ascontiguousarray(mask, dtype=np.uint8) * 255).tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        tokens, offset = _read_header_tokens(data, 4)
-    except ImageFormatError as exc:
-        raise ImageFormatError(f"{path}: {exc}") from None
-    if tokens[0] != b"P5":
-        raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ImageFormatError(f"{path}: malformed PGM header") from None
-    if maxval != 255:
-        raise ImageFormatError(f"{path}: only maxval 255 is supported")
-    need = w * h
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"{path}: truncated pixel data")
-    gray = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return (gray > 127).astype(np.uint8)
+SCAN_COLUMNS = ["angle_rad", "distance_m"]
 
 
 def write_scan_csv(path, scan: DepthScan) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["angle_rad", "distance_m"])
-        for a, d in zip(scan.angles, scan.distances):
-            writer.writerow([repr(float(a)), repr(float(d))])
+    write_table(path, SCAN_COLUMNS, zip(scan.angles, scan.distances))
 
 
 def read_scan_csv(path, max_range: float | None = None) -> DepthScan:
     """Read a depth-scan CSV; max_range defaults to the largest distance."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["angle_rad", "distance_m"]:
-            raise ImageFormatError(f"{path}: malformed scan header")
-        rows = [(float(a), float(d)) for a, d in reader]
-    if len(rows) != SCAN_SIZE:
-        raise ImageFormatError(f"{path}: expected {SCAN_SIZE} rays, got {len(rows)}")
-    arr = np.array(rows)
+    arr, _ = read_table(path, SCAN_COLUMNS, ImageFormatError)
+    if len(arr) != SCAN_SIZE:
+        raise ImageFormatError(f"{path}: expected {SCAN_SIZE} rays, got {len(arr)}")
     if max_range is None:
         max_range = float(arr[:, 1].max())
-    return DepthScan(distances=arr[:, 1], angles=arr[:, 0], max_range=max_range)
+    try:
+        return DepthScan(distances=arr[:, 1], angles=arr[:, 0],
+                         max_range=max_range)
+    except ValueError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from None

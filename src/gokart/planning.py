@@ -111,8 +111,7 @@ def ftg_speed(delta: float, params: FtgParams,
     return min(max(v, params.v_min), params.v_max)
 
 
-def ftg_step(scan: DepthScan, params: FtgParams,
-             law: SpeedLaw | None = None) -> FtgCommand:
+def ftg_step(scan: DepthScan, params: FtgParams) -> FtgCommand:
     """Full planner cycle; a scan with no viable gap yields a safety stop."""
     try:
         gap = select_largest_gap(find_gaps(scan, params.epsilon))
@@ -120,5 +119,5 @@ def ftg_step(scan: DepthScan, params: FtgParams,
         return FtgCommand(steering=0.0, speed=0.0, chosen_gap=None,
                           safety_stop=True)
     steering = gap_steering(gap, scan, params.delta_max)
-    return FtgCommand(steering=steering, speed=ftg_speed(steering, params, law),
+    return FtgCommand(steering=steering, speed=ftg_speed(steering, params),
                       chosen_gap=gap)

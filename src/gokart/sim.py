@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,9 +20,9 @@ from scipy.spatial import cKDTree
 from .control import (EndOfRaceline, PursuitParams, PursuitState, VehiclePose,
                       pursuit_step)
 from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
-                       ModeArbiter, SBWS_FEEDBACK_ID, SubsystemFeedback,
-                       TBWS_FEEDBACK_ID, ThrottleEcu, apply_feedback,
-                       COMMAND_FRAME_ID, decode_command, ebs_step,
+                       ModeArbiter, SBWS_FEEDBACK_ID, STEERING_LIMIT,
+                       SubsystemFeedback, TBWS_FEEDBACK_ID, ThrottleEcu,
+                       apply_feedback, COMMAND_FRAME_ID, decode_command, ebs_step,
                        encode_command, encode_feedback, format_trace_row,
                        sbws_step)
 from .geometry import body_to_world, normalize_angle, polyline_distance
@@ -31,7 +32,7 @@ from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
                          TRACK_RGB, apply_homography, detect_boundaries,
                          homography_from_points)
-from .planning import FtgParams, ftg_step
+from .planning import FtgParams, SpeedLaw, ftg_step
 from .track import (Raceline, Track, VehicleLimits, build_raceline, fit_spline,
                     optimize_min_curvature, read_raceline_csv, read_track_csv)
 
@@ -81,6 +82,10 @@ class SensorConfig:
             raise ValueError("noise sigmas must be >= 0")
 
 
+# Largest physics step the RK4 plant accepts.
+MAX_DT = 0.05
+
+
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
                  brake: float, params: VehicleParams, dt: float) -> VehicleState:
     """Advance the kinematic bicycle one step with RK4.
@@ -88,8 +93,8 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
     Speed relaxes first-order toward the commanded speed scaled down by the
     brake fraction; heading rate is (v / wheelbase) tan(steering).
     """
-    if not 0.0 < dt <= 0.05:
-        raise ValueError("dt must lie in (0, 0.05]")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT}]")
     v_target = min(max(speed_cmd, 0.0), params.max_speed)
     v_target *= 1.0 - min(max(brake, 0.0), 1.0)
     tan_d = math.tan(steering)
@@ -309,65 +314,70 @@ def _parse_windows(text: str) -> tuple:
     return tuple(windows)
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip().lower() in ("", "none") else float(text)
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("not a number")
+    return value
 
 
-# key -> (target section or None for top level, attribute, caster)
-_SCENARIO_KEYS = {
-    "mode": (None, "mode", str),
-    "track": (None, "track", str),
-    "raceline": (None, "raceline", str),
-    "duration_s": (None, "duration_s", float),
-    "seed": (None, "seed", int),
-    "dt": (None, "dt", float),
-    "spacing_m": (None, "spacing_m", float),
-    "kill_at_s": (None, "kill_at_s", _parse_optional_float),
-    "origin_lat": (None, "origin_lat", float),
-    "origin_lon": (None, "origin_lon", float),
-    "track.closed": (None, "track_closed", _parse_bool),
-    "track.vehicle_half_width": (None, "vehicle_half_width", float),
-    "rates.controller_hz": (None, "controller_rate_hz", float),
-    "rates.perception_hz": (None, "perception_rate_hz", float),
-    "rates.command_hz": (None, "command_rate_hz", float),
-    "opt.reg": (None, "opt_reg", float),
-    "opt.max_iters": (None, "opt_max_iters", int),
-    "front.width": (None, "front_width", int),
-    "front.height": (None, "front_height", int),
-    "limits.a_lat_max": ("limits", "a_lat_max", float),
-    "limits.a_lon_max": ("limits", "a_lon_max", float),
-    "limits.v_max": ("limits", "v_max", float),
-    "pursuit.l_min": ("pursuit", "l_min", float),
-    "pursuit.l_max": ("pursuit", "l_max", float),
-    "pursuit.v_max": ("pursuit", "v_max", float),
-    "pursuit.kp": ("pursuit", "kp", float),
-    "pursuit.kd": ("pursuit", "kd", float),
-    "pursuit.delta_max": ("pursuit", "delta_max", float),
-    "ftg.epsilon": ("ftg", "epsilon", float),
-    "ftg.v_min": ("ftg", "v_min", float),
-    "ftg.v_max": ("ftg", "v_max", float),
-    "ftg.delta_max": ("ftg", "delta_max", float),
-    "ftg.law": ("ftg", "law", str),
-    "vehicle.wheelbase": ("vehicle", "wheelbase", float),
-    "vehicle.v_time_constant": ("vehicle", "v_time_constant", float),
-    "vehicle.max_speed": ("vehicle", "max_speed", float),
-    "sensors.gnss_sigma": ("sensors", "gnss_sigma", float),
-    "sensors.gnss_rate": ("sensors", "gnss_rate", float),
-    "sensors.gnss_dropout": ("sensors", "gnss_dropout_windows", _parse_windows),
-    "sensors.imu_sigma_yaw": ("sensors", "imu_sigma_yaw", float),
-    "sensors.imu_sigma_rate": ("sensors", "imu_sigma_rate", float),
-    "sensors.imu_rate": ("sensors", "imu_rate", float),
-    "sensors.seed": ("sensors", "seed", int),
-    "ekf.process_noise_scale": ("ekf", "process_noise_scale", float),
-    "ekf.earth_radius": ("ekf", "earth_radius", float),
-    "perception.tau": ("perception", "tau", float),
-    "perception.blur_sigma": ("perception", "blur_sigma", float),
-    "perception.morph_radius": ("perception", "morph_radius", int),
-    "bev.width": ("bev", "width", int),
-    "bev.height": ("bev", "height", int),
-    "bev.meters_per_px": ("bev", "meters_per_px", float),
-    "bev.max_range": ("bev", "max_range", float),
+def _optional(parse):
+    def parse_optional(text: str):
+        return None if text.strip().lower() in ("", "none") else parse(text)
+    return parse_optional
+
+
+# field annotation -> parser of its scenario text; fields whose annotation
+# is not listed (bev.vehicle_px) cannot be set from a scenario
+_PARSERS = {
+    str: str,
+    int: int,
+    float: _parse_float,
+    bool: _parse_bool,
+    tuple: _parse_windows,
+    str | None: _optional(str),
+    float | None: _optional(_parse_float),
+    SpeedLaw: str,
 }
+
+# the scenario keys whose names differ from "field" / "section.field"
+_RENAMED_KEYS = {
+    "track_closed": "track.closed",
+    "vehicle_half_width": "track.vehicle_half_width",
+    "controller_rate_hz": "rates.controller_hz",
+    "perception_rate_hz": "rates.perception_hz",
+    "command_rate_hz": "rates.command_hz",
+    "opt_reg": "opt.reg",
+    "opt_max_iters": "opt.max_iters",
+    "front_width": "front.width",
+    "front_height": "front.height",
+    "sensors.gnss_dropout_windows": "sensors.gnss_dropout",
+}
+
+
+def _scenario_keys() -> dict:
+    """key -> (section or None for top level, attribute, parser), derived
+    from the fields of ScenarioConfig and of its section dataclasses."""
+    keys = {}
+    hints = get_type_hints(ScenarioConfig)
+    for f in fields(ScenarioConfig):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            section_hints = get_type_hints(hint)
+            entries = [(f.name, g.name, section_hints[g.name])
+                       for g in fields(hint)]
+        else:
+            entries = [(None, f.name, hint)]
+        for section, attr, attr_hint in entries:
+            if attr_hint not in _PARSERS:
+                continue
+            key = attr if section is None else f"{section}.{attr}"
+            keys[_RENAMED_KEYS.get(key, key)] = (section, attr,
+                                                 _PARSERS[attr_hint])
+    return keys
+
+
+_SCENARIO_KEYS = _scenario_keys()
 
 _PATH_KEYS = ("track", "raceline")
 
@@ -388,21 +398,17 @@ def parse_scenario_text(text: str) -> dict[str, str]:
 
 def build_scenario(raw: dict[str, str], base_dir: Path | None = None) -> ScenarioConfig:
     """Typed scenario from raw strings; unknown keys are rejected."""
-    sections: dict[str, dict] = {}
-    top: dict = {}
+    sections: dict[str | None, dict] = {}
     explicit_sensor_seed = "sensors.seed" in raw
     for key, value in raw.items():
         if key not in _SCENARIO_KEYS:
             raise ScenarioError(f"unknown scenario key {key!r}")
-        section, attr, caster = _SCENARIO_KEYS[key]
+        section, attr, parse = _SCENARIO_KEYS[key]
         try:
-            parsed = caster(value)
+            sections.setdefault(section, {})[attr] = parse(value)
         except ValueError as exc:
             raise ScenarioError(f"bad value for {key}: {exc}") from None
-        if section is None:
-            top[attr] = parsed
-        else:
-            sections.setdefault(section, {})[attr] = parsed
+    top = sections.pop(None, {})
     if base_dir is not None:
         for key in _PATH_KEYS:
             if top.get(key):
@@ -417,7 +423,29 @@ def build_scenario(raw: dict[str, str], base_dir: Path | None = None) -> Scenari
         raise ScenarioError(f"mode must be pursuit or ftg, got {cfg.mode!r}")
     if not explicit_sensor_seed:
         cfg.sensors = replace(cfg.sensors, seed=cfg.seed)
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: ScenarioConfig) -> None:
+    """Reject values that would otherwise fail, or run nothing, mid-run."""
+    def need(ok: bool, key: str, rule: str, value) -> None:
+        if not ok:
+            raise ScenarioError(f"{key} must {rule}, got {value!r}")
+
+    need(0.0 < cfg.dt <= MAX_DT, "dt", f"lie in (0, {MAX_DT}]", cfg.dt)
+    need(math.isfinite(cfg.duration_s) and round(cfg.duration_s / cfg.dt) >= 1,
+         "duration_s", "be finite and cover at least one dt step",
+         cfg.duration_s)
+    need(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
+    for key, value in (("rates.controller_hz", cfg.controller_rate_hz),
+                       ("rates.perception_hz", cfg.perception_rate_hz),
+                       ("rates.command_hz", cfg.command_rate_hz)):
+        need(value > 0.0, key, "be > 0", value)
+    for key, value in (("pursuit.delta_max", cfg.pursuit.delta_max),
+                       ("ftg.delta_max", cfg.ftg.delta_max)):
+        need(0.0 < value <= STEERING_LIMIT, key,
+             f"lie in (0, {STEERING_LIMIT}] rad, the steering limit", value)
 
 
 def load_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:

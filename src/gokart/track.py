@@ -9,7 +9,6 @@ offset points, subject to the track-width box constraints.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from .localization import LocalPoint
+from .fileio import read_table, write_table
 
 
 class TrackFormatError(ValueError):
@@ -33,17 +32,6 @@ class OptimizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CenterlinePoint:
-    p: LocalPoint
-    w_left: float
-    w_right: float
-
-    def __post_init__(self):
-        if not (self.w_left > 0.0 and self.w_right > 0.0):
-            raise ValueError("track widths must be > 0")
-
-
-@dataclass(frozen=True)
 class VehicleLimits:
     a_lat_max: float = 3.0
     a_lon_max: float = 2.0
@@ -55,24 +43,30 @@ class VehicleLimits:
 
 
 class Track:
-    """Ordered centerline with per-point widths.
+    """Ordered centerline (N, 2) with per-point left and right widths.
 
-    For closed tracks the closure is implicit: the last point must not repeat
-    the first.
+    Widths may be given as scalars. For closed tracks the closure is
+    implicit: the last point must not repeat the first.
     """
 
-    def __init__(self, points, closed: bool, vehicle_half_width: float = 0.4):
-        points = list(points)
-        if len(points) < 8:
+    def __init__(self, xy, w_left, w_right, closed: bool,
+                 vehicle_half_width: float = 0.4):
+        xy = np.array(xy, dtype=float)
+        w_left = np.array(np.broadcast_to(w_left, len(xy)), dtype=float)
+        w_right = np.array(np.broadcast_to(w_right, len(xy)), dtype=float)
+        if not np.all(np.isfinite(xy)):
+            raise ValueError("coordinates must be finite")
+        if not (np.all(w_left > 0.0) and np.all(w_right > 0.0)):
+            raise ValueError("track widths must be > 0")
+        if len(xy) < 8:
             raise ValueError("a track needs at least 8 centerline points")
         if vehicle_half_width < 0.0:
             raise ValueError("vehicle_half_width must be >= 0")
-        self.points = points
+        self.xy = xy
+        self.w_left = w_left
+        self.w_right = w_right
         self.closed = bool(closed)
         self.vehicle_half_width = float(vehicle_half_width)
-        self.xy = np.array([[cp.p.x, cp.p.y] for cp in points])
-        self.w_left = np.array([cp.w_left for cp in points])
-        self.w_right = np.array([cp.w_right for cp in points])
         seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
         if closed:
             seg = np.append(seg, np.linalg.norm(self.xy[0] - self.xy[-1]))
@@ -80,17 +74,13 @@ class Track:
             raise ValueError("consecutive centerline points closer than 1 mm")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
     @classmethod
     def from_arrays(cls, xy, w_left, w_right, closed: bool,
                     vehicle_half_width: float = 0.4) -> "Track":
-        xy = np.asarray(xy, dtype=float)
-        w_left = np.broadcast_to(np.asarray(w_left, dtype=float), (len(xy),))
-        w_right = np.broadcast_to(np.asarray(w_right, dtype=float), (len(xy),))
-        pts = [CenterlinePoint(LocalPoint(float(x), float(y)), float(wl), float(wr))
-               for (x, y), wl, wr in zip(xy, w_left, w_right)]
-        return cls(pts, closed, vehicle_half_width)
+        """Same as `Track(xy, w_left, w_right, closed, vehicle_half_width)`."""
+        return cls(xy, w_left, w_right, closed, vehicle_half_width)
 
 
 class Spline2D:
@@ -380,42 +370,18 @@ RACELINE_COLUMNS = ["s_m", "x_m", "y_m", "kappa_1pm", "v_mps"]
 
 
 def read_track_csv(path, closed: bool, vehicle_half_width: float = 0.4) -> Track:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise TrackFormatError(f"{path}: empty track file") from None
-        for col in TRACK_COLUMNS:
-            if col not in header:
-                raise TrackFormatError(f"{path}: missing column '{col}'")
-        idx = [header.index(col) for col in TRACK_COLUMNS]
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            try:
-                rows.append([float(rec[i]) for i in idx])
-            except (ValueError, IndexError):
-                raise TrackFormatError(
-                    f"{path} line {lineno}: malformed row {rec!r}") from None
-    if not rows:
-        raise TrackFormatError(f"{path}: no data rows")
-    arr = np.array(rows)
+    arr, _ = read_table(path, TRACK_COLUMNS, TrackFormatError)
     try:
-        return Track.from_arrays(arr[:, :2], arr[:, 2], arr[:, 3], closed,
-                                 vehicle_half_width)
+        return Track(arr[:, :2], arr[:, 2], arr[:, 3], closed,
+                     vehicle_half_width)
     except ValueError as exc:
         raise TrackFormatError(f"{path}: {exc}") from None
 
 
 def write_raceline_csv(path, raceline: Raceline) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RACELINE_COLUMNS)
-        for s, (x, y), k, v in zip(raceline.s, raceline.xy, raceline.kappa,
-                                   raceline.v):
-            writer.writerow([repr(float(c)) for c in (s, x, y, k, v)])
+    write_table(path, RACELINE_COLUMNS,
+                np.column_stack([raceline.s, raceline.xy, raceline.kappa,
+                                 raceline.v]))
 
 
 def read_raceline_csv(path, closed: bool) -> Raceline:
@@ -424,28 +390,9 @@ def read_raceline_csv(path, closed: bool) -> Raceline:
     Racelines are emitted at uniform spacing, so for closed lines the total
     length is recovered as s[-1] plus one spacing step.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise TrackFormatError(f"{path}: empty raceline file") from None
-        for col in RACELINE_COLUMNS:
-            if col not in header:
-                raise TrackFormatError(f"{path}: missing column '{col}'")
-        idx = [header.index(col) for col in RACELINE_COLUMNS]
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            try:
-                rows.append([float(rec[i]) for i in idx])
-            except (ValueError, IndexError):
-                raise TrackFormatError(
-                    f"{path} line {lineno}: malformed row {rec!r}") from None
-    if len(rows) < 2:
+    arr, _ = read_table(path, RACELINE_COLUMNS, TrackFormatError)
+    if len(arr) < 2:
         raise TrackFormatError(f"{path}: need at least two waypoints")
-    arr = np.array(rows)
     s = arr[:, 0]
     length = float(s[-1] + (s[1] - s[0])) if closed else float(s[-1])
     return Raceline(xy=arr[:, 1:3], kappa=arr[:, 3], v=arr[:, 4], s=s,

@@ -1,17 +1,31 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gokart
 from gokart.cli import main
+from gokart.fileio import read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
-from gokart.perception import BevConfig, read_pgm, read_scan_csv, write_ppm
+from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
 from gokart.sim import (TrackSampler, VehicleState, default_camera_homography,
                         render_scene)
 from gokart.track import read_raceline_csv
 from helpers import circle_track, oval_track, straight_track, write_track_csv
+
+
+def run_cli(*argv):
+    """Run `python -m gokart.cli` in a child process that imports the same
+    gokart package as this one."""
+    src = str(Path(gokart.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gokart.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_homography(path, h):
@@ -125,7 +139,7 @@ class TestPerceive:
         h = default_camera_homography(bev)
         pose = VehicleState(x=30.0, y=0.0, psi=0.0)
         img = render_scene(sampler, pose, h, 320, 240, bev)
-        write_ppm(tmp_path / "scene.ppm", img)
+        write_netpbm(tmp_path / "scene.ppm", img)
         write_homography(tmp_path / "h.txt", h)
         rc = main(["perceive", str(tmp_path / "scene.ppm"),
                    str(tmp_path / "h.txt"), "--debug",
@@ -136,15 +150,17 @@ class TestPerceive:
         # side boundaries sit w = 3.0 m to each side of the centerline
         assert scan.distances[0] == pytest.approx(3.0, abs=0.25)
         assert scan.distances[360] == pytest.approx(3.0, abs=0.25)
-        mask = read_pgm(tmp_path / "out" / "mask.pgm")
-        bev_mask = read_pgm(tmp_path / "out" / "bev.pgm")
+        mask = read_netpbm(tmp_path / "out" / "mask.pgm", b"P5",
+                           ImageFormatError)
+        bev_mask = read_netpbm(tmp_path / "out" / "bev.pgm", b"P5",
+                               ImageFormatError)
         assert mask.shape == (240, 320)
         assert bev_mask.shape == (bev.height, bev.width)
 
     def test_all_track_image_all_max_range(self, tmp_path):
         img = np.empty((240, 320, 3), dtype=np.uint8)
         img[...] = (120, 120, 120)
-        write_ppm(tmp_path / "scene.ppm", img)
+        write_netpbm(tmp_path / "scene.ppm", img)
         write_homography(tmp_path / "h.txt",
                          default_camera_homography(BevConfig()))
         rc = main(["perceive", str(tmp_path / "scene.ppm"),
@@ -156,7 +172,7 @@ class TestPerceive:
 
     def test_row_count_matches_half_degree_resolution(self, tmp_path):
         img = np.zeros((60, 80, 3), dtype=np.uint8)
-        write_ppm(tmp_path / "scene.ppm", img)
+        write_netpbm(tmp_path / "scene.ppm", img)
         write_homography(tmp_path / "h.txt", np.eye(3))
         rc = main(["perceive", str(tmp_path / "scene.ppm"),
                    str(tmp_path / "h.txt"), "--out-dir", str(tmp_path / "out")])
@@ -173,7 +189,7 @@ class TestPerceive:
 
     def test_bad_homography_file_exits_2(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
-        write_ppm(tmp_path / "scene.ppm", img)
+        write_netpbm(tmp_path / "scene.ppm", img)
         (tmp_path / "h.txt").write_text("1 2 3\n")
         rc = main(["perceive", str(tmp_path / "scene.ppm"),
                    str(tmp_path / "h.txt")])
@@ -237,6 +253,36 @@ class TestSimulate:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("overrides, key", [
+        (["dt=0.1"], "dt"),
+        (["pursuit.delta_max=1.5", "pursuit.kp=60"], "pursuit.delta_max"),
+        (["ftg.delta_max=1.5"], "ftg.delta_max"),
+        (["rates.controller_hz=0"], "rates.controller_hz"),
+        (["duration_s=-1"], "duration_s"),
+        (["spacing_m=0"], "spacing_m"),
+        (["pursuit.kd=nan"], "pursuit.kd"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, overrides, key):
+        self._write_oval(tmp_path)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        proc = run_cli("simulate", str(tmp_path / "scenario.txt"), *sets,
+                       "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_file_merges_under_scenario_file(self, tmp_path):
+        self._write_oval(tmp_path)
+        (tmp_path / "params.txt").write_text("mode = ftg\nduration_s = 1\n")
+        rc = main(["simulate", str(tmp_path / "scenario.txt"),
+                   "--config", str(tmp_path / "params.txt"),
+                   "--set", "duration_s=2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["mode"] == "pursuit"
+        assert report["duration_s"] == 2.0
+
     def test_set_override_applies(self, tmp_path):
         self._write_oval(tmp_path)
         rc = main(["simulate", str(tmp_path / "scenario.txt"),
@@ -252,11 +298,9 @@ class TestSimulate:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         write_track_csv(tmp_path / "line.csv", straight_track(n=20))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gokart.cli", "optimize-raceline",
-             str(tmp_path / "line.csv"), "--out-dir", str(tmp_path / "out"),
-             "--set", "track.closed=false"],
-            capture_output=True, text=True)
+        proc = run_cli("optimize-raceline", str(tmp_path / "line.csv"),
+                       "--out-dir", str(tmp_path / "out"),
+                       "--set", "track.closed=false")
         assert proc.returncode == 0
         assert "raceline" in proc.stdout
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gokart.fileio import read_netpbm, write_netpbm
 from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
                                ImageFormatError, PerceptionConfig, SCAN_SIZE,
                                TRACK_RGB, apply_homography, detect_boundaries,
                                gaussian_blur, grass_mask,
                                homography_from_points, mask_to_depth,
-                               morph_open_close, read_pgm, read_ppm,
-                               read_scan_csv, scan_angles, warp_to_bev,
-                               write_pgm, write_ppm, write_scan_csv)
+                               morph_open_close, read_scan_csv, scan_angles,
+                               warp_to_bev, write_scan_csv)
 
 
 class TestGaussianBlur:
@@ -231,24 +231,32 @@ class TestImageFiles:
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(17, 23, 3), dtype=np.uint8)
         path = tmp_path / "img.ppm"
-        write_ppm(path, img)
-        np.testing.assert_array_equal(read_ppm(path), img)
+        write_netpbm(path, img)
+        np.testing.assert_array_equal(
+            read_netpbm(path, b"P6", ImageFormatError), img)
 
     def test_pgm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
-        mask = (rng.random((9, 13)) < 0.5).astype(np.uint8)
+        gray = rng.integers(0, 256, size=(9, 13), dtype=np.uint8)
         path = tmp_path / "mask.pgm"
-        write_pgm(path, mask)
-        np.testing.assert_array_equal(read_pgm(path), mask)
+        write_netpbm(path, gray)
+        np.testing.assert_array_equal(
+            read_netpbm(path, b"P5", ImageFormatError), gray)
+
+    def test_header_comments_skipped(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n# made by hand\n2 1 # size\n255\n\x07\xff")
+        np.testing.assert_array_equal(
+            read_netpbm(path, b"P5", ImageFormatError), [[7, 255]])
 
     def test_malformed_ppm(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n10 10\n255\nshort")
         with pytest.raises(ImageFormatError):
-            read_ppm(path)
+            read_netpbm(path, b"P6", ImageFormatError)
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         with pytest.raises(ImageFormatError):
-            read_ppm(path)
+            read_netpbm(path, b"P6", ImageFormatError)
 
     def test_scan_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -259,3 +267,9 @@ class TestImageFiles:
         back = read_scan_csv(path, max_range=10.0)
         np.testing.assert_array_equal(back.distances, scan.distances)
         np.testing.assert_array_equal(back.angles, scan.angles)
+
+    def test_scan_csv_malformed_row_has_line_number(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("angle_rad,distance_m\n0.0,1.0\n0.1,far\n")
+        with pytest.raises(ImageFormatError, match="line 3"):
+            read_scan_csv(path)

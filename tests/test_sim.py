@@ -6,12 +6,12 @@ import pytest
 from gokart.localization import GeoFix, project_to_local
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
-from gokart.sim import (GnssSimulator, ImuSimulator, ScenarioError,
-                        SensorConfig, TrackSampler, VehicleParams,
-                        VehicleState, bev_grass_mask, bicycle_step,
-                        build_scenario, default_camera_homography,
-                        load_scenario, parse_scenario_text, render_scene,
-                        run_closed_loop)
+from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
+                        ScenarioError, SensorConfig, TrackSampler,
+                        VehicleParams, VehicleState, bev_grass_mask,
+                        bicycle_step, build_scenario,
+                        default_camera_homography, load_scenario,
+                        parse_scenario_text, render_scene, run_closed_loop)
 from helpers import (circle_track, geometric_scan_oracle, oval_track,
                      straight_track, write_track_csv)
 
@@ -224,6 +224,28 @@ class TestScenarioConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown scenario key"):
             build_scenario({"no.such.key": "1"})
+
+    @pytest.mark.parametrize("key", ["bev.vehicle_px", "track_closed",
+                                     "sensors.gnss_dropout_windows"])
+    def test_unsettable_and_field_named_keys_rejected(self, key):
+        with pytest.raises(ScenarioError, match="unknown scenario key"):
+            build_scenario({key: "1"})
+
+    @pytest.mark.parametrize("key", sorted(_SCENARIO_KEYS))
+    def test_default_as_text_round_trips(self, key):
+        default = build_scenario({})
+        section, attr, _ = _SCENARIO_KEYS[key]
+        value = getattr(default if section is None
+                        else getattr(default, section), attr)
+        if value is None:
+            text = "none"
+        elif isinstance(value, bool):
+            text = str(value).lower()
+        elif isinstance(value, tuple):
+            text = ";".join(f"{a!r}:{b!r}" for a, b in value)
+        else:
+            text = str(value)
+        assert build_scenario({key: text}) == default
 
     def test_bad_value_reported(self):
         with pytest.raises(ScenarioError, match="duration_s"):
