@@ -130,6 +130,10 @@ def cmd_simulate(args) -> int:
           f"{report.max_cross_track_error_m:.3f} m, "
           f"{report.boundary_violations} boundary violations, "
           f"{report.safety_stops} safety stops")
+    if report.first_fix_s is None:
+        # the controller never ran, so the clean numbers above mean nothing
+        print("never localized: the filter got no GNSS fix", file=sys.stderr)
+        return 1
     return 0 if report.boundary_violations == 0 and report.safety_stops == 0 else 1
 
 

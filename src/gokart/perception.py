@@ -8,6 +8,7 @@ angle at the vehicle heading, counter-clockwise positive).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from scipy import ndimage
 from .fileio import read_table, write_table
 
 SCAN_SIZE = 361
+# Ray-march step of mask_to_depth, in BEV pixels.
+RAY_STEP_PX = 0.5
 
 # Grass rendered by the scene generator and the track surface; separable by
 # the channel threshold for any tau < 120.
@@ -29,6 +32,12 @@ class ImageFormatError(ValueError):
     """An image (PPM/PGM) or depth-scan file could not be parsed."""
 
 
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Reject a config value, naming it by its scenario key."""
+    if not ok:
+        raise ValueError(f"{key} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PerceptionConfig:
     """Tunables for the mask pipeline; tau depends on lighting and is a knob."""
@@ -36,6 +45,14 @@ class PerceptionConfig:
     tau: float = 20.0
     blur_sigma: float = 2.0
     morph_radius: int = 2
+
+    def __post_init__(self):
+        _require(math.isfinite(self.tau), "perception.tau", "be finite",
+                 self.tau)
+        _require(self.blur_sigma > 0.0, "perception.blur_sigma", "be > 0",
+                 self.blur_sigma)
+        _require(self.morph_radius >= 1, "perception.morph_radius", "be >= 1",
+                 self.morph_radius)
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,17 @@ class BevConfig:
     meters_per_px: float = 0.1
     max_range: float = 20.0
     vehicle_px: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        _require(self.width >= 2, "bev.width", "be >= 2", self.width)
+        _require(self.height >= 1, "bev.height", "be >= 1", self.height)
+        for key in ("meters_per_px", "max_range"):
+            value = getattr(self, key)
+            _require(math.isfinite(value) and value > 0.0, f"bev.{key}",
+                     "be finite and > 0", value)
+        vx, vy = self.origin_px()
+        _require(0 <= vx <= self.width - 1 and 0 <= vy <= self.height - 1,
+                 "bev.vehicle_px", "lie inside the frame", self.vehicle_px)
 
     def origin_px(self) -> tuple[float, float]:
         if self.vehicle_px is not None:
@@ -105,15 +133,23 @@ def morph_open_close(mask: np.ndarray, radius: int) -> np.ndarray:
 
     The mask is zero-padded by 2 radius before the operations so the result
     matches the infinite-plane morphology restricted to the frame (no border
-    artifacts, and the combined filter stays idempotent).
+    artifacts, and the combined filter stays idempotent). The square element
+    is separable: each erosion (dilation) is a row then a column minimum
+    (maximum) filter, with zeros beyond the padded frame.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     pad = 2 * radius
-    se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    size = 2 * radius + 1
+
+    def sweep(work, line_filter):
+        for axis in (0, 1):
+            work = line_filter(work, size, axis=axis, mode="constant", cval=0)
+        return work
+
     work = np.pad(mask.astype(bool), pad, mode="constant")
-    work = ndimage.binary_dilation(ndimage.binary_erosion(work, se), se)
-    work = ndimage.binary_erosion(ndimage.binary_dilation(work, se), se)
+    work = sweep(sweep(work, ndimage.minimum_filter1d), ndimage.maximum_filter1d)
+    work = sweep(sweep(work, ndimage.maximum_filter1d), ndimage.minimum_filter1d)
     return work[pad:-pad, pad:-pad].astype(np.uint8)
 
 
@@ -152,22 +188,69 @@ def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
     return hom[..., :2] / hom[..., 2:3]
 
 
+def _with_zero(values: np.ndarray, dtype) -> np.ndarray:
+    """`values` flattened to `dtype`, plus one trailing 0: the slot that the
+    flat pixel maps send out-of-frame samples to."""
+    out = np.zeros(values.size + 1, dtype=dtype)
+    out[:-1] = values.reshape(-1)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def pixel_map(h_bytes: bytes, out_shape: tuple[int, int],
+              src_shape: tuple[int, int]) -> np.ndarray:
+    """Nearest-neighbor sampling map of a projective warp, built once per
+    argument set.
+
+    For each pixel of an `out_shape` (rows, cols) frame, the row-major flat
+    index of the `src_shape` pixel nearest to its image under the 3x3
+    float64 homography `h_bytes` (out px -> src px), or the source size where
+    that image falls outside the source. The result is shared and read-only.
+    """
+    h = np.frombuffer(h_bytes).reshape(3, 3)
+    cols, rows = np.meshgrid(np.arange(out_shape[1]), np.arange(out_shape[0]))
+    src = apply_homography(h, np.stack([cols, rows], axis=-1).astype(float))
+    sc = np.rint(src[..., 0]).astype(int)
+    sr = np.rint(src[..., 1]).astype(int)
+    height, width = src_shape
+    valid = (sc >= 0) & (sc < width) & (sr >= 0) & (sr < height)
+    index = np.where(valid, sr * width + sc, height * width)
+    index.flags.writeable = False
+    return index
+
+
 def warp_to_bev(mask: np.ndarray, h: np.ndarray, bev: BevConfig) -> np.ndarray:
     """Inverse-mapping warp of a front-view mask into the BEV frame.
 
     `h` maps front-view pixels to BEV pixels. Nearest-neighbor sampling (the
     payload is binary); pixels that fall outside the source become 0.
     """
-    hinv = np.linalg.inv(h)
-    cols, rows = np.meshgrid(np.arange(bev.width), np.arange(bev.height))
-    dst = np.stack([cols, rows], axis=-1).astype(float)
-    src = apply_homography(hinv, dst)
-    sc = np.rint(src[..., 0]).astype(int)
-    sr = np.rint(src[..., 1]).astype(int)
-    valid = (sc >= 0) & (sc < mask.shape[1]) & (sr >= 0) & (sr < mask.shape[0])
-    out = np.zeros((bev.height, bev.width), dtype=np.uint8)
-    out[valid] = mask[sr[valid], sc[valid]]
-    return out
+    hinv = np.asarray(np.linalg.inv(h), dtype=float)
+    index = pixel_map(hinv.tobytes(), (bev.height, bev.width), mask.shape)
+    return _with_zero(mask, np.uint8)[index]
+
+
+@functools.lru_cache(maxsize=4)
+def _ray_index(shape: tuple[int, int], bev: BevConfig):
+    """Flat pixel index of every ray step, (361, n_steps), with the frame
+    size where a step leaves the frame."""
+    vx, vy = bev.origin_px()
+    height, width = shape
+    if not (0 <= vx <= width - 1 and 0 <= vy <= height - 1):
+        raise ValueError("vehicle pixel outside the BEV frame")
+    angles = scan_angles()
+    max_px = bev.max_range / bev.meters_per_px
+    n_steps = int(math.ceil(max_px / RAY_STEP_PX))
+    t = (np.arange(1, n_steps + 1) * RAY_STEP_PX)[None, :]
+    # Heading up: angle a advances (-sin a, -cos a) in (col, row).
+    dc = -np.sin(angles)[:, None]
+    dr = -np.cos(angles)[:, None]
+    cols = np.rint(vx + dc * t).astype(int)
+    rows = np.rint(vy + dr * t).astype(int)
+    inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    index = np.where(inside, rows * width + cols, height * width)
+    index.flags.writeable = False
+    return index
 
 
 def mask_to_depth(bev_mask: np.ndarray, bev: BevConfig) -> DepthScan:
@@ -178,28 +261,14 @@ def mask_to_depth(bev_mask: np.ndarray, bev: BevConfig) -> DepthScan:
     max_range. Heading is up in the BEV image and positive angles sweep
     counter-clockwise (to the image left).
     """
-    vx, vy = bev.origin_px()
-    if not (0 <= vx <= bev_mask.shape[1] - 1 and 0 <= vy <= bev_mask.shape[0] - 1):
-        raise ValueError("vehicle pixel outside the BEV frame")
-    angles = scan_angles()
-    step_px = 0.5
-    max_px = bev.max_range / bev.meters_per_px
-    n_steps = int(math.ceil(max_px / step_px))
-    t = (np.arange(1, n_steps + 1) * step_px)[None, :]
-    # Heading up: angle a advances (-sin a, -cos a) in (col, row).
-    dc = -np.sin(angles)[:, None]
-    dr = -np.cos(angles)[:, None]
-    cols = np.rint(vx + dc * t).astype(int)
-    rows = np.rint(vy + dr * t).astype(int)
-    inside = (cols >= 0) & (cols < bev_mask.shape[1]) & \
-             (rows >= 0) & (rows < bev_mask.shape[0])
-    hits = np.zeros_like(inside)
-    hits[inside] = bev_mask[rows[inside], cols[inside]] > 0
+    hits = _with_zero(bev_mask > 0, bool)[_ray_index(bev_mask.shape, bev)]
     first = np.argmax(hits, axis=1)
     any_hit = hits.any(axis=1)
-    dist_px = np.where(any_hit, (first + 1) * step_px, max_px)
+    max_px = bev.max_range / bev.meters_per_px
+    dist_px = np.where(any_hit, (first + 1) * RAY_STEP_PX, max_px)
     distances = np.minimum(dist_px * bev.meters_per_px, bev.max_range)
-    return DepthScan(distances=distances, angles=angles, max_range=bev.max_range)
+    return DepthScan(distances=distances, angles=scan_angles(),
+                     max_range=bev.max_range)
 
 
 def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
@@ -209,7 +278,9 @@ def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
     Returns (scan, grass mask, BEV mask); the masks are the Fig-style debug
     stages.
     """
-    blurred = gaussian_blur(img, cfg.blur_sigma)
+    # grass_mask reads only green and blue, so red is left unblurred
+    blurred = img.copy()
+    blurred[..., 1:] = gaussian_blur(img[..., 1:], cfg.blur_sigma)
     mask = grass_mask(blurred, cfg.tau)
     mask = morph_open_close(mask, cfg.morph_radius)
     bev_mask = warp_to_bev(mask, h, bev)

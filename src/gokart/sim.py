@@ -8,6 +8,7 @@ produce bit-identical logs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -30,8 +31,8 @@ from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
                            MotionInput, fuse_step, local_to_geo,
                            project_to_local)
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
-                         TRACK_RGB, apply_homography, detect_boundaries,
-                         homography_from_points)
+                         TRACK_RGB, detect_boundaries, homography_from_points,
+                         pixel_map)
 from .planning import FtgParams, SpeedLaw, ftg_step
 from .track import (Raceline, Track, VehicleLimits, build_raceline, fit_spline,
                     optimize_min_curvature, read_raceline_csv, read_track_csv)
@@ -204,17 +205,28 @@ class TrackSampler:
         return self.lateral_margin(pts) >= 0.0
 
 
-def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
-                   bev: BevConfig) -> np.ndarray:
-    """Ground-truth top-down grass mask (1 = grass) in the vehicle frame."""
+@functools.lru_cache(maxsize=4)
+def _bev_body_points(bev: BevConfig) -> np.ndarray:
+    """Body-frame (forward, left) meters of every BEV pixel, row-major."""
     vx, vy = bev.origin_px()
     cols, rows = np.meshgrid(np.arange(bev.width), np.arange(bev.height))
     forward = (vy - rows) * bev.meters_per_px
     left = (vx - cols) * bev.meters_per_px
-    body = np.stack([forward, left], axis=-1)
-    world = body_to_world(pose.x, pose.y, pose.psi, body)
-    inside = sampler.inside(world.reshape(-1, 2)).reshape(bev.height, bev.width)
+    body = np.stack([forward, left], axis=-1).reshape(-1, 2)
+    body.flags.writeable = False
+    return body
+
+
+def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
+                   bev: BevConfig) -> np.ndarray:
+    """Ground-truth top-down grass mask (1 = grass) in the vehicle frame."""
+    world = body_to_world(pose.x, pose.y, pose.psi, _bev_body_points(bev))
+    inside = sampler.inside(world).reshape(bev.height, bev.width)
     return (~inside).astype(np.uint8)
+
+
+# render_scene colors by label: 0 track, 1 grass, 2 sky
+_SCENE_PALETTE = np.array([TRACK_RGB, GRASS_RGB, SKY_RGB], dtype=np.uint8)
 
 
 def render_scene(track, pose: VehicleState, h: np.ndarray, front_width: int,
@@ -228,18 +240,11 @@ def render_scene(track, pose: VehicleState, h: np.ndarray, front_width: int,
     """
     sampler = track if isinstance(track, TrackSampler) else TrackSampler(track)
     grass = bev_grass_mask(sampler, pose, bev)
-    bev_img = np.where(grass[..., None].astype(bool),
-                       np.array(GRASS_RGB, dtype=np.uint8),
-                       np.array(TRACK_RGB, dtype=np.uint8))
-    cols, rows = np.meshgrid(np.arange(front_width), np.arange(front_height))
-    src = apply_homography(h, np.stack([cols, rows], axis=-1).astype(float))
-    sc = np.rint(src[..., 0]).astype(int)
-    sr = np.rint(src[..., 1]).astype(int)
-    valid = (sc >= 0) & (sc < bev.width) & (sr >= 0) & (sr < bev.height)
-    img = np.empty((front_height, front_width, 3), dtype=np.uint8)
-    img[...] = np.array(SKY_RGB, dtype=np.uint8)
-    img[valid] = bev_img[sr[valid], sc[valid]]
-    return img
+    labels = np.full(grass.size + 1, 2, dtype=np.uint8)
+    labels[:-1] = grass.reshape(-1) != 0
+    index = pixel_map(np.asarray(h, dtype=float).tobytes(),
+                      (front_height, front_width), (bev.height, bev.width))
+    return np.take(_SCENE_PALETTE, labels[index], axis=0)
 
 
 def default_camera_homography(bev: BevConfig, front_width: int = 320,
@@ -446,6 +451,9 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
                        ("ftg.delta_max", cfg.ftg.delta_max)):
         need(0.0 < value <= STEERING_LIMIT, key,
              f"lie in (0, {STEERING_LIMIT}] rad, the steering limit", value)
+    if cfg.kill_at_s is not None:
+        need(math.isfinite(cfg.kill_at_s) and cfg.kill_at_s >= 0.0,
+             "kill_at_s", "be finite and >= 0", cfg.kill_at_s)
 
 
 def load_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -469,6 +477,8 @@ class RunReport:
     boundary_violations: int
     safety_stops: int
     logs: dict[str, str]
+    # sim time of the filter's first GNSS fix; None if it never localized
+    first_fix_s: float | None
 
     def to_json(self) -> str:
         payload = {
@@ -480,6 +490,7 @@ class RunReport:
             "mean_abs_cross_track_error_m": self.mean_abs_cross_track_error_m,
             "boundary_violations": self.boundary_violations,
             "safety_stops": self.safety_stops,
+            "first_fix_s": self.first_fix_s,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -543,6 +554,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                                              scenario.front_height)
 
     ekf_state: EkfState | None = None
+    first_fix: float | None = None
     pursuit_state = PursuitState()
     arbiter = ModeArbiter()
     throttle = ThrottleEcu()
@@ -581,6 +593,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 if gnss is not None:
                     p = project_to_local(gnss, origin, scenario.ekf.earth_radius)
                     ekf_state = EkfState.initial(p.x, p.y, imu.yaw)
+                    first_fix = t
             else:
                 u = MotionInput(v=feedback.measured_speed, omega=imu.yaw_rate,
                                 dt=imu_every * dt)
@@ -703,4 +716,5 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         boundary_violations=boundary_violations,
         safety_stops=safety_stops,
         logs=logs,
+        first_fix_s=first_fix,
     )

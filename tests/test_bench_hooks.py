@@ -1,0 +1,57 @@
+"""The benchmark's traced runs rebind names in the package (see
+perfbench/spans.py) and its measured runs rebind `gokart.sim.bicycle_step`.
+These tests keep a refactor from silently breaking either: every rebound
+name must exist where the benchmark looks for it, and a traced FTG run must
+record calls on every frame-path span."""
+
+import types
+from pathlib import Path
+
+import gokart.sim
+from gokart.sim import load_scenario, run_closed_loop
+from helpers import oval_track, write_track_csv
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """perfbench/spans.py as a module, compiled from its text so that
+    nothing is written next to it."""
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS_PY)
+    exec(compile(SPANS_PY.read_text(), str(SPANS_PY), "exec"), module.__dict__)
+    return module
+
+
+def test_every_target_is_defined_on_its_owner():
+    spans = load_spans()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in spans.TARGETS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_loop_looks_up_bicycle_step_through_the_module():
+    assert callable(gokart.sim.__dict__["bicycle_step"])
+    assert "bicycle_step" in gokart.sim.run_closed_loop.__code__.co_names
+
+
+def test_traced_ftg_run_records_every_frame_span(tmp_path):
+    spans = load_spans()
+    write_track_csv(tmp_path / "oval.csv", oval_track())
+    (tmp_path / "s.txt").write_text(
+        "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+        "duration_s = 0.3\nseed = 7\n")
+    scenario = load_scenario(tmp_path / "s.txt")
+    plain = run_closed_loop(scenario)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        traced = run_closed_loop(scenario)
+    assert traced.logs == plain.logs
+    called = {span[0] for span in tracer.spans}
+    frame_spans = {name for _, _, name in spans.TARGETS
+                   if name.startswith(("perception.", "sim.render_scene",
+                                       "sim.bev_grass_mask",
+                                       "planning.ftg_step"))}
+    assert len(frame_spans) == 9
+    assert frame_spans <= called

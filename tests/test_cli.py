@@ -210,6 +210,7 @@ class TestSimulate:
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["boundary_violations"] == 0
+        assert report["first_fix_s"] == 0.0
         assert (tmp_path / "out" / "poses.csv").exists()
         assert (tmp_path / "out" / "commands.csv").exists()
         assert (tmp_path / "out" / "frames.csv").exists()
@@ -261,15 +262,42 @@ class TestSimulate:
         (["duration_s=-1"], "duration_s"),
         (["spacing_m=0"], "spacing_m"),
         (["pursuit.kd=nan"], "pursuit.kd"),
+        (["bev.meters_per_px=0"], "bev.meters_per_px"),
+        (["bev.width=0"], "bev.width"),
+        (["bev.max_range=0"], "bev.max_range"),
+        (["bev.height=0"], "bev.height"),
+        (["perception.morph_radius=-1"], "perception.morph_radius"),
+        (["perception.blur_sigma=-1"], "perception.blur_sigma"),
+        (["perception.tau=inf"], "perception.tau"),
+        (["kill_at_s=-5"], "kill_at_s"),
+        (["kill_at_s=inf"], "kill_at_s"),
     ])
-    def test_out_of_range_value_exits_2(self, tmp_path, overrides, key):
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
+                                        key):
+        # in process: an exception escaping main() fails the test with its
+        # traceback, so rc 2 plus the named key is the whole contract
         self._write_oval(tmp_path)
         sets = [arg for item in overrides for arg in ("--set", item)]
-        proc = run_cli("simulate", str(tmp_path / "scenario.txt"), *sets,
-                       "--out-dir", str(tmp_path / "out"))
-        assert proc.returncode == 2
-        assert key in proc.stderr
-        assert "Traceback" not in proc.stderr
+        rc = main(["simulate", str(tmp_path / "scenario.txt"), *sets,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_never_localized_exits_1(self, tmp_path, capsys):
+        # no GNSS fix for the whole run: the kart never moves, and the
+        # all-zero error figures must not pass for a clean run
+        self._write_oval(tmp_path)
+        rc = main(["simulate", str(tmp_path / "scenario.txt"),
+                   "--set", "sensors.gnss_dropout=0:100",
+                   "--set", "duration_s=3",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "never localized" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["first_fix_s"] is None
+        assert report["max_cross_track_error_m"] == 0.0
 
     def test_config_file_merges_under_scenario_file(self, tmp_path):
         self._write_oval(tmp_path)

@@ -11,6 +11,15 @@ from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
                                homography_from_points, mask_to_depth,
                                morph_open_close, read_scan_csv, scan_angles,
                                warp_to_bev, write_scan_csv)
+from gokart.sim import default_camera_homography
+from helpers import (alternating, detect_boundaries_oracle,
+                     mask_to_depth_oracle, morph_open_close_oracle,
+                     warp_to_bev_oracle)
+
+
+def random_mask(rng, shape, dense=None):
+    p = rng.uniform(0.05, 0.9) if dense is None else dense
+    return (rng.random(shape) < p).astype(np.uint8)
 
 
 class TestGaussianBlur:
@@ -89,6 +98,26 @@ class TestMorphology:
         mask = np.ones((20, 20), dtype=np.uint8)
         np.testing.assert_array_equal(morph_open_close(mask, 2), mask)
 
+    def test_matches_full_square_oracle(self):
+        # the separable row/column passes against the 2-D element
+        rng = np.random.default_rng(12)
+        for _ in range(120):
+            radius = int(rng.integers(1, 4))
+            shape = tuple(int(v) for v in rng.integers(8, 48, size=2))
+            mask = random_mask(rng, shape)
+            out = morph_open_close(mask, radius)
+            assert out.dtype == np.uint8
+            np.testing.assert_array_equal(
+                out, morph_open_close_oracle(mask, radius))
+
+    def test_camera_sized_mask_matches_oracle(self):
+        rng = np.random.default_rng(13)
+        mask = random_mask(rng, (240, 320), dense=0.5)
+        for radius in (1, 2, 3):
+            np.testing.assert_array_equal(
+                morph_open_close(mask, radius),
+                morph_open_close_oracle(mask, radius))
+
     def test_idempotent_on_random_masks(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -164,6 +193,33 @@ class TestWarp:
         out = warp_to_bev(np.zeros((30, 30), dtype=np.uint8), np.eye(3), bev)
         assert not out.any()
 
+    def test_matches_oracle_alternating_inputs(self):
+        # each variant changes one input of the pixel map (homography, mask
+        # shape, BEV size); interleaving them with the base shows the map is
+        # keyed on every one
+        rng = np.random.default_rng(14)
+        bev = BevConfig()
+        small = BevConfig(width=120, height=90, meters_per_px=0.15,
+                          vehicle_px=(30.0, 80.0))
+        camera = default_camera_homography(bev)
+        cases = [(camera, (240, 320), bev),
+                 (np.eye(3), (240, 320), bev),
+                 (camera, (200, 300), bev),
+                 (camera, (240, 320), small),
+                 (np.eye(3), (60, 80), small)]
+        for h, shape, cfg in alternating(cases):
+            mask = random_mask(rng, shape)
+            out = warp_to_bev(mask, h, cfg)
+            assert out.dtype == np.uint8
+            np.testing.assert_array_equal(out, warp_to_bev_oracle(mask, h, cfg))
+
+    def test_result_is_a_fresh_array(self):
+        bev = BevConfig(width=30, height=30)
+        mask = np.ones((30, 30), dtype=np.uint8)
+        first = warp_to_bev(mask, np.eye(3), bev)
+        first[...] = 7
+        np.testing.assert_array_equal(warp_to_bev(mask, np.eye(3), bev), mask)
+
 
 class TestDepthScan:
     def test_empty_mask_gives_max_range(self):
@@ -202,9 +258,34 @@ class TestDepthScan:
         assert np.all(scan.distances <= 6.0)
 
     def test_vehicle_pixel_must_be_inside(self):
-        bev = BevConfig(width=10, height=10, vehicle_px=(50.0, 5.0))
+        # outside the configured frame: rejected when the config is built
+        with pytest.raises(ValueError, match="bev.vehicle_px"):
+            BevConfig(width=10, height=10, vehicle_px=(50.0, 5.0))
+        # outside a mask smaller than the configured frame: rejected per call
+        bev = BevConfig(width=10, height=10)
         with pytest.raises(ValueError):
-            mask_to_depth(np.zeros((10, 10), dtype=np.uint8), bev)
+            mask_to_depth(np.zeros((5, 5), dtype=np.uint8), bev)
+
+    def test_matches_oracle_alternating_configs(self):
+        # variants change the mask shape, the vehicle pixel, the range and
+        # the scale; interleaved with the base so a map keyed on too little
+        # would be reused where it does not apply
+        rng = np.random.default_rng(15)
+        base = BevConfig()
+        cases = [((200, 160), base),
+                 ((220, 170), base),
+                 ((200, 160), BevConfig(vehicle_px=(40.0, 150.0))),
+                 ((200, 160), BevConfig(max_range=9.0)),
+                 ((200, 160), BevConfig(meters_per_px=0.07)),
+                 ((90, 120), BevConfig(width=120, height=90,
+                                       vehicle_px=(119.0, 0.0)))]
+        for shape, bev in alternating(cases):
+            mask = random_mask(rng, shape, dense=rng.uniform(0.0, 0.05))
+            scan = mask_to_depth(mask, bev)
+            expected = mask_to_depth_oracle(mask, bev)
+            np.testing.assert_array_equal(scan.distances, expected.distances)
+            np.testing.assert_array_equal(scan.angles, expected.angles)
+            assert scan.max_range == expected.max_range
 
     def test_scan_size_enforced(self):
         with pytest.raises(ValueError):
@@ -224,6 +305,59 @@ class TestPipeline:
         assert not mask[30:, :].any()
         assert bev_mask[:15, :].all()
         assert scan.distances[180] < 5.0
+
+    @pytest.mark.parametrize("cfg", [PerceptionConfig(),
+                                     PerceptionConfig(tau=-10.0, blur_sigma=0.7,
+                                                      morph_radius=1),
+                                     PerceptionConfig(tau=45.0, blur_sigma=3.1,
+                                                      morph_radius=3)])
+    def test_matches_oracle_pipeline(self, cfg):
+        # red is never blurred any more; every stage output is unchanged
+        rng = np.random.default_rng(16)
+        bev = BevConfig()
+        h = default_camera_homography(bev)
+        for _ in range(3):
+            img = rng.integers(0, 256, size=(240, 320, 3), dtype=np.uint8)
+            img[rng.random((240, 320)) < 0.5] = GRASS_RGB
+            scan, mask, bev_mask = detect_boundaries(img, h, cfg, bev)
+            e_scan, e_mask, e_bev = detect_boundaries_oracle(img, h, cfg, bev)
+            np.testing.assert_array_equal(mask, e_mask)
+            np.testing.assert_array_equal(bev_mask, e_bev)
+            np.testing.assert_array_equal(scan.distances, e_scan.distances)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"blur_sigma": 0.0}, "perception.blur_sigma"),
+        ({"blur_sigma": -1.0}, "perception.blur_sigma"),
+        ({"blur_sigma": math.nan}, "perception.blur_sigma"),
+        ({"morph_radius": 0}, "perception.morph_radius"),
+        ({"tau": math.inf}, "perception.tau"),
+        ({"tau": math.nan}, "perception.tau"),
+    ])
+    def test_perception_rejects(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            PerceptionConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"width": 1}, "bev.width"),
+        ({"height": 0}, "bev.height"),
+        ({"meters_per_px": 0.0}, "bev.meters_per_px"),
+        ({"meters_per_px": math.inf}, "bev.meters_per_px"),
+        ({"max_range": -2.0}, "bev.max_range"),
+        ({"max_range": math.nan}, "bev.max_range"),
+        ({"vehicle_px": (-1.0, 5.0)}, "bev.vehicle_px"),
+        ({"vehicle_px": (5.0, 200.0)}, "bev.vehicle_px"),
+    ])
+    def test_bev_rejects(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            BevConfig(**kwargs)
+
+    def test_smallest_frames_accepted(self):
+        bev = BevConfig(width=2, height=1)
+        assert bev.origin_px() == (1.0, 0.0)
+        BevConfig(vehicle_px=(0.0, 0.0))
+        BevConfig(vehicle_px=(159.0, 199.0))
 
 
 class TestImageFiles:

@@ -12,7 +12,9 @@ from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
                         bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, render_scene, run_closed_loop)
-from helpers import (circle_track, geometric_scan_oracle, oval_track,
+import gokart.sim
+from helpers import (alternating, circle_track, detect_boundaries_oracle,
+                     geometric_scan_oracle, oval_track, render_scene_oracle,
                      straight_track, write_track_csv)
 
 
@@ -206,6 +208,33 @@ class TestRenderScene:
         assert np.mean(err <= 0.25) >= 0.95
 
 
+    def test_matches_oracle_on_random_poses(self):
+        # random poses on the oval and the circle through the default camera,
+        # alternating with variants that each change one input of the pixel
+        # maps: the homography, the front size, the BEV size, the BEV scale
+        rng = np.random.default_rng(21)
+        bev = BevConfig()
+        camera = default_camera_homography(bev)
+        other = BevConfig(width=120, height=150, meters_per_px=0.12,
+                          vehicle_px=(60.0, 140.0))
+        cases = [(camera, 320, 240, bev),
+                 (np.eye(3), 320, 240, bev),
+                 (camera, 300, 240, bev),
+                 (camera, 320, 240, other),
+                 (camera, 320, 240, BevConfig(meters_per_px=0.08))]
+        for track in (oval_track(width=4.0), circle_track()):
+            sampler = TrackSampler(track)
+            for h, fw, fh, cfg in alternating(cases):
+                i = rng.integers(0, len(sampler.points))
+                pose = VehicleState(x=sampler.points[i, 0] + rng.normal(0.0, 1.0),
+                                    y=sampler.points[i, 1] + rng.normal(0.0, 1.0),
+                                    psi=rng.uniform(-math.pi, math.pi))
+                img = render_scene(sampler, pose, h, fw, fh, cfg)
+                assert img.dtype == np.uint8 and img.shape == (fh, fw, 3)
+                np.testing.assert_array_equal(
+                    img, render_scene_oracle(sampler, pose, h, fw, fh, cfg))
+
+
 class TestScenarioConfig:
     def test_parse_and_defaults(self):
         raw = parse_scenario_text("""
@@ -335,6 +364,40 @@ class TestClosedLoop:
             tmp_path, "sensors.gnss_dropout = 10.0:12.0\n")
         report = run_closed_loop(scenario)
         assert report.boundary_violations == 0
+
+    def test_first_fix_reported(self, tmp_path):
+        scenario = self._oval_scenario(tmp_path)
+        scenario.duration_s = 1.0
+        report = run_closed_loop(scenario)
+        assert report.first_fix_s == 0.0
+        assert '"first_fix_s": 0.0' in report.to_json()
+
+    def test_never_localized_has_no_first_fix(self, tmp_path):
+        scenario = self._oval_scenario(tmp_path,
+                                       "sensors.gnss_dropout = 0:100\n")
+        scenario.duration_s = 2.0
+        report = run_closed_loop(scenario)
+        assert report.first_fix_s is None
+        assert '"first_fix_s": null' in report.to_json()
+
+    def test_ftg_logs_match_oracle_stages(self, tmp_path, monkeypatch):
+        # the memoized, separable, two-channel frame path against the
+        # straightforward stages, over a short FTG run; exact logs, so the
+        # check holds on any platform without pinning a digest
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 2\nseed = 7\nsensors.gnss_sigma = 0.02\n")
+        scenario = load_scenario(tmp_path / "s.txt")
+        fast = run_closed_loop(scenario)
+        # the oracles call only oracle stages below them
+        monkeypatch.setattr(gokart.sim, "render_scene", render_scene_oracle)
+        monkeypatch.setattr(gokart.sim, "detect_boundaries",
+                            detect_boundaries_oracle)
+        slow = run_closed_loop(scenario)
+        assert slow.logs["scans.csv"].count("\n") > 361 * 10
+        assert fast.logs == slow.logs
+        assert fast.to_json() == slow.to_json()
 
     def test_missing_track_errors(self, tmp_path):
         (tmp_path / "s.txt").write_text("mode = pursuit\nduration_s = 1\n")
