@@ -127,33 +127,31 @@ def count_dropped(sequences) -> int:
     return dropped
 
 
+# feedback id -> (SubsystemFeedback field, wire scale, struct format,
+# saturation range of the raw value)
+_FEEDBACK = {
+    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, "<h", (-32768, 32767)),
+    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, "<h",
+                       (-32768, 32767)),
+    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, "<H", (0, 65535)),
+}
+
+
 def encode_feedback(can_id: int, value: float, seq: int = 0) -> CanFrame:
-    if can_id == TBWS_FEEDBACK_ID:
-        raw = _sat(value * SPEED_SCALE, -32768, 32767)
-        payload = struct.pack("<h", raw)
-    elif can_id == SBWS_FEEDBACK_ID:
-        raw = _sat(value * STEERING_SCALE, -32768, 32767)
-        payload = struct.pack("<h", raw)
-    elif can_id == EBS_FEEDBACK_ID:
-        raw = _sat(value * BRAKE_SCALE, 0, 65535)
-        payload = struct.pack("<H", raw)
-    else:
+    if can_id not in _FEEDBACK:
         raise ValueError(f"not a feedback id: 0x{can_id:03x}")
+    _, scale, fmt, (lo, hi) = _FEEDBACK[can_id]
+    payload = struct.pack(fmt, _sat(value * scale, lo, hi))
     return CanFrame(can_id, payload + bytes(5) + bytes([seq % 256]))
 
 
 def apply_feedback(fb: SubsystemFeedback, frame: CanFrame) -> SubsystemFeedback:
     """Fold one feedback frame into the gathered subsystem state."""
-    if frame.can_id == TBWS_FEEDBACK_ID:
-        (raw,) = struct.unpack_from("<h", frame.payload)
-        return replace(fb, measured_speed=raw / SPEED_SCALE)
-    if frame.can_id == SBWS_FEEDBACK_ID:
-        (raw,) = struct.unpack_from("<h", frame.payload)
-        return replace(fb, measured_steering=raw / STEERING_SCALE)
-    if frame.can_id == EBS_FEEDBACK_ID:
-        (raw,) = struct.unpack_from("<H", frame.payload)
-        return replace(fb, brake_pressure=raw / BRAKE_SCALE)
-    raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
+    if frame.can_id not in _FEEDBACK:
+        raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
+    name, scale, fmt, _ = _FEEDBACK[frame.can_id]
+    (raw,) = struct.unpack_from(fmt, frame.payload)
+    return replace(fb, **{name: raw / scale})
 
 
 class ModeArbiter:

@@ -42,19 +42,21 @@ def body_to_world(x: float, y: float, psi: float, points: np.ndarray) -> np.ndar
     return np.stack([wx, wy], axis=-1)
 
 
-def polyline_distance(xy: np.ndarray, p, closed: bool = False) -> float:
-    """Shortest distance from point `p` to the polyline `xy` ((N, 2))."""
+def polyline_distance(xy: np.ndarray, p, closed: bool = False) -> tuple[float, int]:
+    """Shortest distance from point `p` to the polyline `xy` ((N, 2)), and
+    the index of the vertex nearest to `p`."""
     xy = np.asarray(xy, dtype=float)
     p = np.asarray(p, dtype=float)
+    offsets = p[None, :] - xy
     if closed:
-        a, b = xy, np.roll(xy, -1, axis=0)
+        a, b, ap = xy, np.roll(xy, -1, axis=0), offsets
     else:
-        a, b = xy[:-1], xy[1:]
+        a, b, ap = xy[:-1], xy[1:], offsets[:-1]
     ab = b - a
-    ap = p[None, :] - a
     denom = np.einsum("ij,ij->i", ab, ab)
     denom = np.where(denom > 0.0, denom, 1.0)
     t = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
     d = np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1])
-    return float(d.min())
+    near = int(np.argmin(np.hypot(offsets[:, 0], offsets[:, 1])))
+    return float(d.min()), near

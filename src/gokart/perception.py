@@ -240,7 +240,12 @@ def _ray_index(shape: tuple[int, int], bev: BevConfig):
         raise ValueError("vehicle pixel outside the BEV frame")
     angles = scan_angles()
     max_px = bev.max_range / bev.meters_per_px
-    n_steps = int(math.ceil(max_px / RAY_STEP_PX))
+    # a step past the frame's farthest pixel edge from the vehicle cannot
+    # round into the frame, so the march ends there when the range is longer
+    reach_px = math.hypot(max(vx + 0.5, width - 0.5 - vx),
+                          max(vy + 0.5, height - 0.5 - vy))
+    n_steps = min(int(math.ceil(max_px / RAY_STEP_PX)),
+                  int(reach_px / RAY_STEP_PX) + 1)
     t = (np.arange(1, n_steps + 1) * RAY_STEP_PX)[None, :]
     # Heading up: angle a advances (-sin a, -cos a) in (col, row).
     dc = -np.sin(angles)[:, None]

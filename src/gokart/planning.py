@@ -93,21 +93,17 @@ def gap_steering(gap: Gap, scan: DepthScan, delta_max: float = 1.0) -> float:
     return min(max(angle, -delta_max), delta_max)
 
 
-def ftg_speed(delta: float, params: FtgParams,
-              law: SpeedLaw | None = None) -> float:
-    """Speed command for a steering angle.
+def ftg_speed(delta: float, params: FtgParams) -> float:
+    """Speed command for a steering angle under `params.law`.
 
     corrected (default): v = v_max - (|delta| / delta_max)(v_max - v_min)
     as_written:          v = v_min + (delta / delta_max)(v_max - v_min)
     Both are clamped to [v_min, v_max].
     """
-    law = law or params.law
-    if law == "corrected":
-        v = params.v_max - (abs(delta) / params.delta_max) * (params.v_max - params.v_min)
-    elif law == "as_written":
+    if params.law == "as_written":
         v = params.v_min + (delta / params.delta_max) * (params.v_max - params.v_min)
     else:
-        raise ValueError(f"unknown speed law {law!r}")
+        v = params.v_max - (abs(delta) / params.delta_max) * (params.v_max - params.v_min)
     return min(max(v, params.v_min), params.v_max)
 
 

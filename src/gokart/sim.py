@@ -481,17 +481,9 @@ class RunReport:
     first_fix_s: float | None
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "duration_s": self.duration_s,
-            "ticks": self.ticks,
-            "lap_time_s": self.lap_time_s,
-            "max_cross_track_error_m": self.max_cross_track_error_m,
-            "mean_abs_cross_track_error_m": self.mean_abs_cross_track_error_m,
-            "boundary_violations": self.boundary_violations,
-            "safety_stops": self.safety_stops,
-            "first_fix_s": self.first_fix_s,
-        }
+        """Every field but the logs."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "logs"}
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -509,10 +501,69 @@ def prepare_raceline(track: Track, scenario: ScenarioConfig) -> Raceline:
     return build_raceline(track, alpha, scenario.limits, scenario.spacing_m)
 
 
+# A planner runs every `period` ticks once the filter has a fix; `plan`
+# returns (command, gap or None, safety stop) or None, `rows` its own logs.
+
+class _PursuitPlanner:
+    """Pure pursuit of the raceline from the filter's estimate; plans
+    nothing more once the raceline has run out."""
+
+    def __init__(self, raceline: Raceline, scenario: ScenarioConfig,
+                 period: int):
+        self.raceline = raceline
+        self.params = scenario.pursuit
+        self.period = period
+        self.step_s = period * scenario.dt
+        self.state = PursuitState()
+        self.ended = False
+        self.rows: dict[str, list[str]] = {}
+
+    def plan(self, t, estimate: EkfState, measured_speed, truth):
+        if self.ended:
+            return None
+        pose = VehiclePose(x=float(estimate.mean[0]), y=float(estimate.mean[1]),
+                           psi=float(estimate.mean[2]), v=measured_speed)
+        try:
+            cmd = pursuit_step(self.raceline, pose, self.state, self.params,
+                               self.step_s)
+        except EndOfRaceline:
+            self.ended = True
+            return DriveCommand(mode=Mode.AUTONOMOUS), None, True
+        return DriveCommand(steering=cmd.steering, speed=cmd.target_speed,
+                            mode=Mode.AUTONOMOUS), None, False
+
+
+class _FtgPlanner:
+    """Follow-the-gap on the scan perceived in a camera frame rendered at
+    the true pose; runs on ticks shared by the controller and perception."""
+
+    def __init__(self, sampler: TrackSampler, scenario: ScenarioConfig,
+                 period: int):
+        self.sampler = sampler
+        self.scenario = scenario
+        self.period = period
+        self.camera_h = default_camera_homography(
+            scenario.bev, scenario.front_width, scenario.front_height)
+        self.rows = {"scans.csv": ["t_s,angle_rad,distance_m"]}
+
+    def plan(self, t, estimate, measured_speed, truth: VehicleState):
+        sc = self.scenario
+        img = render_scene(self.sampler, truth, self.camera_h, sc.front_width,
+                           sc.front_height, sc.bev)
+        scan, _, _ = detect_boundaries(img, self.camera_h, sc.perception,
+                                       sc.bev)
+        self.rows["scans.csv"].extend(
+            f"{t!r},{a!r},{d!r}" for a, d in zip(scan.angles, scan.distances))
+        cmd = ftg_step(scan, sc.ftg)  # a safety stop commands 0 rad, 0 m/s
+        return (DriveCommand(steering=cmd.steering, speed=cmd.speed,
+                             mode=Mode.AUTONOMOUS),
+                cmd.chosen_gap, cmd.safety_stop)
+
+
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     """Run one scenario to completion and report tracking quality.
 
-    Physics steps at 1/dt Hz; the controller, perception, and the command
+    Physics steps at 1/dt Hz; the planner, perception, and the command
     bus run at their own divisors. Commands travel encoder -> CAN frame ->
     decoder so the wire quantization is part of the loop.
     """
@@ -521,12 +572,21 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     track = read_track_csv(scenario.track, scenario.track_closed,
                            scenario.vehicle_half_width)
     sampler = TrackSampler(track)
+    dt = scenario.dt
+    ticks = int(round(scenario.duration_s / dt))
+    ctrl_every = _interval(scenario.controller_rate_hz, dt)
+    perc_every = _interval(scenario.perception_rate_hz, dt)
+    mcs_every = _interval(scenario.command_rate_hz, dt)
+    gnss_every = _interval(scenario.sensors.gnss_rate, dt)
+    imu_every = _interval(scenario.sensors.imu_rate, dt)
     if scenario.mode == "pursuit":
         raceline = prepare_raceline(track, scenario)
+        planner = _PursuitPlanner(raceline, scenario, ctrl_every)
         ref_xy, ref_s = raceline.xy, raceline.s
         ref_len, ref_closed = raceline.length, raceline.closed
     else:
-        raceline = None
+        planner = _FtgPlanner(sampler, scenario,
+                              math.lcm(ctrl_every, perc_every))
         ref_xy, ref_s = sampler.points, sampler.arc
         ref_len, ref_closed = sampler.length, sampler.closed
 
@@ -540,43 +600,24 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                              scenario.ekf.earth_radius)
     imu_sim = ImuSimulator(scenario.sensors)
 
-    dt = scenario.dt
-    ticks = int(round(scenario.duration_s / dt))
-    ctrl_every = _interval(scenario.controller_rate_hz, dt)
-    perc_every = _interval(scenario.perception_rate_hz, dt)
-    mcs_every = _interval(scenario.command_rate_hz, dt)
-    gnss_every = _interval(scenario.sensors.gnss_rate, dt)
-    imu_every = _interval(scenario.sensors.imu_rate, dt)
-
-    camera_h = None
-    if scenario.mode == "ftg":
-        camera_h = default_camera_homography(scenario.bev, scenario.front_width,
-                                             scenario.front_height)
-
     ekf_state: EkfState | None = None
     first_fix: float | None = None
-    pursuit_state = PursuitState()
     arbiter = ModeArbiter()
     throttle = ThrottleEcu()
     bus = CanBus()
     feedback = SubsystemFeedback()
-    delta_act = 0.0
-    pressure = 0.0
-    cmd_seq = 0
-    fb_seq = 0
+    delta_act = pressure = 0.0
+    cmd_seq = fb_seq = 0
     pending_cmd: DriveCommand | None = None
     active = DriveCommand(mode=Mode.AUTONOMOUS)
 
     pose_rows = ["t_s,x_m,y_m,psi_rad,v_mps,est_x_m,est_y_m,est_psi_rad,cross_track_m"]
     command_rows = ["t_s,steering_rad,speed_mps,gap_i,gap_j"]
     frame_rows = ["t_s,id_hex,payload_hex"]
-    scan_rows = ["t_s,angle_rad,distance_m"]
 
     errors: list[float] = []
-    boundary_violations = 0
+    boundary_violations = safety_stops = 0
     was_outside = False
-    safety_stops = 0
-    ended = False
     lap_time: float | None = None
     progress = 0.0
     s_prev: float | None = None
@@ -600,45 +641,14 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 ekf_state = fuse_step(ekf_state, u, gnss, imu, origin,
                                       scenario.ekf)
 
-        if ekf_state is not None and k % ctrl_every == 0 and not ended:
-            if scenario.mode == "pursuit":
-                pose = VehiclePose(x=float(ekf_state.mean[0]),
-                                   y=float(ekf_state.mean[1]),
-                                   psi=float(ekf_state.mean[2]),
-                                   v=feedback.measured_speed)
-                try:
-                    cmd = pursuit_step(raceline, pose, pursuit_state,
-                                       scenario.pursuit, ctrl_every * dt)
-                    pending_cmd = DriveCommand(steering=cmd.steering,
-                                               speed=cmd.target_speed,
-                                               mode=Mode.AUTONOMOUS)
-                    command_rows.append(
-                        f"{t!r},{cmd.steering!r},{cmd.target_speed!r},,")
-                except EndOfRaceline:
-                    ended = True
-                    safety_stops += 1
-                    pending_cmd = DriveCommand(mode=Mode.AUTONOMOUS)
-                    command_rows.append(f"{t!r},0.0,0.0,,")
-            elif k % perc_every == 0:
-                img = render_scene(sampler, truth, camera_h,
-                                   scenario.front_width, scenario.front_height,
-                                   scenario.bev)
-                scan, _, _ = detect_boundaries(img, camera_h,
-                                               scenario.perception, scenario.bev)
-                for a, d in zip(scan.angles, scan.distances):
-                    scan_rows.append(f"{t!r},{a!r},{d!r}")
-                fcmd = ftg_step(scan, scenario.ftg)
-                if fcmd.safety_stop:
-                    safety_stops += 1
-                    pending_cmd = DriveCommand(mode=Mode.AUTONOMOUS)
-                    command_rows.append(f"{t!r},0.0,0.0,,")
-                else:
-                    pending_cmd = DriveCommand(steering=fcmd.steering,
-                                               speed=fcmd.speed,
-                                               mode=Mode.AUTONOMOUS)
-                    command_rows.append(
-                        f"{t!r},{fcmd.steering!r},{fcmd.speed!r},"
-                        f"{fcmd.chosen_gap.i},{fcmd.chosen_gap.j}")
+        if ekf_state is not None and k % planner.period == 0:
+            planned = planner.plan(t, ekf_state, feedback.measured_speed, truth)
+            if planned is not None:
+                pending_cmd, gap, stop = planned
+                safety_stops += stop
+                gap_cells = "," if gap is None else f"{gap.i},{gap.j}"
+                command_rows.append(f"{t!r},{pending_cmd.steering!r},"
+                                    f"{pending_cmd.speed!r},{gap_cells}")
 
         if k % mcs_every == 0:
             arbitrated = arbiter.step(t, Mode.AUTONOMOUS,
@@ -671,7 +681,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         fb_seq += 1
 
         pos = np.array([truth.x, truth.y])
-        cross = polyline_distance(ref_xy, pos, closed=ref_closed)
+        cross, near = polyline_distance(ref_xy, pos, closed=ref_closed)
         errors.append(cross)
         margin = float(sampler.lateral_margin(pos[None, :])[0])
         outside = margin < 0.0
@@ -679,8 +689,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             boundary_violations += 1
         was_outside = outside
 
-        near = int(np.argmin(np.hypot(ref_xy[:, 0] - truth.x,
-                                      ref_xy[:, 1] - truth.y)))
         s_here = float(ref_s[near])
         if s_prev is not None:
             ds = s_here - s_prev
@@ -691,21 +699,13 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         if lap_time is None and progress >= ref_len:
             lap_time = t
 
-        if ekf_state is not None:
-            est = (f"{float(ekf_state.mean[0])!r},{float(ekf_state.mean[1])!r},"
-                   f"{float(ekf_state.mean[2])!r}")
-        else:
-            est = "nan,nan,nan"
+        est = ("nan,nan,nan" if ekf_state is None else
+               ",".join(map(repr, ekf_state.mean.tolist())))
         pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
                          f"{truth.v!r},{est},{cross!r}")
 
-    logs = {
-        "poses.csv": "\n".join(pose_rows) + "\n",
-        "commands.csv": "\n".join(command_rows) + "\n",
-        "frames.csv": "\n".join(frame_rows) + "\n",
-    }
-    if scenario.mode == "ftg":
-        logs["scans.csv"] = "\n".join(scan_rows) + "\n"
+    rows = {"poses.csv": pose_rows, "commands.csv": command_rows,
+            "frames.csv": frame_rows, **planner.rows}
     return RunReport(
         mode=scenario.mode,
         duration_s=scenario.duration_s,
@@ -715,6 +715,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         mean_abs_cross_track_error_m=float(np.mean(errors)) if errors else 0.0,
         boundary_violations=boundary_violations,
         safety_stops=safety_stops,
-        logs=logs,
+        logs={name: "\n".join(r) + "\n" for name, r in rows.items()},
         first_fix_s=first_fix,
     )

@@ -248,11 +248,11 @@ def velocity_profile(kappa, s, limits: VehicleLimits, *, closed: bool = False,
                      total_length: float | None = None) -> np.ndarray:
     """Per-waypoint speed targets.
 
-    Seeds v_i = min(v_max, sqrt(a_lat_max / |kappa_i|)), then alternates
-    forward (acceleration) and backward (braking) passes enforcing
-    |v_{i+1}^2 - v_i^2| <= 2 a_lon_max ds until a fixed point. Closed
-    profiles wrap across the seam, whose segment length comes from
-    `total_length`.
+    Seeds v_i = min(v_max, sqrt(a_lat_max / |kappa_i|)), then makes one
+    forward (acceleration) and one backward (braking) pass enforcing
+    |v_{i+1}^2 - v_i^2| <= 2 a_lon_max ds. Closed profiles wrap across the
+    seam, whose segment length comes from `total_length`, and start both
+    passes at the slowest seeded waypoint, which no cap can lower.
     """
     kappa = np.abs(np.asarray(kappa, dtype=float))
     s = np.asarray(s, dtype=float)
@@ -270,23 +270,16 @@ def velocity_profile(kappa, s, limits: VehicleLimits, *, closed: bool = False,
         if seam <= 0.0:
             raise ValueError("total_length inconsistent with arc positions")
         ds = np.append(ds, seam)
-    idx = range(n) if closed else range(n - 1)
-    for _ in range(64):
-        changed = False
-        for i in idx:
-            j = (i + 1) % n
-            cap = math.sqrt(v[i] ** 2 + 2.0 * limits.a_lon_max * ds[i])
-            if v[j] > cap:
-                v[j] = cap
-                changed = True
-        for i in reversed(idx):
-            j = (i + 1) % n
-            cap = math.sqrt(v[j] ** 2 + 2.0 * limits.a_lon_max * ds[i])
-            if v[i] > cap:
-                v[i] = cap
-                changed = True
-        if not changed:
-            break
+        start = int(np.argmin(v))
+        edges = [(start + i) % n for i in range(n)]
+    else:
+        edges = range(n - 1)
+    for i in edges:
+        j = (i + 1) % n
+        v[j] = min(v[j], math.sqrt(v[i] ** 2 + 2.0 * limits.a_lon_max * ds[i]))
+    for i in reversed(edges):
+        j = (i + 1) % n
+        v[i] = min(v[i], math.sqrt(v[j] ** 2 + 2.0 * limits.a_lon_max * ds[i]))
     return v
 
 

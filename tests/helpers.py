@@ -7,6 +7,8 @@ linear Kalman reference is written out long-hand. The frame-stage oracles
 (rendering, morphology, warp, ray march, the whole perception pipeline)
 recompute every pixel map per call and use the plain 2-D morphology, so the
 memoized and separable versions in the package must match them exactly.
+The velocity-profile oracle sweeps to a fixed point, and the polyline
+oracle measures each segment with endpoint and cross-product distances.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from gokart.geometry import body_to_world
 from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
                                apply_homography, gaussian_blur, grass_mask,
                                scan_angles)
-from gokart.track import Track
+from gokart.track import Track, VehicleLimits
 
 
 # --- track fixtures ----------------------------------------------------------
@@ -176,6 +178,60 @@ def reference_linear_kalman(mean, cov, f, r, steps):
             cov = (eye - k) @ cov
             cov = 0.5 * (cov + cov.T)
     return mean, cov
+
+
+def polyline_distance_oracle(xy, p, closed=False) -> tuple[float, int]:
+    """Distance to each segment as the nearer endpoint or, where the foot
+    of the perpendicular falls inside it, the cross-product height; and
+    the first vertex at the least distance."""
+    px, py = float(p[0]), float(p[1])
+    pts = [(float(x), float(y)) for x, y in xy]
+    pairs = list(zip(pts, pts[1:] + pts[:1] if closed else pts[1:]))
+    best = math.inf
+    for (ax, ay), (bx, by) in pairs:
+        ux, uy = bx - ax, by - ay
+        d = min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
+        along = (px - ax) * ux + (py - ay) * uy
+        if 0.0 < along < ux * ux + uy * uy:
+            d = min(d, abs(ux * (py - ay) - uy * (px - ax)) / math.hypot(ux, uy))
+        best = min(best, d)
+    dists = [math.hypot(px - x, py - y) for x, y in pts]
+    return best, dists.index(min(dists))
+
+
+def velocity_profile_oracle(kappa, s, limits: VehicleLimits, *,
+                            closed=False, total_length=None) -> np.ndarray:
+    """Forward and backward sweeps from index 0, repeated until none
+    changes a speed (at most 64 times)."""
+    kappa = np.abs(np.asarray(kappa, dtype=float))
+    s = np.asarray(s, dtype=float)
+    n = len(kappa)
+    with np.errstate(divide="ignore"):
+        v = np.where(kappa > 1e-12,
+                     np.sqrt(limits.a_lat_max / np.maximum(kappa, 1e-12)),
+                     np.inf)
+    v = np.minimum(v, limits.v_max)
+    ds = np.diff(s)
+    if closed:
+        ds = np.append(ds, total_length - s[-1] + s[0])
+    idx = range(n) if closed else range(n - 1)
+    for _ in range(64):
+        changed = False
+        for i in idx:
+            j = (i + 1) % n
+            cap = math.sqrt(v[i] ** 2 + 2.0 * limits.a_lon_max * ds[i])
+            if v[j] > cap:
+                v[j] = cap
+                changed = True
+        for i in reversed(idx):
+            j = (i + 1) % n
+            cap = math.sqrt(v[j] ** 2 + 2.0 * limits.a_lon_max * ds[i])
+            if v[i] > cap:
+                v[i] = cap
+                changed = True
+        if not changed:
+            break
+    return v
 
 
 def geometric_scan_oracle(sampler, pose, angles, bev, step_m=0.02) -> np.ndarray:

@@ -110,6 +110,26 @@ class TestFeedbackFrames:
     def test_unknown_feedback_id(self):
         with pytest.raises(FrameDecodeError):
             apply_feedback(SubsystemFeedback(), CanFrame(0x300, bytes(8)))
+        with pytest.raises(ValueError, match="not a feedback id"):
+            encode_feedback(0x300, 1.0)
+
+    @pytest.mark.parametrize("can_id, value, raw, decoded", [
+        (TBWS_FEEDBACK_ID, 3.217, "910c", 3.217),
+        (TBWS_FEEDBACK_ID, -40.0, "0080", -32.768),
+        (SBWS_FEEDBACK_ID, 40.0, "ff7f", 32.767),
+        (EBS_FEEDBACK_ID, 0.66, "c819", 0.66),
+        (EBS_FEEDBACK_ID, 7.0, "ffff", 6.5535),
+        (EBS_FEEDBACK_ID, -1.0, "0000", 0.0),
+    ])
+    def test_wire_bytes_and_saturation(self, can_id, value, raw, decoded):
+        # value LE in bytes 0-1, five zero bytes, the sequence in byte 7
+        frame = encode_feedback(can_id, value, 258)
+        assert frame.payload.hex() == raw + "0000000000" + "02"
+        fb = apply_feedback(SubsystemFeedback(), frame)
+        field = {TBWS_FEEDBACK_ID: "measured_speed",
+                 SBWS_FEEDBACK_ID: "measured_steering",
+                 EBS_FEEDBACK_ID: "brake_pressure"}[can_id]
+        assert getattr(fb, field) == decoded
 
 
 class TestArbitration:

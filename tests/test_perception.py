@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gokart.fileio import read_netpbm, write_netpbm
+from gokart.perception import _ray_index
 from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
                                ImageFormatError, PerceptionConfig, SCAN_SIZE,
                                TRACK_RGB, apply_homography, detect_boundaries,
@@ -286,6 +287,27 @@ class TestDepthScan:
             np.testing.assert_array_equal(scan.distances, expected.distances)
             np.testing.assert_array_equal(scan.angles, expected.angles)
             assert scan.max_range == expected.max_range
+
+    def test_range_beyond_the_frame_matches_oracle(self):
+        # at 100 m the range reaches 1,000 px, far past the default frame;
+        # sparse masks and lone corner pixels put hits at the frame's edge
+        rng = np.random.default_rng(21)
+        bev = BevConfig(max_range=100.0)
+        masks = [np.zeros((200, 160), dtype=np.uint8)]
+        for row, col in ((0, 0), (0, 159), (199, 0), (199, 159)):
+            corner = np.zeros((200, 160), dtype=np.uint8)
+            corner[row, col] = 1
+            masks.append(corner)
+        masks += [random_mask(rng, (200, 160), dense=rng.uniform(0.0, 0.002))
+                  for _ in range(12)]
+        for mask in masks:
+            scan = mask_to_depth(mask, bev)
+            expected = mask_to_depth_oracle(mask, bev)
+            np.testing.assert_array_equal(scan.distances, expected.distances)
+        # the farthest pixel edge from the vehicle pixel (80, 199) bounds the
+        # march, not the 2,000 steps of the range
+        reach_steps = math.hypot(80.5, 199.5) / 0.5
+        assert _ray_index((200, 160), bev).shape[1] <= reach_steps + 1
 
     def test_scan_size_enforced(self):
         with pytest.raises(ValueError):

@@ -120,10 +120,10 @@ class TestFtgSpeed:
 
     def test_as_written_matches_printed_formula(self):
         # literal law: v = v_min + (delta/delta_max)(v_max - v_min)
-        assert ftg_speed(1.0, FtgParams(), law="as_written") == 5.0
-        assert ftg_speed(0.0, FtgParams(), law="as_written") == 2.0
+        assert ftg_speed(1.0, FtgParams(law="as_written")) == 5.0
+        assert ftg_speed(0.0, FtgParams(law="as_written")) == 2.0
         # signed delta drives below v_min; clamp holds the floor
-        assert ftg_speed(-1.0, FtgParams(), law="as_written") == 2.0
+        assert ftg_speed(-1.0, FtgParams(law="as_written")) == 2.0
 
     def test_corrected_monotone_nonincreasing(self):
         params = FtgParams()

@@ -399,6 +399,38 @@ class TestClosedLoop:
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
 
+    def test_pursuit_past_the_end_of_an_open_raceline(self, tmp_path):
+        # a 38 m open straight runs out in about 8 s: one stop, its zero
+        # command row, then no more planning
+        write_track_csv(tmp_path / "straight.csv",
+                        straight_track(n=20, spacing=2.0, width=3.0))
+        (tmp_path / "s.txt").write_text(
+            "mode = pursuit\ntrack = straight.csv\ntrack.closed = false\n"
+            "duration_s = 20\nseed = 2\n")
+        report = run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        assert report.safety_stops == 1
+        rows = report.logs["commands.csv"].splitlines()[1:]
+        stops = [i for i, row in enumerate(rows)
+                 if row.split(",", 1)[1] == "0.0,0.0,,"]
+        assert stops == [len(rows) - 1]
+        assert float(rows[-1].split(",")[0]) < 19.0
+
+    def test_ftg_plans_on_shared_controller_and_perception_ticks(
+            self, tmp_path):
+        # 20 Hz control and 7 Hz perception at dt = 0.01 are every 5 and
+        # every 14 ticks; FTG plans on their common multiples, every 70
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 3\nseed = 7\nrates.perception_hz = 7\n")
+        report = run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        times = [repr(k * 0.01) for k in range(0, 300, 70)]
+        commands = report.logs["commands.csv"].splitlines()[1:]
+        assert [row.split(",")[0] for row in commands] == times
+        scans = report.logs["scans.csv"].splitlines()[1:]
+        assert [row.split(",")[0] for row in scans[::361]] == times
+        assert len(scans) == 361 * len(times)
+
     def test_missing_track_errors(self, tmp_path):
         (tmp_path / "s.txt").write_text("mode = pursuit\nduration_s = 1\n")
         with pytest.raises(ScenarioError):

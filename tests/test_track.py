@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gokart.track import (Raceline, Track, TrackFormatError, VehicleLimits,
                           alpha_bounds, build_raceline,
@@ -9,9 +11,10 @@ from gokart.track import (Raceline, Track, TrackFormatError, VehicleLimits,
                           estimated_lap_time, fit_spline, normals,
                           offset_curvature_cost, optimize_min_curvature,
                           read_raceline_csv, read_track_csv,
-                          resample_raceline, write_raceline_csv)
-from helpers import (circle_track, oval_track, straight_track, wiggly_track,
-                     write_track_csv)
+                          resample_raceline, velocity_profile,
+                          write_raceline_csv)
+from helpers import (circle_track, oval_track, straight_track,
+                     velocity_profile_oracle, wiggly_track, write_track_csv)
 
 
 class TestSpline:
@@ -168,6 +171,30 @@ class TestVelocityProfile:
             dv2 = np.abs(np.roll(vsq, -1) - vsq)
             assert np.all(dv2 <= 2.0 * limits.a_lon_max * ds + 1e-9)
             assert np.all(vsq * np.abs(rl.kappa) <= limits.a_lat_max + 1e-9)
+
+    # curvature 0 (a straight, no lateral cap) or either sign, per waypoint
+    # with the spacing to the next one
+    waypoints = st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(1e-4, 2.0),
+                            st.floats(-2.0, -1e-4)),
+                  st.floats(0.05, 5.0)),
+        min_size=2, max_size=80)
+
+    @settings(max_examples=400, deadline=None)
+    @given(waypoints, st.floats(0.0, 100.0), st.floats(0.1, 10.0),
+           st.floats(0.1, 10.0), st.floats(0.5, 30.0), st.booleans())
+    def test_matches_sweep_oracle_bitwise(self, points, s0, a_lat, a_lon,
+                                          v_max, closed):
+        kappa = np.array([k for k, _ in points])
+        gaps = np.array([d for _, d in points])
+        s = s0 + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+        total = float(s[-1] - s[0] + gaps[-1]) if closed else None
+        limits = VehicleLimits(a_lat_max=a_lat, a_lon_max=a_lon, v_max=v_max)
+        got = velocity_profile(kappa, s, limits, closed=closed,
+                               total_length=total)
+        want = velocity_profile_oracle(kappa, s, limits, closed=closed,
+                                       total_length=total)
+        assert got.tobytes() == want.tobytes()
 
     def test_open_profile_feasibility(self):
         limits = VehicleLimits()
