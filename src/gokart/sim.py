@@ -26,7 +26,8 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        apply_feedback, COMMAND_FRAME_ID, decode_command, ebs_step,
                        encode_command, encode_feedback, format_trace_row,
                        sbws_step)
-from .geometry import body_to_world, normalize_angle, polyline_distance
+from .geometry import (Polyline, body_to_world, normalize_angle,
+                       polyline_distance)
 from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
                            MotionInput, fuse_step, local_to_geo,
                            project_to_local)
@@ -92,29 +93,29 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
     """Advance the kinematic bicycle one step with RK4.
 
     Speed relaxes first-order toward the commanded speed scaled down by the
-    brake fraction; heading rate is (v / wheelbase) tan(steering).
+    brake fraction; heading rate is (v / wheelbase) tan(steering). Position
+    does not feed back into the derivatives, so the stages carry only
+    heading and speed.
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}]")
     v_target = min(max(speed_cmd, 0.0), params.max_speed)
     v_target *= 1.0 - min(max(brake, 0.0), 1.0)
     tan_d = math.tan(steering)
+    wheelbase, tau = params.wheelbase, params.v_time_constant
 
-    def deriv(s):
-        x, y, psi, v = s
-        return np.array([
-            v * math.cos(psi),
-            v * math.sin(psi),
-            v / params.wheelbase * tan_d,
-            (v_target - v) / params.v_time_constant,
-        ])
+    def deriv(psi, v):
+        return (v * math.cos(psi), v * math.sin(psi), v / wheelbase * tan_d,
+                (v_target - v) / tau)
 
-    s0 = np.array([state.x, state.y, state.psi, state.v])
-    k1 = deriv(s0)
-    k2 = deriv(s0 + 0.5 * dt * k1)
-    k3 = deriv(s0 + 0.5 * dt * k2)
-    k4 = deriv(s0 + dt * k3)
-    s1 = s0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    psi, v = state.psi, state.v
+    half = 0.5 * dt
+    k1 = deriv(psi, v)
+    k2 = deriv(psi + half * k1[2], v + half * k1[3])
+    k3 = deriv(psi + half * k2[2], v + half * k2[3])
+    k4 = deriv(psi + dt * k3[2], v + dt * k3[3])
+    s1 = [s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+          for s, a, b, c, d in zip((state.x, state.y, psi, v), k1, k2, k3, k4)]
     return VehicleState(x=float(s1[0]), y=float(s1[1]),
                         psi=normalize_angle(float(s1[2])),
                         v=float(min(max(s1[3], 0.0), params.max_speed)))
@@ -183,9 +184,15 @@ class TrackSampler:
         self.arc = t
         self.length = sp.t_max
         self._tree = cKDTree(self.points)
+        # one-point margins read single values as Python floats
+        self._views = tuple(memoryview(a.reshape(-1)) for a in (
+            self.points, self.tangents, self.w_left, self.w_right))
 
-    def lateral_margin(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the nearest boundary, positive inside the track."""
+    def lateral_margin(self, pts):
+        """Distance to the nearest boundary, positive inside the track: a
+        float for one (x, y) tuple, an array for an (N, 2) array."""
+        if isinstance(pts, tuple):
+            return self._point_margin(*pts)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _, idx = self._tree.query(pts)
         d = pts - self.points[idx]
@@ -199,6 +206,22 @@ class TrackSampler:
             last = len(self.points) - 1
             margin = np.where((idx == last) & (lon > 0.0),
                               np.minimum(margin, -lon), margin)
+        return margin
+
+    def _point_margin(self, x: float, y: float) -> float:
+        """The array path's arithmetic on one point, in Python floats."""
+        _, i = self._tree.query((x, y))
+        points, tangents, w_left, w_right = self._views
+        dx, dy = x - points[2 * i], y - points[2 * i + 1]
+        tx, ty = tangents[2 * i], tangents[2 * i + 1]
+        lat = tx * dy - ty * dx
+        lon = tx * dx + ty * dy
+        margin = min(w_left[i] - lat, w_right[i] + lat)
+        if not self.closed:
+            if i == 0 and lon < 0.0:
+                margin = min(margin, lon)
+            if i == len(w_left) - 1 and lon > 0.0:
+                margin = min(margin, -lon)
         return margin
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
@@ -589,6 +612,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                               math.lcm(ctrl_every, perc_every))
         ref_xy, ref_s = sampler.points, sampler.arc
         ref_len, ref_closed = sampler.length, sampler.closed
+    reference = Polyline(ref_xy, ref_closed)
 
     heading0 = math.atan2(ref_xy[1, 1] - ref_xy[0, 1],
                           ref_xy[1, 0] - ref_xy[0, 0])
@@ -621,6 +645,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     lap_time: float | None = None
     progress = 0.0
     s_prev: float | None = None
+    near: int | None = None  # last tick's nearest reference vertex
 
     for k in range(ticks):
         t = k * dt
@@ -680,10 +705,10 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             frame_rows.append(",".join(format_trace_row(t, fb_frame)))
         fb_seq += 1
 
-        pos = np.array([truth.x, truth.y])
-        cross, near = polyline_distance(ref_xy, pos, closed=ref_closed)
+        pos = (truth.x, truth.y)
+        cross, near = polyline_distance(reference, pos, hint=near)
         errors.append(cross)
-        margin = float(sampler.lateral_margin(pos[None, :])[0])
+        margin = sampler.lateral_margin(pos)
         outside = margin < 0.0
         if outside and not was_outside:
             boundary_violations += 1

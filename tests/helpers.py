@@ -7,8 +7,9 @@ linear Kalman reference is written out long-hand. The frame-stage oracles
 (rendering, morphology, warp, ray march, the whole perception pipeline)
 recompute every pixel map per call and use the plain 2-D morphology, so the
 memoized and separable versions in the package must match them exactly.
-The velocity-profile oracle sweeps to a fixed point, and the polyline
-oracle measures each segment with endpoint and cross-product distances.
+The velocity-profile oracle sweeps to a fixed point, the polyline
+oracle measures each segment with endpoint and cross-product distances, and
+the bicycle oracle runs RK4 on numpy state vectors.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from gokart.geometry import body_to_world
+from gokart.geometry import body_to_world, normalize_angle
 from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
                                apply_homography, gaussian_blur, grass_mask,
                                scan_angles)
+from gokart.sim import MAX_DT, VehicleState
 from gokart.track import Track, VehicleLimits
 
 
@@ -197,6 +199,35 @@ def polyline_distance_oracle(xy, p, closed=False) -> tuple[float, int]:
         best = min(best, d)
     dists = [math.hypot(px - x, py - y) for x, y in pts]
     return best, dists.index(min(dists))
+
+
+def bicycle_step_oracle(state, steering, speed_cmd, brake, params, dt):
+    """RK4 on numpy state vectors, all four components through every
+    stage."""
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT}]")
+    v_target = min(max(speed_cmd, 0.0), params.max_speed)
+    v_target *= 1.0 - min(max(brake, 0.0), 1.0)
+    tan_d = math.tan(steering)
+
+    def deriv(s):
+        x, y, psi, v = s
+        return np.array([
+            v * math.cos(psi),
+            v * math.sin(psi),
+            v / params.wheelbase * tan_d,
+            (v_target - v) / params.v_time_constant,
+        ])
+
+    s0 = np.array([state.x, state.y, state.psi, state.v])
+    k1 = deriv(s0)
+    k2 = deriv(s0 + 0.5 * dt * k1)
+    k3 = deriv(s0 + 0.5 * dt * k2)
+    k4 = deriv(s0 + dt * k3)
+    s1 = s0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return VehicleState(x=float(s1[0]), y=float(s1[1]),
+                        psi=normalize_angle(float(s1[2])),
+                        v=float(min(max(s1[3], 0.0), params.max_speed)))
 
 
 def velocity_profile_oracle(kappa, s, limits: VehicleLimits, *,

@@ -1,10 +1,12 @@
 """The benchmark's traced runs rebind names in the package (see
 perfbench/spans.py) and its measured runs rebind `gokart.sim.bicycle_step`.
 These tests keep a refactor from silently breaking either: every rebound
-name must exist where the benchmark looks for it, and a traced FTG run must
-record calls on every frame-path span."""
+name must exist where the benchmark looks for it, a traced FTG run must
+record calls on every frame-path span, and a traced pursuit run exactly one
+reference search, boundary margin and plant step per tick."""
 
 import types
+from collections import Counter
 from pathlib import Path
 
 import gokart.sim
@@ -55,3 +57,21 @@ def test_traced_ftg_run_records_every_frame_span(tmp_path):
                                        "planning.ftg_step"))}
     assert len(frame_spans) == 9
     assert frame_spans <= called
+
+
+def test_traced_pursuit_run_records_one_reference_query_per_tick(tmp_path):
+    spans = load_spans()
+    write_track_csv(tmp_path / "oval.csv", oval_track())
+    (tmp_path / "s.txt").write_text(
+        "mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
+        "duration_s = 1\nseed = 7\n")
+    scenario = load_scenario(tmp_path / "s.txt")
+    plain = run_closed_loop(scenario)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        traced = tracer.call(spans.LOOP, run_closed_loop, (scenario,), {})
+    assert traced.logs == plain.logs
+    calls = Counter(span[0] for span in tracer.spans)
+    for name in ("geometry.polyline_distance", "sim.lateral_margin",
+                 "sim.bicycle_step"):
+        assert calls[name] == traced.ticks == 100

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gokart.geometry import Polyline
 from gokart.localization import GeoFix, project_to_local
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
@@ -13,9 +16,14 @@ from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, render_scene, run_closed_loop)
 import gokart.sim
-from helpers import (alternating, circle_track, detect_boundaries_oracle,
-                     geometric_scan_oracle, oval_track, render_scene_oracle,
-                     straight_track, write_track_csv)
+from helpers import (alternating, bicycle_step_oracle, circle_track,
+                     detect_boundaries_oracle, geometric_scan_oracle,
+                     oval_track, render_scene_oracle, straight_track,
+                     wiggly_track, write_track_csv)
+
+
+def float_bits(state: VehicleState) -> list[str]:
+    return [float(v).hex() for v in (state.x, state.y, state.psi, state.v)]
 
 
 class TestBicycleModel:
@@ -65,6 +73,26 @@ class TestBicycleModel:
             bicycle_step(VehicleState(), 0.0, 0.0, 0.0, VehicleParams(), 0.06)
         with pytest.raises(ValueError):
             bicycle_step(VehicleState(), 0.0, 0.0, 0.0, VehicleParams(), 0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+           st.one_of(st.floats(-math.pi, math.pi),
+                     st.floats(math.pi - 1e-6, math.pi),
+                     st.floats(-math.pi, -math.pi + 1e-6)),
+           st.floats(0.0, 20.0), st.floats(-1.0, 1.0), st.floats(-10.0, 20.0),
+           st.floats(-1.0, 2.0), st.floats(0.5, 3.0), st.floats(0.1, 5.0),
+           st.floats(1.0, 15.0), st.floats(1e-4, 0.05))
+    def test_matches_vector_oracle_bitwise(self, x, y, psi, v, steering,
+                                           speed_cmd, brake, wheelbase, tau,
+                                           max_speed, dt):
+        # speed commands below 0 and above max_speed, brake outside [0, 1],
+        # headings up to +-pi
+        state = VehicleState(x=x, y=y, psi=psi, v=v)
+        params = VehicleParams(wheelbase=wheelbase, v_time_constant=tau,
+                               max_speed=max_speed)
+        args = (state, steering, speed_cmd, brake, params, dt)
+        got, want = bicycle_step(*args), bicycle_step_oracle(*args)
+        assert float_bits(got) == float_bits(want)
 
 
 class TestSensors:
@@ -142,6 +170,28 @@ class TestTrackSampler:
         outside_pt = np.array([[23.0, 0.0]])
         assert sampler.lateral_margin(inside_pt)[0] > 0.0
         assert sampler.lateral_margin(outside_pt)[0] < 0.0
+
+    @pytest.mark.parametrize("track", [oval_track(), wiggly_track(),
+                                       straight_track(n=12, spacing=2.0)],
+                             ids=["oval", "wiggly", "open straight"])
+    def test_one_point_margin_matches_the_array_path(self, track):
+        sampler = TrackSampler(track)
+        rng = np.random.default_rng(13)
+        lo, hi = track.xy.min(axis=0) - 6.0, track.xy.max(axis=0) + 6.0
+        pts = rng.uniform(lo, hi, size=(2000, 2))
+        if not track.closed:  # beyond both ends, near the axis
+            pts[:200, 0] = rng.uniform(lo[0], track.xy[0, 0], 200)
+            pts[200:400, 0] = rng.uniform(track.xy[-1, 0], hi[0], 200)
+            pts[:400, 1] = rng.uniform(-1.5, 1.5, 400)
+        together = sampler.lateral_margin(pts)
+        for (x, y), want in zip(pts.tolist(), together.tolist()):
+            got = sampler.lateral_margin((x, y))
+            assert type(got) is float
+            assert got.hex() == want.hex()
+            alone = sampler.lateral_margin(np.array([[x, y]]))[0]
+            assert got.hex() == float(alone).hex()
+        if not track.closed:
+            assert (together[:400] < 0.0).sum() > 300
 
 
 class TestRenderScene:
@@ -396,6 +446,31 @@ class TestClosedLoop:
                             detect_boundaries_oracle)
         slow = run_closed_loop(scenario)
         assert slow.logs["scans.csv"].count("\n") > 361 * 10
+        assert fast.logs == slow.logs
+        assert fast.to_json() == slow.to_json()
+
+    @pytest.mark.parametrize("mode,duration", [("pursuit", 13), ("ftg", 2)])
+    def test_logs_match_full_searches_and_vector_rk4(self, tmp_path,
+                                                     monkeypatch, mode,
+                                                     duration):
+        # hinted reference search, one-point margin and scalar RK4 against
+        # the full search, the array margin and the vector RK4; the pursuit
+        # run covers the 10-12 s GNSS dropout
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            f"mode = {mode}\ntrack = oval.csv\ntrack.closed = true\n"
+            f"duration_s = {duration}\nseed = 7\nsensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        scenario = load_scenario(tmp_path / "s.txt")
+        fast = run_closed_loop(scenario)
+        monkeypatch.setattr(Polyline, "_window_search",
+                            lambda self, px, py, hint: None)
+        monkeypatch.setattr(TrackSampler, "_point_margin",
+                            lambda self, x, y: float(
+                                self.lateral_margin(np.array([[x, y]]))[0]))
+        monkeypatch.setattr(gokart.sim, "bicycle_step", bicycle_step_oracle)
+        slow = run_closed_loop(scenario)
+        assert fast.ticks == duration * 100
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
 
