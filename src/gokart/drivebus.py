@@ -198,9 +198,6 @@ class ThrottleEcu:
         self.ki = ki
         self._integral = 0.0
 
-    def reset(self) -> None:
-        self._integral = 0.0
-
     def step(self, target_speed: float, measured_speed: float, dt: float) -> float:
         if dt <= 0.0:
             raise ValueError("dt must be > 0")

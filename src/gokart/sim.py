@@ -9,6 +9,7 @@ produce bit-identical logs.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -33,7 +34,7 @@ from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
                            project_to_local)
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
                          TRACK_RGB, detect_boundaries, homography_from_points,
-                         pixel_map)
+                         pixel_map, scan_angles)
 from .planning import FtgParams, SpeedLaw, ftg_step
 from .track import (Raceline, Track, VehicleLimits, build_raceline, fit_spline,
                     optimize_min_curvature, read_raceline_csv, read_track_csv)
@@ -157,6 +158,12 @@ class ImuSimulator:
                           yaw_variance=self.config.imu_sigma_yaw ** 2)
 
 
+# verdicts of the world cells behind TrackSampler.inside
+_UNKNOWN, _TRACK, _GRASS, _MIXED = 0, 1, 2, 3
+# cells classified per vectorized pass, bounding its temporaries
+_CELLS_PER_PASS = 512
+
+
 class TrackSampler:
     """Dense geometric view of a track for inside tests and boundary margins."""
 
@@ -187,6 +194,21 @@ class TrackSampler:
         # one-point margins read single values as Python floats
         self._views = tuple(memoryview(a.reshape(-1)) for a in (
             self.points, self.tangents, self.w_left, self.w_right))
+        # inside() decides points by world cells of 5 steps a side over the
+        # samples' bounding box, padded by the widest half-width plus half
+        # the box's longer side so that a camera frame seen from the track
+        # rarely leaves the grid; cells are classified on first use
+        self._cell = 5.0 * step
+        widest = float(max(self.w_left.max(), self.w_right.max()))
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        pad = widest + 0.5 * float((hi - lo).max())
+        self._grid_origin = lo - pad
+        nx, ny = np.ceil((hi - lo + 2.0 * pad) / self._cell).astype(int)
+        self._verdicts = np.full((ny, nx), _UNKNOWN, dtype=np.int8)
+        # covers the rounding in a pixel's world position and cell index, in
+        # its margin and in the corner bounds, all near 1e-16 of this scale
+        far = float(np.abs(np.concatenate([lo - pad, hi + pad])).max())
+        self._eps = 1e-9 * (1.0 + far + widest)
 
     def lateral_margin(self, pts):
         """Distance to the nearest boundary, positive inside the track: a
@@ -225,7 +247,82 @@ class TrackSampler:
         return margin
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
-        return self.lateral_margin(pts) >= 0.0
+        """`lateral_margin(pts) >= 0.0` for an (N, 2) array. Points in world
+        cells certified all track or all grass take the cell's verdict; the
+        rest, in mixed cells or off the grid, go through lateral_margin."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        gx = (pts[:, 0] - self._grid_origin[0]) / self._cell
+        gy = (pts[:, 1] - self._grid_origin[1]) / self._cell
+        ny, nx = self._verdicts.shape
+        on_grid = (gx >= 0.0) & (gx < nx) & (gy >= 0.0) & (gy < ny)
+        verdict = np.full(len(pts), _MIXED, dtype=np.int8)
+        if on_grid.any():
+            ix, iy = gx[on_grid].astype(np.intp), gy[on_grid].astype(np.intp)
+            x0, y0 = ix.min(), iy.min()
+            block = self._verdicts[y0:iy.max() + 1, x0:ix.max() + 1]
+            by, bx = np.nonzero(block == _UNKNOWN)
+            for a in range(0, len(bx), _CELLS_PER_PASS):
+                cx = bx[a:a + _CELLS_PER_PASS] + x0
+                cy = by[a:a + _CELLS_PER_PASS] + y0
+                self._verdicts[cy, cx] = self._classify(cx, cy)
+            verdict[on_grid] = self._verdicts.reshape(-1).take(iy * nx + ix)
+        inside = verdict == _TRACK
+        exact = verdict == _MIXED
+        if exact.any():
+            margin = self.lateral_margin(pts.compress(exact, axis=0))
+            inside[exact] = margin >= 0.0
+        return inside
+
+    def _classify(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """The verdict of each cell (cx, cy): _TRACK if every point of it has
+        a margin > 0 in lateral_margin's arithmetic, _GRASS if every point
+        has a margin < 0 there, else _MIXED."""
+        h, eps = 0.5 * self._cell, self._eps
+        centre = self._grid_origin + (np.column_stack([cx, cy]) + 0.5) \
+            * self._cell
+        # Candidates. Take any sample a (the one nearest the centre c) and
+        # the largest distance D from a cell corner to a. Distance to a is
+        # convex, so |p - a| <= D for every point p of the cell, and p's
+        # nearest sample s has |s - p| <= |a - p| <= D. With |p - c| at most
+        # the half diagonal, |s - c| <= D + half diagonal: the ball holds
+        # the nearest sample of every point in the cell. The 4 eps cover a
+        # pixel a rounding error outside its cell and cKDTree's rounding,
+        # so the ball also holds whichever sample the query returns.
+        _, near = self._tree.query(centre)
+        corner = np.abs(self.points[near] - centre) + h
+        radius = np.hypot(corner[:, 0], corner[:, 1]) + math.sqrt(2.0) * h \
+            + 4.0 * eps
+        balls = self._tree.query_ball_point(centre, radius,
+                                            return_sorted=False)
+        counts = np.fromiter(map(len, balls), np.intp, len(balls))
+        cand = np.fromiter(itertools.chain.from_iterable(balls), np.intp,
+                           int(counts.sum()))
+        cell = np.repeat(np.arange(len(balls)), counts)
+        # For a fixed sample, lat and lon are linear in the point, with
+        # gradients (-ty, tx) and (tx, ty); over the cell each lies within
+        # h (|tx| + |ty|) of its value at the centre, the bounds taken at
+        # the corners.
+        d = centre[cell] - self.points[cand]
+        tx, ty = self.tangents[cand, 0], self.tangents[cand, 1]
+        lat = tx * d[:, 1] - ty * d[:, 0]
+        lon = tx * d[:, 0] + ty * d[:, 1]
+        spread = h * (np.abs(tx) + np.abs(ty))
+        left, right = self.w_left[cand] - lat, self.w_right[cand] + lat
+        # track: every term of the margin stays >= eps; grass: one term
+        # stays < -eps. Either holds for every candidate, so whichever one
+        # the query picks on a tie gives the same answer.
+        track = np.minimum(left, right) - spread >= eps
+        grass = (left + spread < -eps) | (right + spread < -eps)
+        if not self.closed:  # the caps of the end samples
+            first, last = cand == 0, cand == len(self.points) - 1
+            track &= ~first | (lon - spread >= eps)
+            track &= ~last | (-lon - spread >= eps)
+            grass |= first & (lon + spread < -eps)
+            grass |= last & (-lon + spread < -eps)
+        n = len(balls)
+        all_track = np.bincount(cell, ~track, n) == 0
+        all_grass = np.bincount(cell, ~grass, n) == 0
+        return np.where(all_track, _TRACK, np.where(all_grass, _GRASS, _MIXED))
 
 
 @functools.lru_cache(maxsize=4)
@@ -252,8 +349,9 @@ def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
 _SCENE_PALETTE = np.array([TRACK_RGB, GRASS_RGB, SKY_RGB], dtype=np.uint8)
 
 
-def render_scene(track, pose: VehicleState, h: np.ndarray, front_width: int,
-                 front_height: int, bev: BevConfig) -> np.ndarray:
+def render_scene(sampler: TrackSampler, pose: VehicleState, h: np.ndarray,
+                 front_width: int, front_height: int,
+                 bev: BevConfig) -> np.ndarray:
     """Synthetic front-view camera image of the track scene.
 
     Builds the ground-truth BEV (grass vs track surface) at the pose, then
@@ -261,7 +359,6 @@ def render_scene(track, pose: VehicleState, h: np.ndarray, front_width: int,
     Front pixels that look above the mapped ground plane get a sky color that
     the grass threshold rejects.
     """
-    sampler = track if isinstance(track, TrackSampler) else TrackSampler(track)
     grass = bev_grass_mask(sampler, pose, bev)
     labels = np.full(grass.size + 1, 2, dtype=np.uint8)
     labels[:-1] = grass.reshape(-1) != 0
@@ -568,6 +665,8 @@ class _FtgPlanner:
         self.camera_h = default_camera_homography(
             scenario.bev, scenario.front_width, scenario.front_height)
         self.rows = {"scans.csv": ["t_s,angle_rad,distance_m"]}
+        # every scan comes from mask_to_depth, along scan_angles()
+        self._angle_cells = [f",{a!r}," for a in scan_angles()]
 
     def plan(self, t, estimate, measured_speed, truth: VehicleState):
         sc = self.scenario
@@ -575,8 +674,10 @@ class _FtgPlanner:
                            sc.front_height, sc.bev)
         scan, _, _ = detect_boundaries(img, self.camera_h, sc.perception,
                                        sc.bev)
+        stamp = repr(t)
         self.rows["scans.csv"].extend(
-            f"{t!r},{a!r},{d!r}" for a, d in zip(scan.angles, scan.distances))
+            f"{stamp}{a}{d!r}"
+            for a, d in zip(self._angle_cells, scan.distances))
         cmd = ftg_step(scan, sc.ftg)  # a safety stop commands 0 rad, 0 m/s
         return (DriveCommand(steering=cmd.steering, speed=cmd.speed,
                              mode=Mode.AUTONOMOUS),

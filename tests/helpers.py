@@ -7,6 +7,8 @@ linear Kalman reference is written out long-hand. The frame-stage oracles
 (rendering, morphology, warp, ray march, the whole perception pipeline)
 recompute every pixel map per call and use the plain 2-D morphology, so the
 memoized and separable versions in the package must match them exactly.
+The grass-mask and scan oracles read the sign of the nearest-sample margin
+for every point, never the certified world cells of `TrackSampler.inside`.
 The velocity-profile oracle sweeps to a fixed point, the polyline
 oracle measures each segment with endpoint and cross-product distances, and
 the bicycle oracle runs RK4 on numpy state vectors.
@@ -68,11 +70,39 @@ def wiggly_track(seed=3, n=60, radius=30.0, amp=4.0, width=3.0, vhw=0.4) -> Trac
                              vehicle_half_width=vhw)
 
 
-def straight_track(n=12, spacing=2.0, width=2.0, vhw=0.4) -> Track:
+def straight_track(n=12, spacing=2.0, width=2.0, vhw=0.4,
+                   heading=0.0) -> Track:
     x = np.arange(n, dtype=float) * spacing
-    xy = np.column_stack([x, np.zeros(n)])
+    xy = np.column_stack([x * math.cos(heading), x * math.sin(heading)])
     return Track.from_arrays(xy, width, width, closed=False,
                              vehicle_half_width=vhw)
+
+
+def hairpin_track(length=30.0, gap=4.0, wide=2.5, narrow=0.8, heading=0.4,
+                  spacing=1.0) -> Track:
+    """Two parallel straights `gap` apart joined by half circles, turned by
+    `heading`. The first straight is `wide` each side, reaching past the
+    midline between them; the second `narrow`. Between the straights the
+    margin's sign then flips on the midline, where the nearest sample jumps
+    from one straight to the other."""
+    r = gap / 2.0
+    n_straight = int(length / spacing)
+    n_turn = max(int(math.pi * r / spacing), 4)
+    x = np.arange(n_straight) * spacing
+    turn = np.arange(n_turn) * math.pi / n_turn
+    xy = np.concatenate([
+        np.column_stack([x, np.full(n_straight, -r)]),
+        np.column_stack([length + r * np.sin(turn), -r * np.cos(turn)]),
+        np.column_stack([length - x, np.full(n_straight, r)]),
+        np.column_stack([-r * np.sin(turn), r * np.cos(turn)])])
+    width = np.concatenate([np.full(n_straight, wide),
+                            np.linspace(wide, narrow, n_turn),
+                            np.full(n_straight, narrow),
+                            np.linspace(narrow, wide, n_turn)])
+    c, s = math.cos(heading), math.sin(heading)
+    xy = xy @ np.array([[c, s], [-s, c]])
+    return Track.from_arrays(xy, width, width, closed=True,
+                             vehicle_half_width=0.4)
 
 
 def write_track_csv(path, track: Track) -> None:
@@ -269,7 +299,7 @@ def geometric_scan_oracle(sampler, pose, angles, bev, step_m=0.02) -> np.ndarray
     """March the true track geometry in meters, capped at the BEV window.
 
     Independent of the image pipeline: no rendering, no pixels, just the
-    inside-track predicate along each ray.
+    sign of the nearest-sample margin along each ray.
     """
     vx, vy = bev.origin_px()
     mpp = bev.meters_per_px
@@ -284,7 +314,7 @@ def geometric_scan_oracle(sampler, pose, angles, bev, step_m=0.02) -> np.ndarray
                    (row >= -0.5) & (row <= bev.height - 0.5)
         body = np.stack([fwd, left], axis=-1)
         world = body_to_world(pose.x, pose.y, pose.psi, body)
-        grass = (~sampler.inside(world)) & in_frame
+        grass = (sampler.lateral_margin(world) < 0.0) & in_frame
         if grass.any():
             out[idx] = t[int(np.argmax(grass))]
     return out
@@ -293,15 +323,16 @@ def geometric_scan_oracle(sampler, pose, angles, bev, step_m=0.02) -> np.ndarray
 # --- frame-stage oracles -----------------------------------------------------
 
 def bev_grass_mask_oracle(sampler, pose, bev) -> np.ndarray:
-    """Ground-truth grass mask, the body grid built afresh per call."""
+    """Ground-truth grass mask, the body grid built afresh per call and
+    every pixel decided by the nearest-sample margin (no world cells)."""
     vx, vy = bev.origin_px()
     cols, rows = np.meshgrid(np.arange(bev.width), np.arange(bev.height))
     forward = (vy - rows) * bev.meters_per_px
     left = (vx - cols) * bev.meters_per_px
     body = np.stack([forward, left], axis=-1)
     world = body_to_world(pose.x, pose.y, pose.psi, body)
-    inside = sampler.inside(world.reshape(-1, 2)).reshape(bev.height, bev.width)
-    return (~inside).astype(np.uint8)
+    margin = sampler.lateral_margin(world.reshape(-1, 2))
+    return (margin < 0.0).reshape(bev.height, bev.width).astype(np.uint8)
 
 
 def render_scene_oracle(sampler, pose, h, front_width, front_height,

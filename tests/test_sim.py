@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gokart.geometry import Polyline
+from gokart.geometry import Polyline, body_to_world
 from gokart.localization import GeoFix, project_to_local
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
 from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
                         ScenarioError, SensorConfig, TrackSampler,
-                        VehicleParams, VehicleState, bev_grass_mask,
-                        bicycle_step, build_scenario,
+                        VehicleParams, VehicleState, _bev_body_points,
+                        bev_grass_mask, bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, render_scene, run_closed_loop)
 import gokart.sim
-from helpers import (alternating, bicycle_step_oracle, circle_track,
+from helpers import (alternating, bev_grass_mask_oracle,
+                     bicycle_step_oracle, circle_track,
                      detect_boundaries_oracle, geometric_scan_oracle,
-                     oval_track, render_scene_oracle, straight_track,
-                     wiggly_track, write_track_csv)
+                     hairpin_track, oval_track, render_scene_oracle,
+                     straight_track, wiggly_track, write_track_csv)
 
 
 def float_bits(state: VehicleState) -> list[str]:
@@ -285,6 +286,128 @@ class TestRenderScene:
                     img, render_scene_oracle(sampler, pose, h, fw, fh, cfg))
 
 
+def pose_near(sampler, i, offset, heading) -> VehicleState:
+    """A pose `offset` m left of sample i's centerline point."""
+    (x, y), (tx, ty) = sampler.points[i], sampler.tangents[i]
+    return VehicleState(x=float(x - ty * offset), y=float(y + tx * offset),
+                        psi=heading)
+
+
+class TestTruthMaskCells:
+    """`TrackSampler.inside` decides certified world cells at once and the
+    rest by the nearest-sample margin; the masks must equal the oracle's,
+    which decides every pixel by the margin, pixel for pixel."""
+
+    def test_ftg_oval_replay_poses(self, tmp_path, monkeypatch):
+        # every truth mask of the benchmark's 10 s FTG run on the oval
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 10.0\nseed = 7\nsensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        scenario = load_scenario(tmp_path / "s.txt")
+        masks, exact = [], []
+        mask = gokart.sim.bev_grass_mask
+        margin = TrackSampler.lateral_margin
+
+        def record(sampler, pose, bev):
+            masks.append((sampler, pose, bev, mask(sampler, pose, bev)))
+            return masks[-1][-1]
+
+        def count(sampler, pts):  # points that reach the margin's query
+            if not isinstance(pts, tuple):
+                exact.append(len(pts))
+            return margin(sampler, pts)
+
+        monkeypatch.setattr(gokart.sim, "bev_grass_mask", record)
+        monkeypatch.setattr(TrackSampler, "lateral_margin", count)
+        run_closed_loop(scenario)
+        pixels = sum(m.size for *_, m in masks)
+        assert len(masks) == 100
+        # most pixels are decided by their cell: 7.7% reach the margin
+        assert sum(exact) < 0.15 * pixels
+        monkeypatch.undo()
+        for sampler, pose, bev, got in masks:
+            np.testing.assert_array_equal(
+                got, bev_grass_mask_oracle(sampler, pose, bev))
+
+    def test_random_poses_on_and_off_the_oval(self):
+        # on the track, and 5-30 m off it on either side (inward is the
+        # infield), at any heading
+        sampler = TrackSampler(oval_track())
+        bev = BevConfig()
+        rng = np.random.default_rng(5)
+        n = len(sampler.points)
+        offsets = np.concatenate([rng.uniform(-3.5, 3.5, 8),
+                                  rng.uniform(5.0, 30.0, 8)
+                                  * rng.choice([-1.0, 1.0], 8)])
+        for offset in offsets:
+            pose = pose_near(sampler, int(rng.integers(n)), offset,
+                             rng.uniform(-math.pi, math.pi))
+            np.testing.assert_array_equal(
+                bev_grass_mask(sampler, pose, bev),
+                bev_grass_mask_oracle(sampler, pose, bev))
+
+    @pytest.mark.parametrize("track", [wiggly_track(), circle_track(),
+                                       hairpin_track(), straight_track(),
+                                       straight_track(spacing=2.05,
+                                                      heading=0.7)],
+                             ids=["wiggly", "circle", "hairpin",
+                                  "open straight", "turned open straight"])
+    def test_other_tracks(self, track):
+        sampler = TrackSampler(track)
+        bev = BevConfig()
+        rng = np.random.default_rng(8)
+        n = len(sampler.points)
+        poses = [pose_near(sampler, int(rng.integers(n)),
+                           rng.uniform(-8.0, 8.0),
+                           rng.uniform(-math.pi, math.pi)) for _ in range(6)]
+        if not track.closed:  # beyond both end caps, facing either way
+            for i, ahead in ((0, -1.0), (n - 1, 1.0)):
+                poses += [pose_near(sampler, i, 0.0, 0.0)]
+                for along in (0.5, 4.0):
+                    (x, y), (tx, ty) = sampler.points[i], sampler.tangents[i]
+                    poses += [VehicleState(x=float(x + ahead * along * tx),
+                                           y=float(y + ahead * along * ty),
+                                           psi=psi)
+                              for psi in (0.0, 2.0, math.pi, -1.0)]
+        for pose in poses:
+            np.testing.assert_array_equal(
+                bev_grass_mask(sampler, pose, bev),
+                bev_grass_mask_oracle(sampler, pose, bev))
+
+    def test_pixels_exactly_on_the_boundary_are_inside(self):
+        # the pixel columns 2 m left and right of the kart lie exactly on
+        # the edges at w = 2 m: margin 0, which counts as track
+        sampler = TrackSampler(straight_track(n=30, width=2.0))
+        bev = BevConfig()
+        pose = VehicleState(x=30.0, y=0.0, psi=0.0)
+        world = body_to_world(30.0, 0.0, 0.0, _bev_body_points(bev))
+        on_line = sampler.lateral_margin(world) == 0.0
+        assert on_line.sum() == 2 * bev.height
+        got = bev_grass_mask(sampler, pose, bev)
+        np.testing.assert_array_equal(got,
+                                      bev_grass_mask_oracle(sampler, pose, bev))
+        assert not got.reshape(-1)[on_line].any()
+
+    def test_masks_do_not_depend_on_what_was_asked_before(self):
+        track = oval_track()
+        bev = BevConfig()
+        rng = np.random.default_rng(11)
+        first = TrackSampler(track)
+        n = len(first.points)
+        poses = [pose_near(first, int(rng.integers(n)),
+                           rng.uniform(-12.0, 12.0),
+                           rng.uniform(-math.pi, math.pi)) for _ in range(8)]
+        forward = [bev_grass_mask(first, p, bev) for p in poses]
+        backward = TrackSampler(track)
+        reverse = [bev_grass_mask(backward, p, bev) for p in poses[::-1]]
+        for i, pose in enumerate(poses):
+            fresh = bev_grass_mask(TrackSampler(track), pose, bev)
+            np.testing.assert_array_equal(forward[i], fresh)
+            np.testing.assert_array_equal(reverse[-1 - i], fresh)
+
+
 class TestScenarioConfig:
     def test_parse_and_defaults(self):
         raw = parse_scenario_text("""
@@ -448,6 +571,31 @@ class TestClosedLoop:
         assert slow.logs["scans.csv"].count("\n") > 361 * 10
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
+
+    def test_scan_rows_format_every_ray(self, tmp_path, monkeypatch):
+        # scans.csv reads t, angle and distance of each ray as repr() of
+        # the scan's values
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\nduration_s = 1\nseed = 7\n")
+        scans = []
+        detect = gokart.sim.detect_boundaries
+
+        def record(*args):
+            scans.append(detect(*args)[0])
+            return scans[-1], None, None
+
+        monkeypatch.setattr(gokart.sim, "detect_boundaries", record)
+        report = run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        header, *rows = report.logs["scans.csv"].splitlines()
+        assert header == "t_s,angle_rad,distance_m"
+        assert len(scans) == 10 and len(rows) == 361 * len(scans)
+        want = []
+        for k, scan in enumerate(scans):
+            t = float(rows[361 * k].split(",")[0])
+            want += [f"{t!r},{a!r},{d!r}"
+                     for a, d in zip(scan.angles, scan.distances)]
+        assert rows == want
 
     @pytest.mark.parametrize("mode,duration", [("pursuit", 13), ("ftg", 2)])
     def test_logs_match_full_searches_and_vector_rk4(self, tmp_path,
