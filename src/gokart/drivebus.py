@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 COMMAND_FRAME_ID = 0x100
 TBWS_FEEDBACK_ID = 0x201
@@ -34,6 +34,9 @@ SPEED_SCALE = 1000.0      # m/s -> mm/s
 BRAKE_SCALE = 10000.0     # fraction -> 0.01 %
 
 STEERING_LIMIT = 1.0      # rad, physical steering stop
+
+_COMMAND = struct.Struct("<hhHBB")  # whole payloads, the sequence byte last
+_INT16, _UINT16 = struct.Struct("<h5xB"), struct.Struct("<H5xB")
 
 
 class FrameDecodeError(ValueError):
@@ -89,8 +92,7 @@ def _sat(value: float, lo: int, hi: int) -> int:
 
 def encode_command(cmd: DriveCommand, seq: int = 0) -> CanFrame:
     """Pack a command into its wire frame; scaled values saturate."""
-    payload = struct.pack(
-        "<hhHBB",
+    payload = _COMMAND.pack(
         _sat(cmd.steering * STEERING_SCALE, -32768, 32767),
         _sat(cmd.speed * SPEED_SCALE, -32768, 32767),
         _sat(cmd.brake * BRAKE_SCALE, 0, 65535),
@@ -104,7 +106,7 @@ def decode_command(frame: CanFrame) -> DriveCommand:
     """Inverse of encode_command up to the wire quantization."""
     if frame.can_id != COMMAND_FRAME_ID:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
-    steering, speed, brake, flags, _seq = struct.unpack("<hhHBB", frame.payload)
+    steering, speed, brake, flags, _seq = _COMMAND.unpack(frame.payload)
     return DriveCommand(
         steering=steering / STEERING_SCALE,
         speed=speed / SPEED_SCALE,
@@ -114,44 +116,31 @@ def decode_command(frame: CanFrame) -> DriveCommand:
     )
 
 
-def frame_sequence(frame: CanFrame) -> int:
-    return frame.payload[7]
-
-
-def count_dropped(sequences) -> int:
-    """Dropped-frame count implied by gaps in mod-256 sequence counters."""
-    seqs = list(sequences)
-    dropped = 0
-    for a, b in zip(seqs, seqs[1:]):
-        dropped += (b - a - 1) % 256
-    return dropped
-
-
-# feedback id -> (SubsystemFeedback field, wire scale, struct format,
-# saturation range of the raw value)
+# feedback id -> (SubsystemFeedback field, wire scale, payload struct
+# (value, five pad bytes, sequence), saturation range of the raw value)
 _FEEDBACK = {
-    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, "<h", (-32768, 32767)),
-    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, "<h",
+    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, _INT16, (-32768, 32767)),
+    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, _INT16,
                        (-32768, 32767)),
-    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, "<H", (0, 65535)),
+    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, _UINT16, (0, 65535)),
 }
 
 
 def encode_feedback(can_id: int, value: float, seq: int = 0) -> CanFrame:
     if can_id not in _FEEDBACK:
         raise ValueError(f"not a feedback id: 0x{can_id:03x}")
-    _, scale, fmt, (lo, hi) = _FEEDBACK[can_id]
-    payload = struct.pack(fmt, _sat(value * scale, lo, hi))
-    return CanFrame(can_id, payload + bytes(5) + bytes([seq % 256]))
+    _, scale, payload, (lo, hi) = _FEEDBACK[can_id]
+    return CanFrame(can_id, payload.pack(_sat(value * scale, lo, hi),
+                                         seq % 256))
 
 
 def apply_feedback(fb: SubsystemFeedback, frame: CanFrame) -> SubsystemFeedback:
     """Fold one feedback frame into the gathered subsystem state."""
     if frame.can_id not in _FEEDBACK:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
-    name, scale, fmt, _ = _FEEDBACK[frame.can_id]
-    (raw,) = struct.unpack_from(fmt, frame.payload)
-    return replace(fb, **{name: raw / scale})
+    name, scale, payload, _ = _FEEDBACK[frame.can_id]
+    raw, _seq = payload.unpack(frame.payload)
+    return SubsystemFeedback(**{**fb.__dict__, name: raw / scale})
 
 
 class ModeArbiter:
@@ -178,13 +167,15 @@ class ModeArbiter:
             return DriveCommand(steering=0.0, speed=0.0, brake=1.0,
                                 mode=mode, kill=True)
         if selected is not None:
-            self._last = replace(selected, mode=mode)
-            self._last_t = t
-            return self._last
+            if selected.mode is not mode:
+                selected = DriveCommand(selected.steering, selected.speed,
+                                        selected.brake, mode, selected.kill)
+            self._last, self._last_t = selected, t
+            return selected
         if self._last is not None and t - self._last_t <= self.timeout_s:
             return self._last
         held = self._last or DriveCommand(mode=mode)
-        return replace(held, speed=0.0, mode=mode)
+        return DriveCommand(held.steering, 0.0, held.brake, mode, held.kill)
 
 
 class ThrottleEcu:

@@ -27,6 +27,9 @@ EARTH_RADIUS_M = 6_371_000.0
 # to zero the position gain without making (P + M) singular.
 GNSS_DROPOUT_VARIANCE = 1e12
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 class GnssRejected(ValueError):
     """An operation received an invalid (dropout) GNSS fix."""
@@ -119,6 +122,13 @@ class EkfState:
         self.cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
 
     @classmethod
+    def _of(cls, mean: np.ndarray, cov: np.ndarray) -> "EkfState":
+        """A state on float (3,) and (3, 3) arrays the filter just built."""
+        state = object.__new__(cls)
+        state.mean, state.cov = mean, cov
+        return state
+
+    @classmethod
     def initial(cls, x: float, y: float, psi: float) -> "EkfState":
         """State anchored at a first fix with identity covariance."""
         return cls(np.array([x, y, normalize_angle(psi)]), np.eye(3))
@@ -162,20 +172,20 @@ def ekf_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
 def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
     """Prediction step: advance the mean by the motion model and the
     covariance by J P J^T + R."""
-    if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.cov))):
+    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
         raise ValueError("non-finite filter state")
     if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
         raise ValueError("non-finite motion input")
-    x, y, psi = state.mean
+    x, y, psi = state.mean.tolist()
     mean = np.array([
         x + u.v * u.dt * math.cos(psi),
         y + u.v * u.dt * math.sin(psi),
         normalize_angle(psi + u.dt * u.omega),
     ])
     j = ekf_jacobian(psi, u.v, u.dt)
-    cov = j @ state.cov @ j.T + params.process_noise_scale * np.eye(3)
+    cov = j @ state.cov @ j.T + params.process_noise_scale * _EYE3
     cov = 0.5 * (cov + cov.T)
-    return EkfState(mean, cov)
+    return EkfState._of(mean, cov)
 
 
 def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfState:
@@ -196,9 +206,9 @@ def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfStat
     innovation[2] = normalize_angle(obs[2] - state.mean[2])
     mean = state.mean + k @ innovation
     mean[2] = normalize_angle(mean[2])
-    cov = (np.eye(3) - k) @ p
+    cov = (_EYE3 - k) @ p
     cov = 0.5 * (cov + cov.T)
-    return EkfState(mean, cov)
+    return EkfState._of(mean, cov)
 
 
 def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
@@ -214,11 +224,12 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
     if gnss is not None and gnss.valid:
         p = project_to_local(gnss, origin, params.earth_radius)
         obs = np.array([p.x, p.y, imu.yaw])
-        m = np.diag([gnss.pos_variance, gnss.pos_variance, imu.yaw_variance])
+        var = gnss.pos_variance
     else:
         obs = np.array([pred.mean[0], pred.mean[1], imu.yaw])
-        m = np.diag([GNSS_DROPOUT_VARIANCE, GNSS_DROPOUT_VARIANCE,
-                     imu.yaw_variance])
+        var = GNSS_DROPOUT_VARIANCE
+    m = np.array([[var, 0.0, 0.0], [0.0, var, 0.0],
+                  [0.0, 0.0, imu.yaw_variance]])
     return ekf_update(pred, obs, m)
 
 

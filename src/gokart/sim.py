@@ -666,7 +666,7 @@ class _FtgPlanner:
             scenario.bev, scenario.front_width, scenario.front_height)
         self.rows = {"scans.csv": ["t_s,angle_rad,distance_m"]}
         # every scan comes from mask_to_depth, along scan_angles()
-        self._angle_cells = [f",{a!r}," for a in scan_angles()]
+        self._angle_cells = [f",{a!r}," for a in scan_angles().tolist()]
 
     def plan(self, t, estimate, measured_speed, truth: VehicleState):
         sc = self.scenario
@@ -677,7 +677,7 @@ class _FtgPlanner:
         stamp = repr(t)
         self.rows["scans.csv"].extend(
             f"{stamp}{a}{d!r}"
-            for a, d in zip(self._angle_cells, scan.distances))
+            for a, d in zip(self._angle_cells, scan.distances.tolist()))
         cmd = ftg_step(scan, sc.ftg)  # a safety stop commands 0 rad, 0 m/s
         return (DriveCommand(steering=cmd.steering, speed=cmd.speed,
                              mode=Mode.AUTONOMOUS),

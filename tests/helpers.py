@@ -3,10 +3,12 @@
 Oracles here deliberately avoid the implementations they check: the gap
 oracle enumerates every subsequence, the scan oracle marches the true
 geometry in meters, haversine is the textbook great-circle formula, and the
-linear Kalman reference is written out long-hand. The frame-stage oracles
-(rendering, morphology, warp, ray march, the whole perception pipeline)
-recompute every pixel map per call and use the plain 2-D morphology, so the
-memoized and separable versions in the package must match them exactly.
+linear Kalman reference is written out long-hand. The EKF cycle oracle is
+the plain numpy filter as written before its per-call overheads were
+removed. The frame-stage oracles (rendering, morphology, warp, ray march,
+the whole perception pipeline) recompute every pixel map per call and use
+the plain 2-D morphology, so the memoized and separable versions in the
+package must match them exactly.
 The grass-mask and scan oracles read the sign of the nearest-sample margin
 for every point, never the certified world cells of `TrackSampler.inside`.
 The velocity-profile oracle sweeps to a fixed point, the polyline
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from gokart.geometry import body_to_world, normalize_angle
+from gokart.localization import GNSS_DROPOUT_VARIANCE, EkfState
 from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
                                apply_homography, gaussian_blur, grass_mask,
                                scan_angles)
@@ -210,6 +213,62 @@ def reference_linear_kalman(mean, cov, f, r, steps):
             cov = (eye - k) @ cov
             cov = 0.5 * (cov + cov.T)
     return mean, cov
+
+
+def fuse_step_oracle(state, u, gnss, imu, origin, params):
+    """The numpy EKF cycle as written before its per-call overheads were
+    removed: `np.eye(3)` and `np.diag` built per call, `np.all` finite
+    checks, and every state through the public `EkfState` constructor. The
+    package's `fuse_step` must match it bit for bit. Returns (mean, cov)."""
+    def ekf_jacobian(psi, v, dt):
+        return np.array([
+            [1.0, 0.0, -dt * v * math.sin(psi)],
+            [0.0, 1.0, dt * v * math.cos(psi)],
+            [0.0, 0.0, 1.0],
+        ])
+
+    def ekf_predict(state, u, params):
+        if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.cov))):
+            raise ValueError("non-finite filter state")
+        if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
+            raise ValueError("non-finite motion input")
+        x, y, psi = state.mean
+        mean = np.array([
+            x + u.v * u.dt * math.cos(psi),
+            y + u.v * u.dt * math.sin(psi),
+            normalize_angle(psi + u.dt * u.omega),
+        ])
+        j = ekf_jacobian(psi, u.v, u.dt)
+        cov = j @ state.cov @ j.T + params.process_noise_scale * np.eye(3)
+        cov = 0.5 * (cov + cov.T)
+        return EkfState(mean, cov)
+
+    def ekf_update(state, obs, obs_cov):
+        obs = np.asarray(obs, dtype=float).reshape(3)
+        m = np.asarray(obs_cov, dtype=float).reshape(3, 3)
+        p = state.cov
+        s = p + m
+        k = np.linalg.solve(s, p).T
+        innovation = obs - state.mean
+        innovation[2] = normalize_angle(obs[2] - state.mean[2])
+        mean = state.mean + k @ innovation
+        mean[2] = normalize_angle(mean[2])
+        cov = (np.eye(3) - k) @ p
+        cov = 0.5 * (cov + cov.T)
+        return EkfState(mean, cov)
+
+    pred = ekf_predict(state, u, params)
+    if gnss is not None and gnss.valid:
+        x = params.earth_radius * math.cos(origin.lat) * (gnss.lon - origin.lon)
+        y = params.earth_radius * (gnss.lat - origin.lat)
+        obs = np.array([x, y, imu.yaw])
+        m = np.diag([gnss.pos_variance, gnss.pos_variance, imu.yaw_variance])
+    else:
+        obs = np.array([pred.mean[0], pred.mean[1], imu.yaw])
+        m = np.diag([GNSS_DROPOUT_VARIANCE, GNSS_DROPOUT_VARIANCE,
+                     imu.yaw_variance])
+    out = ekf_update(pred, obs, m)
+    return out.mean, out.cov
 
 
 def polyline_distance_oracle(xy, p, closed=False) -> tuple[float, int]:

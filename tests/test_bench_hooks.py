@@ -3,11 +3,14 @@ perfbench/spans.py) and its measured runs rebind `gokart.sim.bicycle_step`.
 These tests keep a refactor from silently breaking either: every rebound
 name must exist where the benchmark looks for it, a traced FTG run must
 record calls on every frame-path span, and a traced pursuit run exactly one
-reference search, boundary margin and plant step per tick."""
+reference search, boundary margin and plant step per tick, and exactly the
+filter and codec calls that its tick schedule implies."""
 
 import types
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import gokart.sim
 from gokart.sim import load_scenario, run_closed_loop
@@ -59,8 +62,11 @@ def test_traced_ftg_run_records_every_frame_span(tmp_path):
     assert frame_spans <= called
 
 
-def test_traced_pursuit_run_records_one_reference_query_per_tick(tmp_path):
+@pytest.fixture(scope="module")
+def traced_pursuit(tmp_path_factory):
+    """A traced 1 s pursuit run on the oval: its report and span counts."""
     spans = load_spans()
+    tmp_path = tmp_path_factory.mktemp("pursuit")
     write_track_csv(tmp_path / "oval.csv", oval_track())
     (tmp_path / "s.txt").write_text(
         "mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
@@ -71,7 +77,32 @@ def test_traced_pursuit_run_records_one_reference_query_per_tick(tmp_path):
     with spans.installed(tracer):
         traced = tracer.call(spans.LOOP, run_closed_loop, (scenario,), {})
     assert traced.logs == plain.logs
-    calls = Counter(span[0] for span in tracer.spans)
+    return traced, Counter(span[0] for span in tracer.spans)
+
+
+def test_traced_pursuit_run_records_one_reference_query_per_tick(
+        traced_pursuit):
+    traced, calls = traced_pursuit
     for name in ("geometry.polyline_distance", "sim.lateral_margin",
                  "sim.bicycle_step"):
         assert calls[name] == traced.ticks == 100
+
+
+def test_traced_pursuit_run_records_every_filter_and_codec_call(
+        traced_pursuit):
+    # A codec or filter call made around its rebound name would leave the
+    # span count short and show up as a fake per-layer speedup.
+    traced, calls = traced_pursuit
+    ticks = traced.ticks  # 100 at dt = 0.01
+    # the IMU runs every tick; the first tick anchors the filter on its GNSS
+    # fix, every later tick runs one predict-update cycle
+    assert traced.first_fix_s == 0.0
+    assert calls["localization.fuse_step"] == ticks - 1 == 99
+    # per tick: three feedback frames encoded and traced; every second tick
+    # (50 Hz commands): a command encoded, traced and decoded, and the six
+    # feedback frames of the two ticks before it folded, none on the first
+    commands = ticks // 2
+    feedback = 3 * ticks
+    folded = 6 * (commands - 1)
+    assert calls["drivebus.codec"] == 2 * feedback + 3 * commands + folded
+    assert calls["drivebus.codec"] == 1044

@@ -1,18 +1,20 @@
+import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gokart.drivebus import (CanBus, CanFrame, COMMAND_FRAME_ID, DriveCommand,
-                             EBS_FEEDBACK_ID, FrameDecodeError, Mode,
-                             ModeArbiter, SBWS_FEEDBACK_ID, SubsystemFeedback,
+from gokart.drivebus import (BRAKE_SCALE, CanBus, CanFrame, COMMAND_FRAME_ID,
+                             DriveCommand, EBS_FEEDBACK_ID, FrameDecodeError,
+                             Mode, ModeArbiter, SBWS_FEEDBACK_ID, SPEED_SCALE,
+                             STEERING_SCALE, SubsystemFeedback,
                              TBWS_FEEDBACK_ID, ThrottleEcu, apply_feedback,
-                             count_dropped, decode_command, ebs_step,
-                             encode_command, encode_feedback, frame_sequence,
-                             format_trace_row, sbws_step)
+                             decode_command, ebs_step, encode_command,
+                             encode_feedback, format_trace_row, sbws_step)
 
 command_strategy = st.builds(
     DriveCommand,
@@ -56,7 +58,7 @@ class TestCodec:
         assert back.brake == pytest.approx(cmd.brake, abs=1e-4)
         assert back.mode == cmd.mode
         assert back.kill == cmd.kill
-        assert frame_sequence(frame) == seq % 256
+        assert frame.payload[7] == seq % 256
 
     def test_encoding_deterministic(self):
         cmd = DriveCommand(steering=0.3, speed=2.7, brake=0.15,
@@ -81,20 +83,8 @@ class TestCodec:
 class TestSequenceCounters:
     def test_increment_mod_256(self):
         frames = [encode_command(DriveCommand(), seq) for seq in range(300)]
-        seqs = [frame_sequence(f) for f in frames]
+        seqs = [f.payload[7] for f in frames]
         assert seqs[255] == 255 and seqs[256] == 0
-
-    def test_receiver_detects_dropped_frames(self):
-        seqs = list(range(300))
-        frames = [encode_command(DriveCommand(), s) for s in seqs]
-        del frames[100]
-        del frames[200:203]
-        observed = [frame_sequence(f) for f in frames]
-        assert count_dropped(observed) == 4
-
-    def test_no_drops_counts_zero(self):
-        observed = [encode_command(DriveCommand(), s) for s in range(50)]
-        assert count_dropped(frame_sequence(f) for f in observed) == 0
 
 
 class TestFeedbackFrames:
@@ -132,7 +122,74 @@ class TestFeedbackFrames:
         assert getattr(fb, field) == decoded
 
 
+FEEDBACK_FIELDS = {TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, "<h",
+                                     -32768, 32767),
+                   SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE,
+                                      "<h", -32768, 32767),
+                   EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, "<H",
+                                     0, 65535)}
+# values within the wire range and far past it on both sides
+wire_value = st.one_of(st.floats(min_value=-40.0, max_value=40.0),
+                       st.floats(min_value=-1e9, max_value=1e9),
+                       st.sampled_from([32.767, 32.7675, -32.768, 6.5535,
+                                        6.55355, 0.0, -0.0]))
+
+
+class TestFeedbackCodecOracle:
+    """The precompiled feedback structs against the plain layout: the value
+    struct, five zero bytes, the sequence byte; and the fold against
+    dataclasses.replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(can_id=st.sampled_from(sorted(FEEDBACK_FIELDS)), value=wire_value,
+           seq=st.integers(min_value=0, max_value=600))
+    def test_encode_matches_plain_pack(self, can_id, value, seq):
+        _, scale, fmt, lo, hi = FEEDBACK_FIELDS[can_id]
+        sat = int(min(max(round(value * scale), lo), hi))
+        want = struct.pack(fmt, sat) + bytes(5) + bytes([seq % 256])
+        frame = encode_feedback(can_id, value, seq)
+        assert frame == CanFrame(can_id, want)
+
+    @pytest.mark.parametrize("can_id", sorted(FEEDBACK_FIELDS))
+    def test_every_sequence_byte(self, can_id):
+        for seq in range(601):
+            assert encode_feedback(can_id, 1.0, seq).payload[5:] == \
+                bytes([0, 0, seq % 256])
+
+    @settings(max_examples=300, deadline=None)
+    @given(can_id=st.sampled_from(sorted(FEEDBACK_FIELDS)), value=wire_value,
+           seq=st.integers(min_value=0, max_value=600),
+           before=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
+    def test_apply_matches_replace(self, can_id, value, seq, before):
+        name, scale, fmt, _, _ = FEEDBACK_FIELDS[can_id]
+        fb = SubsystemFeedback(*before)
+        frame = encode_feedback(can_id, value, seq)
+        (raw,) = struct.unpack_from(fmt, frame.payload)
+        got = apply_feedback(fb, frame)
+        assert got == dataclasses.replace(fb, **{name: raw / scale})
+        assert fb == SubsystemFeedback(*before)
+
+
 class TestArbitration:
+    @pytest.mark.parametrize("source_mode", list(Mode))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forwarded_and_held_commands_match_replace(self, mode,
+                                                       source_mode):
+        cmd = DriveCommand(steering=-0.4, speed=3.5, brake=0.25,
+                           mode=source_mode)
+        arb = ModeArbiter(timeout_s=0.5)
+        out = arb.step(0.0, mode, **{mode.name.lower(): cmd})
+        assert out == dataclasses.replace(cmd, mode=mode)
+        assert out.mode is mode
+        assert arb.step(0.4, mode) == out
+        stale = arb.step(0.6, mode)
+        assert stale == dataclasses.replace(cmd, speed=0.0, mode=mode)
+        assert stale.mode is mode
+
+    def test_silent_from_start_is_neutral(self):
+        out = ModeArbiter().step(0.0, Mode.REMOTE)
+        assert out == DriveCommand(mode=Mode.REMOTE)
+
     def test_selected_source_forwarded(self):
         arb = ModeArbiter()
         cmd = DriveCommand(steering=0.2, speed=3.0, mode=Mode.AUTONOMOUS)

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gokart.geometry import normalize_angle
-from gokart.localization import (EkfParams, EkfState, GeoFix,
-                                 GnssRejected, ImuReading, MotionInput,
-                                 ReplayFormatError, ekf_jacobian, ekf_predict,
-                                 ekf_update, fuse_step, local_to_geo,
-                                 project_to_local, read_replay_log,
-                                 run_replay)
-from helpers import haversine_m, reference_linear_kalman
+from gokart.localization import (_EYE3, EkfParams, EkfState, GeoFix,
+                                 GnssRejected, ImuReading, LocalPoint,
+                                 MotionInput, ReplayFormatError,
+                                 ekf_jacobian, ekf_predict, ekf_update,
+                                 fuse_step, local_to_geo, project_to_local,
+                                 read_replay_log, run_replay)
+from helpers import fuse_step_oracle, haversine_m, reference_linear_kalman
 
 
 def default_params():
@@ -266,6 +268,118 @@ class TestFuseStep:
                                                     f, r, steps)
         np.testing.assert_allclose(state.mean, ref_mean, atol=1e-9)
         np.testing.assert_allclose(state.cov, ref_cov, atol=1e-9)
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+# headings at and next to the +-pi seam, and anywhere on the circle
+heading = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), 0.0]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+variance = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def ekf_states(draw):
+    """Means anywhere near the origin; covariances A A^T + eps I, SPD."""
+    a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=9,
+                               max_size=9))).reshape(3, 3)
+    eps = draw(st.floats(min_value=1e-6, max_value=1.0))
+    return EkfState(np.array([draw(finite), draw(finite), draw(heading)]),
+                    a @ a.T + eps * np.eye(3))
+
+
+ORIGIN = GeoFix(0.7, -1.3)
+
+
+@st.composite
+def gnss_fixes(draw):
+    """A valid fix within a kilometre of ORIGIN, an invalid one, or none."""
+    kind = draw(st.sampled_from(["valid", "invalid", "none"]))
+    if kind == "none":
+        return None
+    fix = local_to_geo(LocalPoint(draw(finite), draw(finite)), ORIGIN,
+                       pos_variance=draw(variance))
+    return fix if kind == "valid" else GeoFix(fix.lat, fix.lon,
+                                              fix.pos_variance, valid=False)
+
+
+class TestFuseStepOracle:
+    """fuse_step against the plain numpy filter in tests/helpers.py, byte
+    for byte: removing per-call overheads must not change one float."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(state=ekf_states(), gnss=gnss_fixes(), yaw=heading,
+           yaw_var=variance,
+           v=st.floats(min_value=-8.0, max_value=8.0),
+           omega=st.floats(min_value=-3.0, max_value=3.0),
+           dt=st.floats(min_value=1e-4, max_value=0.2),
+           q=st.floats(min_value=1e-6, max_value=10.0))
+    def test_matches_oracle_bitwise(self, state, gnss, yaw, yaw_var, v,
+                                    omega, dt, q):
+        u = MotionInput(v, omega, dt)
+        imu = ImuReading(yaw, omega, yaw_var)
+        params = EkfParams(process_noise_scale=q)
+        mean_in, cov_in = state.mean.tobytes(), state.cov.tobytes()
+        out = fuse_step(state, u, gnss, imu, ORIGIN, params)
+        mean, cov = fuse_step_oracle(state, u, gnss, imu, ORIGIN, params)
+        assert out.mean.tobytes() == mean.tobytes()
+        assert out.cov.tobytes() == cov.tobytes()
+        assert out.mean.dtype == mean.dtype and out.mean.shape == (3,)
+        assert out.cov.dtype == cov.dtype and out.cov.shape == (3, 3)
+        # the inputs are values: never written to
+        assert state.mean.tobytes() == mean_in
+        assert state.cov.tobytes() == cov_in
+
+    def test_chain_matches_oracle_bitwise(self):
+        # a long closed chain with dropouts, so any drift would compound
+        rng = np.random.default_rng(17)
+        params = default_params()
+        state = EkfState(np.array([0.0, 0.0, 3.0]), np.eye(3))
+        mean, cov = state.mean, state.cov
+        for k in range(2000):
+            u = MotionInput(rng.uniform(0, 8), rng.uniform(-2, 2), 0.01)
+            fix = None
+            if k % 10 == 0 and not 500 <= k < 700:
+                fix = local_to_geo(LocalPoint(*rng.uniform(-50, 50, 2)),
+                                   ORIGIN, pos_variance=4e-4)
+            imu = ImuReading(rng.uniform(-4, 4), u.omega, 1e-4)
+            state = fuse_step(state, u, fix, imu, ORIGIN, params)
+            mean, cov = fuse_step_oracle(EkfState(mean, cov), u, fix, imu,
+                                         ORIGIN, params)
+            assert state.mean.tobytes() == mean.tobytes()
+            assert state.cov.tobytes() == cov.tobytes()
+
+    @pytest.mark.parametrize("bad", ["mean", "cov"])
+    def test_nonfinite_state_raises(self, bad):
+        state = EkfState(np.zeros(3), np.eye(3))
+        getattr(state, bad).flat[1] = math.inf
+        imu = ImuReading(0.0, 0.0, 1e-4)
+        with pytest.raises(ValueError, match="non-finite filter state"):
+            fuse_step(state, MotionInput(1.0, 0.0, 0.01), None, imu, ORIGIN,
+                      default_params())
+
+    def test_singular_innovation_covariance_raises(self):
+        # P = -q I predicts to 0 at v = 0; with exact observations S = 0
+        q = default_params().process_noise_scale
+        state = EkfState(np.zeros(3), -q * np.eye(3))
+        fix = GeoFix(ORIGIN.lat, ORIGIN.lon, pos_variance=0.0)
+        imu = ImuReading(0.0, 0.0, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            fuse_step(state, MotionInput(0.0, 0.0, 0.01), fix, imu, ORIGIN,
+                      default_params())
+
+    def test_shared_identity_is_read_only(self):
+        assert not _EYE3.flags.writeable
+        with pytest.raises(ValueError):
+            _EYE3[0, 0] = 2.0
+        np.testing.assert_array_equal(_EYE3, np.eye(3))
+        # states built by the filter own fresh, writable arrays
+        state = EkfState(np.zeros(3), np.eye(3))
+        out = fuse_step(state, MotionInput(0.0, 0.0, 0.01), None,
+                        ImuReading(0.0, 0.0, 1e-4), ORIGIN, default_params())
+        assert out.mean.flags.writeable and out.cov.flags.writeable
+        assert not np.shares_memory(out.cov, _EYE3)
 
 
 class TestCovarianceHealth:

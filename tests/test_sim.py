@@ -572,9 +572,9 @@ class TestClosedLoop:
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
 
-    def test_scan_rows_format_every_ray(self, tmp_path, monkeypatch):
-        # scans.csv reads t, angle and distance of each ray as repr() of
-        # the scan's values
+    @staticmethod
+    def _scan_rows(tmp_path, monkeypatch):
+        """A 1 s FTG run's scans.csv rows and the scans they were made of."""
         write_track_csv(tmp_path / "oval.csv", oval_track())
         (tmp_path / "s.txt").write_text(
             "mode = ftg\ntrack = oval.csv\nduration_s = 1\nseed = 7\n")
@@ -590,12 +590,31 @@ class TestClosedLoop:
         header, *rows = report.logs["scans.csv"].splitlines()
         assert header == "t_s,angle_rad,distance_m"
         assert len(scans) == 10 and len(rows) == 361 * len(scans)
+        return rows, scans
+
+    def test_scan_rows_format_every_ray(self, tmp_path, monkeypatch):
+        # scans.csv reads t, angle and distance of each ray as repr() of
+        # the scan's values as Python floats
+        rows, scans = self._scan_rows(tmp_path, monkeypatch)
         want = []
         for k, scan in enumerate(scans):
             t = float(rows[361 * k].split(",")[0])
-            want += [f"{t!r},{a!r},{d!r}"
-                     for a, d in zip(scan.angles, scan.distances)]
+            want += [f"{t!r},{a!r},{d!r}" for a, d in
+                     zip(scan.angles.tolist(), scan.distances.tolist())]
         assert rows == want
+
+    def test_scan_rows_are_plain_numbers(self, tmp_path, monkeypatch):
+        # every cell parses with float() and gives back the scan's value
+        rows, scans = self._scan_rows(tmp_path, monkeypatch)
+        cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+        assert cells.shape == (361 * len(scans), 3)
+        # a frame every tenth 0.01 s physics tick, stamped k * dt
+        ticks = 10 * np.arange(len(scans))
+        np.testing.assert_array_equal(cells[:, 0], np.repeat(ticks * 0.01, 361))
+        np.testing.assert_array_equal(
+            cells[:, 1], np.concatenate([scan.angles for scan in scans]))
+        np.testing.assert_array_equal(
+            cells[:, 2], np.concatenate([scan.distances for scan in scans]))
 
     @pytest.mark.parametrize("mode,duration", [("pursuit", 13), ("ftg", 2)])
     def test_logs_match_full_searches_and_vector_rk4(self, tmp_path,
