@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import normalize_angle, world_to_body
+from .geometry import normalize_angle, polyline_distance, world_to_body
 from .track import Raceline
 
 
@@ -70,39 +68,11 @@ def lookahead_distance(v: float, params: PursuitParams) -> float:
     return min(max(raw, params.l_min), params.l_max)
 
 
-def _nearest_index(raceline: Raceline, pose: VehiclePose,
-                   hint: int | None) -> int:
-    n = len(raceline)
-    if hint is None:
-        d = np.hypot(raceline.xy[:, 0] - pose.x, raceline.xy[:, 1] - pose.y)
-        return int(np.argmin(d))
-    # Walk forward from the hint while the distance keeps shrinking; the
-    # vehicle only moves a few waypoints between calls.
-    def dist(i):
-        dx = raceline.xy[i % n, 0] - pose.x
-        dy = raceline.xy[i % n, 1] - pose.y
-        return dx * dx + dy * dy
-    best = hint % n
-    best_d = dist(best)
-    steps = 0
-    i = best
-    while steps < n:
-        j = (i + 1) % n if raceline.closed else i + 1
-        if not raceline.closed and j >= n:
-            break
-        dj = dist(j)
-        if dj > best_d:
-            break
-        best, best_d = j, dj
-        i = j
-        steps += 1
-    return best
-
-
 def find_lookahead_point(raceline: Raceline, pose: VehiclePose, lookahead: float,
                          hint: int | None = None) -> tuple[int, float, int]:
     """Locate the target waypoint at arc distance >= lookahead ahead of the
-    nearest waypoint.
+    nearest waypoint: the vertex of `raceline.polyline` nearest the pose
+    (the lowest index on a tie), searched around `hint` first.
 
     Returns (target index, lateral offset of the target in the vehicle frame
     with left positive, nearest index for the next call's hint). Raises
@@ -111,7 +81,7 @@ def find_lookahead_point(raceline: Raceline, pose: VehiclePose, lookahead: float
     if len(raceline) == 0:
         raise ValueError("empty raceline")
     n = len(raceline)
-    i0 = _nearest_index(raceline, pose, hint)
+    _, i0 = polyline_distance(raceline.polyline, (pose.x, pose.y), hint)
     target = None
     for k in range(1, n + 1):
         j = i0 + k

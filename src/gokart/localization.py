@@ -102,8 +102,10 @@ class EkfParams:
     earth_radius: float = EARTH_RADIUS_M
 
     def __post_init__(self):
-        if not self.process_noise_scale > 0.0:
-            raise ValueError("process_noise_scale must be > 0")
+        for key in ("process_noise_scale", "earth_radius"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"ekf.{key} must be > 0, got "
+                                 f"{getattr(self, key)!r}")
 
 
 @dataclass
@@ -140,13 +142,14 @@ def project_to_local(fix: GeoFix, origin: GeoFix,
 
     The east-west scale is frozen at the origin latitude so the map is affine
     and exactly invertible; the distortion is negligible over a track-sized
-    field.
+    field. Longitude differences wrap across the antimeridian.
     """
     if not fix.valid:
         raise GnssRejected("invalid GNSS fix (dropout)")
     if not origin.valid:
         raise GnssRejected("invalid origin fix")
-    x = earth_radius * math.cos(origin.lat) * (fix.lon - origin.lon)
+    x = (earth_radius * math.cos(origin.lat)
+         * normalize_angle(fix.lon - origin.lon))
     y = earth_radius * (fix.lat - origin.lat)
     return LocalPoint(x, y)
 
@@ -156,7 +159,8 @@ def local_to_geo(point: LocalPoint, origin: GeoFix,
                  pos_variance: float = 0.0) -> GeoFix:
     """Inverse of project_to_local (used by the sensor simulator)."""
     lat = origin.lat + point.y / earth_radius
-    lon = origin.lon + point.x / (earth_radius * math.cos(origin.lat))
+    lon = normalize_angle(origin.lon
+                          + point.x / (earth_radius * math.cos(origin.lat)))
     return GeoFix(lat=lat, lon=lon, pos_variance=pos_variance, valid=True)
 
 

@@ -188,7 +188,7 @@ class TrackSampler:
         self.w_left = np.interp(t, knots, w_left)
         self.w_right = np.interp(t, knots, w_right)
         self.closed = track.closed
-        self.arc = t
+        self.s = t
         self.length = sp.t_max
         self._tree = cKDTree(self.points)
         # one-point margins read single values as Python floats
@@ -209,6 +209,11 @@ class TrackSampler:
         # its margin and in the corner bounds, all near 1e-16 of this scale
         far = float(np.abs(np.concatenate([lo - pad, hi + pad])).max())
         self._eps = 1e-9 * (1.0 + far + widest)
+
+    @functools.cached_property
+    def polyline(self) -> Polyline:
+        """The samples set up for nearest-sample queries, built once."""
+        return Polyline(self.points, self.closed)
 
     def lateral_margin(self, pts):
         """Distance to the nearest boundary, positive inside the track: a
@@ -431,18 +436,20 @@ def _parse_windows(text: str) -> tuple:
         return ()
     windows = []
     for part in text.split(";"):
-        try:
-            start, end = part.split(":")
-            windows.append((float(start), float(end)))
-        except ValueError:
-            raise ValueError(f"bad dropout window {part!r}; expected start:end") from None
+        bounds = part.split(":")
+        if len(bounds) != 2:
+            raise ValueError(f"bad dropout window {part!r}; expected start:end")
+        start, end = map(_parse_float, bounds)
+        if start > end:
+            raise ValueError(f"dropout window {part!r} ends before it starts")
+        windows.append((start, end))
     return tuple(windows)
 
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if math.isnan(value):
-        raise ValueError("not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
     return value
 
 
@@ -559,10 +566,22 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
             raise ScenarioError(f"{key} must {rule}, got {value!r}")
 
     need(0.0 < cfg.dt <= MAX_DT, "dt", f"lie in (0, {MAX_DT}]", cfg.dt)
-    need(math.isfinite(cfg.duration_s) and round(cfg.duration_s / cfg.dt) >= 1,
-         "duration_s", "be finite and cover at least one dt step",
-         cfg.duration_s)
+    need(round(cfg.duration_s / cfg.dt) >= 1, "duration_s",
+         "cover at least one dt step", cfg.duration_s)
     need(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
+    for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
+                       ("opt.reg", cfg.opt_reg)):
+        need(value >= 0, key, "be >= 0", value)
+    if cfg.mode == "ftg":  # the simulated camera's corner correspondences
+        for key, value in (("front.width", cfg.front_width),
+                           ("front.height", cfg.front_height),
+                           ("bev.height", cfg.bev.height)):
+            need(value >= 2, key, "be >= 2 in ftg mode", value)
+    # the projection's east-west scale cos(origin_lat) vanishes at the poles
+    need(-math.pi / 2 < cfg.origin_lat < math.pi / 2, "origin_lat",
+         "lie in (-pi/2, pi/2) rad", cfg.origin_lat)
+    need(-math.pi <= cfg.origin_lon <= math.pi, "origin_lon",
+         "lie in [-pi, pi] rad", cfg.origin_lon)
     for key, value in (("rates.controller_hz", cfg.controller_rate_hz),
                        ("rates.perception_hz", cfg.perception_rate_hz),
                        ("rates.command_hz", cfg.command_rate_hz)):
@@ -572,8 +591,7 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
         need(0.0 < value <= STEERING_LIMIT, key,
              f"lie in (0, {STEERING_LIMIT}] rad, the steering limit", value)
     if cfg.kill_at_s is not None:
-        need(math.isfinite(cfg.kill_at_s) and cfg.kill_at_s >= 0.0,
-             "kill_at_s", "be finite and >= 0", cfg.kill_at_s)
+        need(cfg.kill_at_s >= 0.0, "kill_at_s", "be >= 0", cfg.kill_at_s)
 
 
 def load_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -623,6 +641,9 @@ def prepare_raceline(track: Track, scenario: ScenarioConfig) -> Raceline:
 
 # A planner runs every `period` ticks once the filter has a fix; `plan`
 # returns (command, gap or None, safety stop) or None, `rows` its own logs.
+# Its `reference` (a Raceline or a TrackSampler) is the path the loop
+# measures cross-track error and progress against: `polyline`, arc
+# positions `s`, `length` and `closed`.
 
 class _PursuitPlanner:
     """Pure pursuit of the raceline from the filter's estimate; plans
@@ -630,7 +651,7 @@ class _PursuitPlanner:
 
     def __init__(self, raceline: Raceline, scenario: ScenarioConfig,
                  period: int):
-        self.raceline = raceline
+        self.reference = raceline
         self.params = scenario.pursuit
         self.period = period
         self.step_s = period * scenario.dt
@@ -644,7 +665,7 @@ class _PursuitPlanner:
         pose = VehiclePose(x=float(estimate.mean[0]), y=float(estimate.mean[1]),
                            psi=float(estimate.mean[2]), v=measured_speed)
         try:
-            cmd = pursuit_step(self.raceline, pose, self.state, self.params,
+            cmd = pursuit_step(self.reference, pose, self.state, self.params,
                                self.step_s)
         except EndOfRaceline:
             self.ended = True
@@ -659,7 +680,7 @@ class _FtgPlanner:
 
     def __init__(self, sampler: TrackSampler, scenario: ScenarioConfig,
                  period: int):
-        self.sampler = sampler
+        self.reference = sampler
         self.scenario = scenario
         self.period = period
         self.camera_h = default_camera_homography(
@@ -670,8 +691,8 @@ class _FtgPlanner:
 
     def plan(self, t, estimate, measured_speed, truth: VehicleState):
         sc = self.scenario
-        img = render_scene(self.sampler, truth, self.camera_h, sc.front_width,
-                           sc.front_height, sc.bev)
+        img = render_scene(self.reference, truth, self.camera_h,
+                           sc.front_width, sc.front_height, sc.bev)
         scan, _, _ = detect_boundaries(img, self.camera_h, sc.perception,
                                        sc.bev)
         stamp = repr(t)
@@ -704,20 +725,18 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     gnss_every = _interval(scenario.sensors.gnss_rate, dt)
     imu_every = _interval(scenario.sensors.imu_rate, dt)
     if scenario.mode == "pursuit":
-        raceline = prepare_raceline(track, scenario)
-        planner = _PursuitPlanner(raceline, scenario, ctrl_every)
-        ref_xy, ref_s = raceline.xy, raceline.s
-        ref_len, ref_closed = raceline.length, raceline.closed
+        planner = _PursuitPlanner(prepare_raceline(track, scenario), scenario,
+                                  ctrl_every)
     else:
         planner = _FtgPlanner(sampler, scenario,
                               math.lcm(ctrl_every, perc_every))
-        ref_xy, ref_s = sampler.points, sampler.arc
-        ref_len, ref_closed = sampler.length, sampler.closed
-    reference = Polyline(ref_xy, ref_closed)
+    ref = planner.reference
+    polyline = ref.polyline
+    ref_s, ref_len, ref_closed = ref.s, ref.length, ref.closed
 
-    heading0 = math.atan2(ref_xy[1, 1] - ref_xy[0, 1],
-                          ref_xy[1, 0] - ref_xy[0, 0])
-    truth = VehicleState(x=float(ref_xy[0, 0]), y=float(ref_xy[0, 1]),
+    heading0 = math.atan2(polyline.y[1] - polyline.y[0],
+                          polyline.x[1] - polyline.x[0])
+    truth = VehicleState(x=float(polyline.x[0]), y=float(polyline.y[0]),
                          psi=heading0, v=0.0)
 
     origin = GeoFix(scenario.origin_lat, scenario.origin_lon)
@@ -807,7 +826,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         fb_seq += 1
 
         pos = (truth.x, truth.y)
-        cross, near = polyline_distance(reference, pos, hint=near)
+        cross, near = polyline_distance(polyline, pos, hint=near)
         errors.append(cross)
         margin = sampler.lateral_margin(pos)
         outside = margin < 0.0

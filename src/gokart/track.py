@@ -9,6 +9,7 @@ offset points, subject to the track-width box constraints.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
 from .fileio import read_table, write_table
+from .geometry import Polyline
 
 
 class TrackFormatError(ValueError):
@@ -60,8 +62,12 @@ class Track:
             raise ValueError("track widths must be > 0")
         if len(xy) < 8:
             raise ValueError("a track needs at least 8 centerline points")
-        if vehicle_half_width < 0.0:
-            raise ValueError("vehicle_half_width must be >= 0")
+        # the kart must fit between the boundaries with room to move
+        fit = 0.5 * float(np.min(w_left + w_right))
+        if not 0.0 <= vehicle_half_width < fit:
+            raise ValueError(
+                f"track.vehicle_half_width must lie in [0, {fit!r}) m, below "
+                f"half the narrowest track width, got {vehicle_half_width!r}")
         self.xy = xy
         self.w_left = w_left
         self.w_right = w_right
@@ -147,8 +153,6 @@ def alpha_bounds(track: Track) -> tuple[np.ndarray, np.ndarray]:
     """Per-point box [alpha_min, alpha_max] from widths minus vehicle half-width."""
     hi = track.w_left - track.vehicle_half_width
     lo = -(track.w_right - track.vehicle_half_width)
-    if np.any(lo > hi):
-        raise ValueError("vehicle wider than the usable track")
     return lo, hi
 
 
@@ -308,6 +312,11 @@ class Raceline:
 
     def __len__(self) -> int:
         return len(self.s)
+
+    @functools.cached_property
+    def polyline(self) -> Polyline:
+        """The waypoints set up for nearest-waypoint queries, built once."""
+        return Polyline(self.xy, self.closed)
 
 
 def resample_raceline(spline: Spline2D, limits: VehicleLimits,

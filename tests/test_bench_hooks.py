@@ -4,7 +4,7 @@ These tests keep a refactor from silently breaking either: every rebound
 name must exist where the benchmark looks for it, a traced FTG run must
 record calls on every frame-path span, and a traced pursuit run exactly one
 reference search, boundary margin and plant step per tick, and exactly the
-filter and codec calls that its tick schedule implies."""
+filter, codec and controller calls that its tick schedule implies."""
 
 import types
 from collections import Counter
@@ -86,6 +86,16 @@ def test_traced_pursuit_run_records_one_reference_query_per_tick(
     for name in ("geometry.polyline_distance", "sim.lateral_margin",
                  "sim.bicycle_step"):
         assert calls[name] == traced.ticks == 100
+
+
+def test_traced_pursuit_run_records_one_controller_step_per_period(
+        traced_pursuit):
+    # the controller runs every 5th tick (20 Hz at dt = 0.01) from the first
+    # fix at t = 0; its nearest-waypoint search goes through gokart.geometry,
+    # not the rebound gokart.sim name, so it adds no reference-query spans
+    traced, calls = traced_pursuit
+    assert calls["control.pursuit_step"] == traced.ticks // 5 == 20
+    assert calls["geometry.polyline_distance"] == traced.ticks
 
 
 def test_traced_pursuit_run_records_every_filter_and_codec_call(

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,15 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gokart
 from gokart.cli import main
 from gokart.fileio import read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
-from gokart.sim import (TrackSampler, VehicleState, default_camera_homography,
-                        render_scene)
-from gokart.track import read_raceline_csv
+from gokart.sim import (_SCENARIO_KEYS, TrackSampler, VehicleState,
+                        _parse_float, default_camera_homography, render_scene)
+from gokart.track import (VehicleLimits, build_raceline, read_raceline_csv,
+                          write_raceline_csv)
 from helpers import circle_track, oval_track, straight_track, write_track_csv
 
 
@@ -79,6 +85,23 @@ class TestOptimizeRaceline:
                                      closed=True)
         assert raceline.v.max() <= 3.0
 
+    @pytest.mark.parametrize("overrides, key", [
+        (["opt.reg=-1"], "opt.reg"),
+        (["track.vehicle_half_width=1.9"], "track.vehicle_half_width"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
+                                        key):
+        # circle_track is 1.9 m wide on each side
+        write_track_csv(tmp_path / "circle.csv", circle_track())
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        rc = main(["optimize-raceline", str(tmp_path / "circle.csv"), *sets,
+                   "--set", "track.closed=true",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         write_track_csv(tmp_path / "circle.csv", circle_track())
         rc = main(["optimize-raceline", str(tmp_path / "circle.csv"),
@@ -118,6 +141,28 @@ class TestLocalize:
         last = [float(v) for v in rows[-1].split(",")]
         assert last[1] == pytest.approx(2.0 * 5.0, abs=1e-6)
         assert last[2] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["ekf.earth_radius=0"], "ekf.earth_radius"),
+        (["ekf.process_noise_scale=inf"], "ekf.process_noise_scale"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
+                                        key):
+        origin = GeoFix(0.7, -1.3)
+        lines = [self.HEADER]
+        for k in range(5):
+            fix = local_to_geo(LocalPoint(0.2 * k, 0.0), origin)
+            lines.append(f"{0.1 * k!r},{fix.lat!r},{fix.lon!r},1,0.0,0.0,"
+                         "0.0,2.0,0.0\n")
+        (tmp_path / "replay.csv").write_text("".join(lines))
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        rc = main(["localize", str(tmp_path / "replay.csv"), *sets,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "poses.csv").exists()
 
     def test_empty_replay_exits_2(self, tmp_path):
         (tmp_path / "replay.csv").write_text("")
@@ -271,6 +316,31 @@ class TestSimulate:
         (["perception.tau=inf"], "perception.tau"),
         (["kill_at_s=-5"], "kill_at_s"),
         (["kill_at_s=inf"], "kill_at_s"),
+        # numbers that used to load and then fail or stall the run
+        (["sensors.gnss_sigma=inf"], "sensors.gnss_sigma"),
+        (["sensors.imu_sigma_yaw=inf"], "sensors.imu_sigma_yaw"),
+        (["vehicle.max_speed=inf"], "vehicle.max_speed"),
+        (["ekf.process_noise_scale=inf"], "ekf.process_noise_scale"),
+        (["pursuit.l_max=inf"], "pursuit.l_max"),
+        (["vehicle.v_time_constant=inf"], "vehicle.v_time_constant"),
+        (["duration_s=-inf"], "duration_s"),
+        (["sensors.gnss_dropout=nan:5"], "sensors.gnss_dropout"),
+        (["sensors.gnss_dropout=0:inf"], "sensors.gnss_dropout"),
+        (["sensors.gnss_dropout=5:1"], "sensors.gnss_dropout"),
+        (["ekf.earth_radius=0"], "ekf.earth_radius"),
+        (["ekf.earth_radius=-6371000"], "ekf.earth_radius"),
+        (["origin_lat=2"], "origin_lat"),
+        (["origin_lat=-1.5707963267948966"], "origin_lat"),
+        (["origin_lon=3.2"], "origin_lon"),
+        (["opt.reg=-1e-9"], "opt.reg"),
+        # oval_track is 3.5 m wide on each side
+        (["track.vehicle_half_width=3.5"], "track.vehicle_half_width"),
+        (["track.vehicle_half_width=-0.1"], "track.vehicle_half_width"),
+        (["seed=-1"], "seed"),
+        (["sensors.seed=-1"], "sensors.seed"),
+        (["mode=ftg", "front.width=1"], "front.width"),
+        (["mode=ftg", "front.height=0"], "front.height"),
+        (["mode=ftg", "bev.height=1"], "bev.height"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
                                         key):
@@ -321,6 +391,110 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["lap_time_s"] is None
         assert report["duration_s"] == 2.0
+
+
+# Per scenario key, values at and just beyond the limits the loader
+# enforces (every number also gets nan and +-inf below). The base scenario
+# below is the oval, 3.5 m wide on each side.
+PI_NEXT = repr(math.nextafter(math.pi, 4.0))
+LIMIT_VALUES = {
+    "mode": ["pursuit", "ftg", "drift"],
+    "track.closed": ["false", "maybe"],
+    "track.vehicle_half_width": ["0", "-1e-9", "3.4999", "3.5"],
+    "duration_s": ["0", "-1", "0.005", "0.015"],
+    "seed": ["0", "-1"],
+    "dt": ["0.05", "0.0500001", "0", "-0.01"],
+    "spacing_m": ["0", "-1"],
+    "origin_lat": [repr(math.pi / 2), repr(-math.pi / 2), "1.6"],
+    "origin_lon": [repr(math.pi), repr(-math.pi), PI_NEXT, "-" + PI_NEXT],
+    "kill_at_s": ["0", "-1e-9", "none"],
+    "opt.reg": ["0", "-1e-12"],
+    "opt.max_iters": ["0", "-1"],
+    "front.width": ["2", "1"],
+    "front.height": ["2", "1"],
+    "pursuit.l_min": ["0", "5", "-1"],
+    "pursuit.l_max": ["2", "0"],
+    "pursuit.delta_max": ["1.0", "1.0000001", "0"],
+    "ftg.v_min": ["0", "5", "5.0000001"],
+    "ftg.v_max": ["2", "1.9999"],
+    "ftg.delta_max": ["1.0", "1.0000001", "0"],
+    "ftg.law": ["as_written", "literal"],
+    "sensors.gnss_dropout": ["0:0", "0:100", "1:0", "nan:1", "0:inf", "5", ""],
+    "perception.morph_radius": ["1", "0"],
+    "bev.width": ["2", "1"],
+    "bev.height": ["2", "1"],
+}
+# the remaining numbers must be > 0 or >= 0, except three that need only
+# be finite
+for _key in ("rates.controller_hz", "rates.perception_hz", "rates.command_hz",
+             "limits.a_lat_max", "limits.a_lon_max", "limits.v_max",
+             "pursuit.v_max", "ftg.epsilon", "vehicle.wheelbase",
+             "vehicle.v_time_constant", "vehicle.max_speed",
+             "sensors.gnss_rate", "sensors.imu_rate",
+             "ekf.process_noise_scale", "ekf.earth_radius",
+             "perception.blur_sigma", "bev.meters_per_px", "bev.max_range",
+             "sensors.gnss_sigma", "sensors.imu_sigma_yaw",
+             "sensors.imu_sigma_rate", "sensors.seed"):
+    LIMIT_VALUES[_key] = ["0", "-1"]
+for _key in ("pursuit.kp", "pursuit.kd", "perception.tau"):
+    LIMIT_VALUES[_key] = ["0"]
+for _key, (_, _, _parse) in _SCENARIO_KEYS.items():
+    if _parse is _parse_float or _key == "kill_at_s":
+        LIMIT_VALUES[_key] = LIMIT_VALUES[_key] + ["nan", "inf", "-inf"]
+
+
+@pytest.fixture(scope="module")
+def short_oval(tmp_path_factory):
+    """A 0.1 s scenario on the oval, with a precomputed centerline raceline
+    so that pursuit runs skip the solver."""
+    root = tmp_path_factory.mktemp("limits")
+    track = oval_track()
+    write_track_csv(root / "oval.csv", track)
+    write_raceline_csv(root / "raceline.csv",
+                       build_raceline(track, np.zeros(len(track)),
+                                      VehicleLimits()))
+    (root / "s.txt").write_text(
+        "track = oval.csv\nraceline = raceline.csv\ntrack.closed = true\n"
+        "duration_s = 0.1\nseed = 7\n")
+    return root
+
+
+def simulate_with(root, overrides: dict) -> None:
+    """`simulate` on root/s.txt with the overrides, in process: a value the
+    loader accepts runs to the end (exit 0 or 1), one it rejects exits 2
+    with an error line, and nothing may escape as an exception."""
+    sets = [arg for key, value in overrides.items()
+            for arg in ("--set", f"{key}={value}")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["simulate", str(root / "s.txt"), *sets,
+                   "--out-dir", str(root / "out")])
+    assert rc in (0, 1, 2), overrides
+    if rc == 2:
+        assert err.getvalue().startswith("error: "), overrides
+
+
+class TestScenarioLimits:
+    def test_every_scenario_key_has_limit_values(self):
+        assert set(LIMIT_VALUES) == set(_SCENARIO_KEYS) - {"track",
+                                                           "raceline"}
+
+    @pytest.mark.parametrize("key", sorted(LIMIT_VALUES))
+    def test_each_limit_value_runs_or_exits_cleanly(self, short_oval, key):
+        for mode in ("pursuit", "ftg"):
+            for value in LIMIT_VALUES[key]:
+                simulate_with(short_oval, {"mode": mode, key: value})
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["pursuit", "ftg"]),
+           overrides=st.lists(st.sampled_from(sorted(LIMIT_VALUES)),
+                              min_size=2, max_size=4, unique=True).flatmap(
+               lambda keys: st.fixed_dictionaries(
+                   {k: st.sampled_from(LIMIT_VALUES[k]) for k in keys})))
+    def test_combined_limit_values_run_or_exit_cleanly(self, short_oval, mode,
+                                                       overrides):
+        simulate_with(short_oval, {"mode": mode, **overrides})
 
 
 class TestEntryPoint:

@@ -7,9 +7,10 @@ from gokart.control import (EndOfRaceline, PursuitParams, PursuitState,
                             VehiclePose, find_lookahead_point,
                             lookahead_distance, pd_steering, pursuit_curvature,
                             pursuit_step)
+from gokart.geometry import polyline_distance
 from gokart.track import Raceline, VehicleLimits, build_raceline, \
     optimize_min_curvature
-from helpers import circle_track
+from helpers import circle_track, polyline_distance_oracle
 
 
 def straight_raceline(n=60, spacing=1.0, v=4.0):
@@ -27,6 +28,15 @@ def circle_raceline(radius=20.0, spacing=1.0, v=4.0):
     kappa = np.full(count, 1.0 / radius)
     return Raceline(xy=xy, kappa=kappa, v=np.full(count, v), s=s,
                     closed=True, length=2.0 * math.pi * radius)
+
+
+def open_arc_raceline(radius=20.0, spacing=1.0, v=4.0):
+    """The first half of circle_raceline as an open raceline."""
+    full = circle_raceline(radius, spacing, v)
+    half = len(full) // 2
+    return Raceline(xy=full.xy[:half], kappa=full.kappa[:half],
+                    v=full.v[:half], s=full.s[:half], closed=False,
+                    length=float(full.s[half - 1]))
 
 
 class TestLookaheadDistance:
@@ -94,6 +104,47 @@ class TestFindLookahead:
             hinted = find_lookahead_point(rl, pose, 4.0, hint=no_hint[2] - 2)
             assert hinted[0] == no_hint[0]
             assert hinted[2] == no_hint[2]
+
+
+class TestNearestWaypoint:
+    """The nearest waypoint is the raceline's global nearest vertex, the
+    lowest index on a tie, wherever the hint lies."""
+
+    @pytest.mark.parametrize("make", [circle_raceline, open_arc_raceline],
+                             ids=["closed", "open"])
+    @pytest.mark.parametrize("offset", [-30, -4, -1, 0, 1, 4, 30])
+    def test_any_hint_gives_the_global_nearest(self, make, offset):
+        # a hint ahead of the nearest waypoint is where a forward-only walk
+        # from the hint stops at once
+        rl = make()
+        n = len(rl)
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            i = int(rng.integers(0, n - 8))
+            x, y = rl.xy[i] + rng.normal(0.0, 0.8, 2)
+            want = polyline_distance_oracle(rl.xy, (x, y), rl.closed)[1]
+            assert polyline_distance(rl.polyline, (x, y))[1] == want
+            hint = want + offset
+            hint = hint % n if rl.closed else min(max(hint, 0), n - 1)
+            pose = VehiclePose(x=float(x), y=float(y), psi=0.0, v=3.0)
+            assert find_lookahead_point(rl, pose, 1.0, hint)[2] == want
+
+    @pytest.mark.parametrize("hint", [None, 4, 5, 6, 7])
+    def test_tie_takes_the_lowest_index(self, hint):
+        # exactly halfway between waypoints 5 and 6
+        rl = straight_raceline()
+        pose = VehiclePose(x=5.5, y=0.25, psi=0.0, v=3.0)
+        assert find_lookahead_point(rl, pose, 1.0, hint)[2] == 5
+
+    def test_raceline_polyline_is_built_once(self):
+        rl = circle_raceline()
+        polyline = rl.polyline
+        pursuit_step(rl, VehiclePose(x=20.0, y=0.5, psi=1.6, v=3.0),
+                     PursuitState(), PursuitParams(), 0.05)
+        assert rl.polyline is polyline
+        assert polyline.closed
+        np.testing.assert_array_equal(polyline.x, rl.xy[:, 0])
+        np.testing.assert_array_equal(polyline.y, rl.xy[:, 1])
 
 
 class TestPursuitCurvature:

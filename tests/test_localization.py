@@ -38,6 +38,18 @@ class TestProjection:
         assert p.x == 0.0
         assert p.y == pytest.approx(63.71, abs=1e-6)
 
+    @pytest.mark.parametrize("lon0", [math.pi, -math.pi, math.pi - 1e-6])
+    def test_roundtrip_across_the_antimeridian(self, lon0):
+        # fixes east and west of an origin on or next to the antimeridian
+        # keep longitudes in (-pi, pi] and project back to their offsets
+        origin = GeoFix(0.7, lon0)
+        for x in (-300.0, -1.0, 0.0, 1.0, 300.0):
+            fix = local_to_geo(LocalPoint(x, 5.0), origin)
+            assert -math.pi < fix.lon <= math.pi
+            p = project_to_local(fix, origin)
+            assert p.x == pytest.approx(x, abs=1e-6)
+            assert p.y == pytest.approx(5.0, abs=1e-9)
+
     def test_invalid_fix_rejected(self):
         origin = GeoFix(0.0, 0.0)
         bad = GeoFix(0.0, 1e-5, valid=False)

@@ -15,6 +15,7 @@ from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
                         bev_grass_mask, bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, render_scene, run_closed_loop)
+import gokart.control
 import gokart.sim
 from helpers import (alternating, bev_grass_mask_oracle,
                      bicycle_step_oracle, circle_track,
@@ -193,6 +194,15 @@ class TestTrackSampler:
             assert got.hex() == float(alone).hex()
         if not track.closed:
             assert (together[:400] < 0.0).sum() > 300
+
+    def test_polyline_is_built_once_over_the_samples(self):
+        sampler = TrackSampler(oval_track())
+        polyline = sampler.polyline
+        assert sampler.polyline is polyline
+        assert polyline.closed and sampler.closed
+        np.testing.assert_array_equal(polyline.x, sampler.points[:, 0])
+        np.testing.assert_array_equal(polyline.y, sampler.points[:, 1])
+        assert len(sampler.s) == len(sampler.points)
 
 
 class TestRenderScene:
@@ -640,6 +650,57 @@ class TestClosedLoop:
         assert fast.ticks == duration * 100
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
+
+    def test_pursuit_logs_match_an_unhinted_controller_search(
+            self, tmp_path, monkeypatch):
+        # the controller's nearest waypoint searched around its last one
+        # against a search of the whole raceline on every call, over 13 s
+        # across the 10-12 s GNSS dropout
+        scenario = self._oval_scenario(
+            tmp_path, "sensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        scenario.duration_s = 13.0
+        hinted = run_closed_loop(scenario)
+        search = gokart.control.polyline_distance
+        hints = []
+
+        def unhinted(ref, p, hint=None):
+            hints.append(hint)
+            return search(ref, p)
+
+        monkeypatch.setattr(gokart.control, "polyline_distance", unhinted)
+        full = run_closed_loop(scenario)
+        assert len(hints) == 13 * 20 and hints.count(None) == 1
+        assert hinted.logs == full.logs
+        assert hinted.to_json() == full.to_json()
+
+    def test_loop_and_controller_share_one_polyline(self, tmp_path,
+                                                    monkeypatch):
+        scenario = self._oval_scenario(tmp_path)
+        scenario.duration_s = 0.5
+        queried = {"loop": set(), "controller": set()}
+
+        def recorder(who, search):
+            def record(ref, p, hint=None):
+                queried[who].add(id(ref))
+                return search(ref, p, hint)
+            return record
+
+        for who, module in (("loop", gokart.sim),
+                            ("controller", gokart.control)):
+            monkeypatch.setattr(module, "polyline_distance",
+                                recorder(who, module.polyline_distance))
+        built = []
+        init = Polyline.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(id(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polyline, "__init__", counted)
+        run_closed_loop(scenario)
+        assert queried["loop"] == queried["controller"] == set(built)
+        assert len(built) == 1
 
     def test_pursuit_past_the_end_of_an_open_raceline(self, tmp_path):
         # a 38 m open straight runs out in about 8 s: one stop, its zero

@@ -104,6 +104,19 @@ class TestTrackModel:
         with pytest.raises(ValueError):
             Track.from_arrays(xy, 1.0, 1.0, closed=True)
 
+    def test_vehicle_must_fit_inside_the_track(self):
+        # 1.9 m each side: the kart's half-width must stay below 1.9 m
+        circle_track(width=1.9, vhw=1.8999)
+        for vhw in (1.9, 2.5, -0.1):
+            with pytest.raises(ValueError, match="track.vehicle_half_width"):
+                circle_track(width=1.9, vhw=vhw)
+        # lopsided widths: the box [0.2, 2.6] m lies left of the centerline
+        tr = Track.from_arrays(circle_track().xy, 3.0, 0.2, closed=True,
+                               vehicle_half_width=0.4)
+        lo, hi = alpha_bounds(tr)
+        np.testing.assert_allclose(lo, 0.2)
+        np.testing.assert_allclose(hi, 2.6)
+
     def test_alpha_bounds(self):
         tr = circle_track(width=1.9, vhw=0.4)
         lo, hi = alpha_bounds(tr)
