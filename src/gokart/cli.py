@@ -19,7 +19,7 @@ import numpy as np
 
 from .localization import (ReplayFormatError, read_replay_log, run_replay,
                            write_pose_log)
-from .fileio import read_netpbm, write_netpbm
+from .fileio import parse_float, read_netpbm, write_netpbm
 from .perception import ImageFormatError, detect_boundaries, write_scan_csv
 from .track import (OptimizationError, TrackFormatError, build_raceline,
                     centerline_curvature_cost, estimated_lap_time,
@@ -29,7 +29,7 @@ from .sim import (ScenarioError, build_scenario, parse_scenario_text,
                   run_closed_loop)
 
 _CONFIG_ERRORS = (ScenarioError, TrackFormatError, ReplayFormatError,
-                  ImageFormatError)
+                  ImageFormatError, FileNotFoundError)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
 def load_homography(path) -> np.ndarray:
     """Read a 3x3 homography from a whitespace-separated text file."""
     try:
-        values = [float(tok) for tok in Path(path).read_text().split()]
+        values = [parse_float(tok) for tok in Path(path).read_text().split()]
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"bad homography file {path}: {exc}") from None
     if len(values) != 9:
@@ -187,9 +187,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OptimizationError as exc:

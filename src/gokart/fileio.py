@@ -1,5 +1,6 @@
 """File formats shared across the stack: headed CSV tables and binary netpbm
-(PGM/PPM) images.
+(PGM/PPM) images, and the text rules for the numbers and booleans in them
+and in scenario files.
 
 Each format has one reader and one writer. Readers take the caller's error
 class, so a bad file surfaces as the named error of the layer that reads it.
@@ -8,6 +9,7 @@ class, so a bad file surfaces as the named error of the layer that reads it.
 from __future__ import annotations
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -17,16 +19,36 @@ _NETPBM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)")
 _NETPBM_CHANNELS = {b"P5": 1, b"P6": 3}
 
 
+def parse_float(text: str) -> float:
+    """A finite number; nan and +-inf raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
+def parse_bool(text: str) -> bool:
+    """1/true/yes/on or 0/false/no/off, any case, and the 1.0/0.0 that
+    write_table writes; any other text raises ValueError."""
+    low = text.strip().lower()
+    if low in ("1", "1.0", "true", "yes", "on"):
+        return True
+    if low in ("0", "0.0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
 def read_table(path, columns, error: type[Exception],
                parsers=None) -> tuple[np.ndarray, list[int]]:
     """Read the named columns of a headed CSV file as a float array.
 
     Columns are found by header name in any order; other columns are
-    ignored and blank lines skipped. `parsers` maps a column name to a
-    text -> number function used in place of float. Returns the
-    (rows, len(columns)) array and the file line number of each row. Raises
-    `error` for an empty file, a missing column (named), a malformed row
-    (with its line number) or a file without data rows.
+    ignored and blank lines skipped. Cells parse with parse_float;
+    `parsers` maps a column name to another text -> number function.
+    Returns the (rows, len(columns)) array and the file line number of each
+    row. Raises `error` for an empty file, a missing column (named), a
+    malformed row (any cell its parser rejects, with its line number) or a
+    file without data rows.
     """
     parsers = parsers or {}
     with open(path, newline="") as fh:
@@ -38,7 +60,7 @@ def read_table(path, columns, error: type[Exception],
         for col in columns:
             if col not in header:
                 raise error(f"{path}: missing column '{col}'")
-        fields = [(header.index(col), parsers.get(col, float))
+        fields = [(header.index(col), parsers.get(col, parse_float))
                   for col in columns]
         rows, lines = [], []
         for lineno, rec in enumerate(reader, start=2):

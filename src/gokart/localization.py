@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_table, write_table
+from .fileio import parse_bool, read_table, write_table
 from .geometry import normalize_angle
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -247,39 +247,22 @@ REPLAY_COLUMNS = [
 POSE_LOG_COLUMNS = ["t_s", "x_m", "y_m", "psi_rad", "cov_xx", "cov_yy", "cov_pp"]
 
 
-@dataclass(frozen=True)
-class ReplayRow:
-    t: float
-    lat: float
-    lon: float
-    gnss_valid: bool
-    gnss_var: float
-    imu_yaw: float
-    imu_yaw_var: float
-    v: float
-    omega: float
-
-
-def _parse_valid(text: str) -> float:
-    return float(text.strip() in ("1", "1.0", "true"))
-
-
-def read_replay_log(path) -> list[ReplayRow]:
-    """Parse a sensor replay CSV; raises ReplayFormatError with the offending
-    line number on malformed input."""
+def read_replay_log(path) -> list[list[float]]:
+    """Parse a sensor replay CSV into rows of floats in REPLAY_COLUMNS order
+    (gnss_valid as 1.0 or 0.0); raises ReplayFormatError with the offending
+    line number on malformed input or a non-monotone timestamp."""
     arr, lines = read_table(path, REPLAY_COLUMNS, ReplayFormatError,
-                            {"gnss_valid": _parse_valid})
-    rows: list[ReplayRow] = []
-    for lineno, (t, lat, lon, valid, *rest) in zip(lines, arr.tolist()):
-        if rows and t <= rows[-1].t:
+                            {"gnss_valid": parse_bool})
+    rows = arr.tolist()
+    for lineno, prev, row in zip(lines[1:], rows, rows[1:]):
+        if row[0] <= prev[0]:
             raise ReplayFormatError(
-                f"{path} line {lineno}: non-monotone timestamp {t}")
-        rows.append(ReplayRow(t, lat, lon, bool(valid), *rest))
+                f"{path} line {lineno}: non-monotone timestamp {row[0]}")
     return rows
 
 
-def run_replay(rows: list[ReplayRow], params: EkfParams | None = None):
-    """Replay a sensor log through fuse_step.
+def run_replay(rows, params: EkfParams | None = None):
+    """Replay the rows of read_replay_log through fuse_step.
 
     The filter is anchored at the first valid GNSS fix (identity covariance,
     heading from the IMU); earlier rows produce no output. Returns a list of
@@ -290,22 +273,21 @@ def run_replay(rows: list[ReplayRow], params: EkfParams | None = None):
     state: EkfState | None = None
     origin: GeoFix | None = None
     t_prev = 0.0
-    for row in rows:
+    for t, lat, lon, valid, gnss_var, imu_yaw, imu_yaw_var, v, omega in rows:
         fix = None
-        if row.gnss_valid:
-            fix = GeoFix(row.lat, row.lon, pos_variance=row.gnss_var, valid=True)
+        if valid:
+            fix = GeoFix(lat, lon, pos_variance=gnss_var, valid=True)
         if state is None:
             if fix is None:
                 continue
             origin = fix
-            state = EkfState.initial(0.0, 0.0, row.imu_yaw)
-            t_prev = row.t
+            state = EkfState.initial(0.0, 0.0, imu_yaw)
         else:
-            u = MotionInput(v=row.v, omega=row.omega, dt=row.t - t_prev)
-            imu = ImuReading(row.imu_yaw, row.omega, row.imu_yaw_var)
+            u = MotionInput(v=v, omega=omega, dt=t - t_prev)
+            imu = ImuReading(imu_yaw, omega, imu_yaw_var)
             state = fuse_step(state, u, fix, imu, origin, params)
-            t_prev = row.t
-        out.append((row.t, state.mean[0], state.mean[1], state.mean[2],
+        t_prev = t
+        out.append((t, state.mean[0], state.mean[1], state.mean[2],
                     state.cov[0, 0], state.cov[1, 1], state.cov[2, 2]))
     if state is None:
         raise ReplayFormatError("replay log contains no valid GNSS fix to anchor the filter")

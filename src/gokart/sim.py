@@ -26,7 +26,8 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        SubsystemFeedback, TBWS_FEEDBACK_ID, ThrottleEcu,
                        apply_feedback, COMMAND_FRAME_ID, decode_command, ebs_step,
                        encode_command, encode_feedback, format_trace_row,
-                       sbws_step)
+                       sbws_step, SPEED_SCALE)
+from .fileio import parse_bool, parse_float
 from .geometry import (Polyline, body_to_world, normalize_angle,
                        polyline_distance)
 from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
@@ -421,15 +422,6 @@ class ScenarioConfig:
     bev: BevConfig = field(default_factory=BevConfig)
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_windows(text: str) -> tuple:
     text = text.strip()
     if not text:
@@ -439,18 +431,11 @@ def _parse_windows(text: str) -> tuple:
         bounds = part.split(":")
         if len(bounds) != 2:
             raise ValueError(f"bad dropout window {part!r}; expected start:end")
-        start, end = map(_parse_float, bounds)
+        start, end = map(parse_float, bounds)
         if start > end:
             raise ValueError(f"dropout window {part!r} ends before it starts")
         windows.append((start, end))
     return tuple(windows)
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{value} is not a finite number")
-    return value
 
 
 def _optional(parse):
@@ -464,11 +449,11 @@ def _optional(parse):
 _PARSERS = {
     str: str,
     int: int,
-    float: _parse_float,
-    bool: _parse_bool,
+    float: parse_float,
+    bool: parse_bool,
     tuple: _parse_windows,
     str | None: _optional(str),
-    float | None: _optional(_parse_float),
+    float | None: _optional(parse_float),
     SpeedLaw: str,
 }
 
@@ -582,10 +567,19 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
          "lie in (-pi/2, pi/2) rad", cfg.origin_lat)
     need(-math.pi <= cfg.origin_lon <= math.pi, "origin_lon",
          "lie in [-pi, pi] rad", cfg.origin_lon)
+    # each rate ticks every round(1 / (rate * dt)) steps (_interval)
     for key, value in (("rates.controller_hz", cfg.controller_rate_hz),
                        ("rates.perception_hz", cfg.perception_rate_hz),
-                       ("rates.command_hz", cfg.command_rate_hz)):
-        need(value > 0.0, key, "be > 0", value)
+                       ("rates.command_hz", cfg.command_rate_hz),
+                       ("sensors.gnss_rate", cfg.sensors.gnss_rate),
+                       ("sensors.imu_rate", cfg.sensors.imu_rate)):
+        need(value * cfg.dt > 0.0 and math.isfinite(1.0 / (value * cfg.dt)),
+             key, "be > 0 with a finite tick interval 1 / (rate * dt)", value)
+    # the TBWS feedback frame's int16 speed saturates above this
+    top_speed = 32767 / SPEED_SCALE
+    need(cfg.vehicle.max_speed <= top_speed, "vehicle.max_speed",
+         f"be <= {top_speed} m/s, the fastest the speed feedback reports",
+         cfg.vehicle.max_speed)
     for key, value in (("pursuit.delta_max", cfg.pursuit.delta_max),
                        ("ftg.delta_max", cfg.ftg.delta_max)):
         need(0.0 < value <= STEERING_LIMIT, key,

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import gokart
 from gokart.cli import main
-from gokart.fileio import read_netpbm, write_netpbm
+from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
 from gokart.sim import (_SCENARIO_KEYS, TrackSampler, VehicleState,
-                        _parse_float, default_camera_homography, render_scene)
+                        build_scenario, default_camera_homography,
+                        render_scene)
 from gokart.track import (VehicleLimits, build_raceline, read_raceline_csv,
                           write_raceline_csv)
 from helpers import circle_track, oval_track, straight_track, write_track_csv
@@ -341,6 +342,15 @@ class TestSimulate:
         (["mode=ftg", "front.width=1"], "front.width"),
         (["mode=ftg", "front.height=0"], "front.height"),
         (["mode=ftg", "bev.height=1"], "bev.height"),
+        # rates whose tick interval is not a finite number of steps
+        (["rates.controller_hz=5e-324"], "rates.controller_hz"),
+        (["rates.controller_hz=1e-310"], "rates.controller_hz"),
+        (["sensors.gnss_rate=5e-324"], "sensors.gnss_rate"),
+        (["sensors.imu_rate=1e-310"], "sensors.imu_rate"),
+        # faster than the speed feedback frame reports
+        (["vehicle.max_speed=32.768"], "vehicle.max_speed"),
+        (["vehicle.max_speed=1e200"], "vehicle.max_speed"),
+        (["vehicle.max_speed=1e300"], "vehicle.max_speed"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
                                         key):
@@ -354,6 +364,10 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    def test_fastest_reported_speed_loads(self):
+        cfg = build_scenario({"vehicle.max_speed": "32.767"})
+        assert cfg.vehicle.max_speed == 32.767
 
     def test_never_localized_exits_1(self, tmp_path, capsys):
         # no GNSS fix for the whole run: the kart never moves, and the
@@ -391,6 +405,81 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["lap_time_s"] is None
         assert report["duration_s"] == 2.0
+
+
+def spoil_cell(path, lineno, column, cell):
+    """Replace one cell of a CSV file; lineno counts the header as 1."""
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split(",")
+    fields[column] = cell
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def assert_exit_2_naming(capsys, argv, *names):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+class TestNonFiniteCells:
+    """Every input file takes the scenario's number rule: a cell that is not
+    a finite number exits 2 at load, naming the file and its line."""
+
+    def test_track_csv(self, tmp_path, capsys, cell):
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        spoil_cell(tmp_path / "oval.csv", 5, 2, cell)  # w_left_m
+        (tmp_path / "s.txt").write_text(
+            "track = oval.csv\ntrack.closed = true\nduration_s = 0.1\n")
+        for mode in ("pursuit", "ftg"):
+            assert_exit_2_naming(
+                capsys, ["simulate", str(tmp_path / "s.txt"),
+                         "--set", f"mode={mode}",
+                         "--out-dir", str(tmp_path / "out")],
+                "oval.csv line 5")
+        assert_exit_2_naming(
+            capsys, ["optimize-raceline", str(tmp_path / "oval.csv"),
+                     "--set", "track.closed=true",
+                     "--out-dir", str(tmp_path / "out")],
+            "oval.csv line 5")
+
+    def test_raceline_csv(self, tmp_path, capsys, cell):
+        track = oval_track()
+        write_track_csv(tmp_path / "oval.csv", track)
+        write_raceline_csv(tmp_path / "raceline.csv",
+                           build_raceline(track, np.zeros(len(track)),
+                                          VehicleLimits()))
+        spoil_cell(tmp_path / "raceline.csv", 4, 1, cell)  # x_m
+        (tmp_path / "s.txt").write_text(
+            "track = oval.csv\nraceline = raceline.csv\n"
+            "track.closed = true\nduration_s = 0.1\n")
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "raceline.csv line 4")
+
+    def test_replay_log(self, tmp_path, capsys, cell):
+        lines = [TestLocalize.HEADER]
+        for k in range(5):
+            lines.append(f"{0.1 * k!r},0.7,-1.3,1,0.0,0.0,0.0,2.0,0.0\n")
+        (tmp_path / "replay.csv").write_text("".join(lines))
+        spoil_cell(tmp_path / "replay.csv", 3, 1, cell)  # lat_rad
+        assert_exit_2_naming(capsys, ["localize", str(tmp_path / "replay.csv"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "replay.csv line 3")
+        assert not (tmp_path / "out" / "poses.csv").exists()
+
+    def test_homography_file(self, tmp_path, capsys, cell):
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((60, 80, 3), np.uint8))
+        (tmp_path / "h.txt").write_text(f"1 0 0\n0 1 0\n0 0 {cell}\n")
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "h.txt")
+        assert not (tmp_path / "out" / "scan.csv").exists()
 
 
 # Per scenario key, values at and just beyond the limits the loader
@@ -438,8 +527,15 @@ for _key in ("rates.controller_hz", "rates.perception_hz", "rates.command_hz",
     LIMIT_VALUES[_key] = ["0", "-1"]
 for _key in ("pursuit.kp", "pursuit.kd", "perception.tau"):
     LIMIT_VALUES[_key] = ["0"]
+# a rate's tick interval 1 / (rate * dt) underflows the divisor (5e-324)
+# or overflows (1e-310)
+for _key in ("rates.controller_hz", "rates.perception_hz", "rates.command_hz",
+             "sensors.gnss_rate", "sensors.imu_rate"):
+    LIMIT_VALUES[_key] = LIMIT_VALUES[_key] + ["5e-324", "1e-310"]
+# the speed feedback frame reports at most 32.767 m/s
+LIMIT_VALUES["vehicle.max_speed"] += ["32.767", "32.768", "1e300"]
 for _key, (_, _, _parse) in _SCENARIO_KEYS.items():
-    if _parse is _parse_float or _key == "kill_at_s":
+    if _parse is parse_float or _key == "kill_at_s":
         LIMIT_VALUES[_key] = LIMIT_VALUES[_key] + ["nan", "inf", "-inf"]
 
 

@@ -478,6 +478,47 @@ class TestReplay:
         with pytest.raises(ReplayFormatError, match="line 3"):
             read_replay_log(path)
 
+    @pytest.mark.parametrize("word", ["maybe", "2", "y", ""])
+    def test_unknown_gnss_valid_word_names_its_line(self, tmp_path, word):
+        path = tmp_path / "replay.csv"
+        path.write_text(self.HEADER + "0.0,0,0,1,0,0,0,0,0\n"
+                        f"0.1,0,0,{word},0,0,0,0,0\n")
+        with pytest.raises(ReplayFormatError, match="line 3"):
+            read_replay_log(path)
+
+    def test_dropout_log_matches_a_direct_filter_loop(self, tmp_path):
+        # gnss_valid takes every word a scenario boolean takes, and the
+        # 1.0/0.0 that write_table writes
+        words = {True: ["1", "1.0", "true", "True", "yes", "on"],
+                 False: ["0", "0.0", "false", "FALSE", "no", "off"]}
+        origin = GeoFix(0.7, -1.3)
+        rows, lines = [], [self.HEADER]
+        for k in range(60):
+            t = 0.1 * k
+            valid = not 20 <= k < 40
+            fix = local_to_geo(LocalPoint(2.0 * t, 0.1 * math.sin(t)), origin)
+            row = (t, fix.lat, fix.lon, valid, 1e-4, 0.05 * t, 1e-4, 2.0, 0.05)
+            rows.append(row)
+            cells = [repr(v) for v in row]
+            cells[3] = words[valid][k % 6]
+            lines.append(",".join(cells) + "\n")
+        path = tmp_path / "replay.csv"
+        path.write_text("".join(lines))
+        out = run_replay(read_replay_log(path))
+
+        params = EkfParams()
+        t0, lat0, lon0, _, var0, yaw0 = rows[0][:6]
+        anchor = GeoFix(lat0, lon0, pos_variance=var0)
+        state = EkfState.initial(0.0, 0.0, yaw0)
+        expected = [(t0, *state.mean, *np.diag(state.cov))]
+        for prev, (t, lat, lon, valid, var, yaw, yaw_var, v, omega) in zip(
+                rows, rows[1:]):
+            fix = GeoFix(lat, lon, pos_variance=var) if valid else None
+            state = fuse_step(state, MotionInput(v, omega, t - prev[0]), fix,
+                              ImuReading(yaw, omega, yaw_var), anchor, params)
+            expected.append((t, *state.mean, *np.diag(state.cov)))
+        assert out == expected
+
     def test_pose_log_roundtrip_lossless(self, tmp_path):
         from gokart.localization import read_pose_log, write_pose_log
         rng = np.random.default_rng(17)

@@ -424,6 +424,18 @@ class TestImageFiles:
         np.testing.assert_array_equal(back.distances, scan.distances)
         np.testing.assert_array_equal(back.angles, scan.angles)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_scan_csv_non_finite_cell_has_line_number(self, tmp_path, cell):
+        scan = DepthScan(distances=np.full(SCAN_SIZE, 5.0),
+                         angles=scan_angles(), max_range=10.0)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(path, scan)
+        lines = path.read_text().splitlines()
+        lines[9] = lines[9].split(",")[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ImageFormatError, match="line 10"):
+            read_scan_csv(path)
+
     def test_scan_csv_malformed_row_has_line_number(self, tmp_path):
         path = tmp_path / "scan.csv"
         path.write_text("angle_rad,distance_m\n0.0,1.0\n0.1,far\n")
