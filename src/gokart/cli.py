@@ -145,7 +145,15 @@ def load_homography(path) -> np.ndarray:
         raise ScenarioError(f"bad homography file {path}: {exc}") from None
     if len(values) != 9:
         raise ScenarioError(f"homography file {path} must hold 9 numbers")
-    return np.array(values).reshape(3, 3)
+    h = np.array(values).reshape(3, 3)
+    try:  # warp_to_bev maps BEV pixels back through the inverse
+        invertible = bool(np.isfinite(np.linalg.inv(h)).all())
+    except np.linalg.LinAlgError:
+        invertible = False
+    if not invertible:
+        raise ScenarioError(f"homography file {path} must hold an "
+                            "invertible matrix with a finite inverse")
+    return h
 
 
 def build_parser() -> argparse.ArgumentParser:

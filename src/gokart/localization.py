@@ -27,9 +27,6 @@ EARTH_RADIUS_M = 6_371_000.0
 # to zero the position gain without making (P + M) singular.
 GNSS_DROPOUT_VARIANCE = 1e12
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
 
 class GnssRejected(ValueError):
     """An operation received an invalid (dropout) GNSS fix."""
@@ -112,22 +109,26 @@ class EkfParams:
 class EkfState:
     """Filter state: mean [x, y, psi] and 3x3 covariance.
 
-    Treated as a value: operations return new instances and never mutate
-    their inputs.
+    `nis` is the normalized innovation squared e^T S^-1 e of the update that
+    produced the state, None for a state that no update produced. Treated as
+    a value: operations return new instances and never mutate their inputs.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    nis: float | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(3)
         self.cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
 
     @classmethod
-    def _of(cls, mean: np.ndarray, cov: np.ndarray) -> "EkfState":
-        """A state on float (3,) and (3, 3) arrays the filter just built."""
+    def _of(cls, mean, cov, nis: float | None = None) -> "EkfState":
+        """A state on the Python floats the filter just computed: the mean
+        and the covariance's nine entries, row by row."""
         state = object.__new__(cls)
-        state.mean, state.cov = mean, cov
+        state.mean, state.cov = np.array(mean), np.array(cov).reshape(3, 3)
+        state.nis = nis
         return state
 
     @classmethod
@@ -173,22 +174,113 @@ def ekf_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
     ])
 
 
+# The filter's algebra runs on Python floats: the mean as [x, y, psi] and
+# every 3x3 matrix as its nine entries in row-major order.
+
+def _unpack(state: EkfState) -> tuple[list, list]:
+    """The state as Python floats; ValueError unless every one is finite."""
+    mean, cov = state.mean.tolist(), state.cov.ravel().tolist()
+    # a non-finite term makes the sum non-finite; only then is each tested
+    if not (math.isfinite(sum(mean) + sum(cov))
+            or all(map(math.isfinite, mean + cov))):
+        raise ValueError("non-finite filter state")
+    return mean, cov
+
+
+def _predict(mean, cov, u: MotionInput, q: float):
+    """Motion model on the mean, J P J^T + q I on the covariance, in floats.
+
+    J is the identity but for J[0][2] = a and J[1][2] = b (ekf_jacobian).
+    """
+    if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
+        raise ValueError("non-finite motion input")
+    x, y, psi = mean
+    p00, p01, p02, p10, p11, p12, p20, p21, p22 = cov
+    step = u.v * u.dt
+    a, b = -(step * math.sin(psi)), step * math.cos(psi)
+    # rows 0 and 1 of J P, last column, then (J P) J^T
+    r02, r12 = p02 + a * p22, p12 + b * p22
+    c00 = p00 + a * p20 + a * r02 + q
+    c11 = p11 + b * p21 + b * r12 + q
+    c01 = 0.5 * (p01 + a * p21 + b * r02 + (p10 + b * p20 + a * r12))
+    c02 = 0.5 * (r02 + (p20 + a * p22))
+    c12 = 0.5 * (r12 + (p21 + b * p22))
+    return ([x + b, y - a, normalize_angle(psi + u.dt * u.omega)],
+            [c00, c01, c02, c01, c11, c12, c02, c12, p22 + q])
+
+
+def _update(mean, cov, obs, obs_cov):
+    """The update in floats: with S = P + M, K = P S^-1 moves the mean by
+    K e and the covariance to (I - K) P; also returns the NIS e^T S^-1 e
+    of the innovation e.
+
+    S^-1 is applied by Gaussian elimination with partial pivoting, as
+    LAPACK's gesv does: the first row of largest magnitude leads each
+    column. Raises numpy.linalg.LinAlgError when a pivot is exactly 0.
+    """
+    x, y, psi = mean
+    e0, e1, e2 = obs[0] - x, obs[1] - y, normalize_angle(obs[2] - psi)
+    p00, p01, p02, p10, p11, p12, p20, p21, p22 = cov
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = obs_cov
+    # [S | P | e]; S X = P gives X = K^T, as S and P are symmetric
+    r0 = (p00 + m00, p01 + m01, p02 + m02, p00, p01, p02, e0)
+    r1 = (p10 + m10, p11 + m11, p12 + m12, p10, p11, p12, e1)
+    r2 = (p20 + m20, p21 + m21, p22 + m22, p20, p21, p22, e2)
+    a0, a1, a2 = abs(r0[0]), abs(r1[0]), abs(r2[0])
+    if a1 > a0 and a1 >= a2:
+        r0, r1 = r1, r0
+    elif a2 > a0 and a2 > a1:
+        r0, r2 = r2, r0
+    u00, u01, u02, b00, b01, b02, b03 = r0
+    if u00 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    l1, l2 = r1[0] / u00, r2[0] / u00
+    r1 = (r1[1] - l1 * u01, r1[2] - l1 * u02, r1[3] - l1 * b00,
+          r1[4] - l1 * b01, r1[5] - l1 * b02, r1[6] - l1 * b03)
+    r2 = (r2[1] - l2 * u01, r2[2] - l2 * u02, r2[3] - l2 * b00,
+          r2[4] - l2 * b01, r2[5] - l2 * b02, r2[6] - l2 * b03)
+    if abs(r2[0]) > abs(r1[0]):
+        r1, r2 = r2, r1
+    u11, u12, b10, b11, b12, b13 = r1
+    if u11 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    l2 = r2[0] / u11
+    u22 = r2[1] - l2 * u12
+    if u22 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    # back substitution on all four right-hand sides at once: the solutions
+    # for P's columns are the rows of K, the last is S^-1 e
+    g0, g1, g2, g3 = (r2[2] - l2 * b10, r2[3] - l2 * b11,
+                      r2[4] - l2 * b12, r2[5] - l2 * b13)
+    k02, k12, k22, w2 = g0 / u22, g1 / u22, g2 / u22, g3 / u22
+    k01, k11, k21, w1 = ((b10 - u12 * k02) / u11, (b11 - u12 * k12) / u11,
+                         (b12 - u12 * k22) / u11, (b13 - u12 * w2) / u11)
+    k00, k10, k20, w0 = ((b00 - u02 * k02 - u01 * k01) / u00,
+                         (b01 - u02 * k12 - u01 * k11) / u00,
+                         (b02 - u02 * k22 - u01 * k21) / u00,
+                         (b03 - u02 * w2 - u01 * w1) / u00)
+    mean = [x + (k00 * e0 + k01 * e1 + k02 * e2),
+            y + (k10 * e0 + k11 * e1 + k12 * e2),
+            normalize_angle(psi + (k20 * e0 + k21 * e1 + k22 * e2))]
+    # (I - K) P, then symmetrized
+    n00, n11, n22 = 1.0 - k00, 1.0 - k11, 1.0 - k22
+    c00 = n00 * p00 - k01 * p10 - k02 * p20
+    c11 = n11 * p11 - k10 * p01 - k12 * p21
+    c22 = n22 * p22 - k20 * p02 - k21 * p12
+    c01 = 0.5 * (n00 * p01 - k01 * p11 - k02 * p21
+                 + (n11 * p10 - k10 * p00 - k12 * p20))
+    c02 = 0.5 * (n00 * p02 - k01 * p12 - k02 * p22
+                 + (n22 * p20 - k20 * p00 - k21 * p10))
+    c12 = 0.5 * (n11 * p12 - k10 * p02 - k12 * p22
+                 + (n22 * p21 - k20 * p01 - k21 * p11))
+    return (mean, [c00, c01, c02, c01, c11, c12, c02, c12, c22],
+            e0 * w0 + e1 * w1 + e2 * w2)
+
+
 def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
     """Prediction step: advance the mean by the motion model and the
     covariance by J P J^T + R."""
-    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
-        raise ValueError("non-finite filter state")
-    if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
-        raise ValueError("non-finite motion input")
-    x, y, psi = state.mean.tolist()
-    mean = np.array([
-        x + u.v * u.dt * math.cos(psi),
-        y + u.v * u.dt * math.sin(psi),
-        normalize_angle(psi + u.dt * u.omega),
-    ])
-    j = ekf_jacobian(psi, u.v, u.dt)
-    cov = j @ state.cov @ j.T + params.process_noise_scale * _EYE3
-    cov = 0.5 * (cov + cov.T)
+    mean, cov = _predict(*_unpack(state), u, params.process_noise_scale)
     return EkfState._of(mean, cov)
 
 
@@ -197,22 +289,14 @@ def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfStat
 
     K = P (P + M)^-1; the heading residual is computed on the circle so an
     observation across the +-pi seam pulls the mean the short way around.
-    Raises numpy.linalg.LinAlgError when (P + M) is singular; callers may
-    inflate M and retry.
+    The returned state carries the update's NIS. Raises
+    numpy.linalg.LinAlgError when (P + M) is singular; callers may inflate M
+    and retry.
     """
-    obs = np.asarray(obs, dtype=float).reshape(3)
-    m = np.asarray(obs_cov, dtype=float).reshape(3, 3)
-    p = state.cov
-    s = p + m
-    # K = P S^-1; with S and P symmetric, K^T = solve(S, P).
-    k = np.linalg.solve(s, p).T
-    innovation = obs - state.mean
-    innovation[2] = normalize_angle(obs[2] - state.mean[2])
-    mean = state.mean + k @ innovation
-    mean[2] = normalize_angle(mean[2])
-    cov = (_EYE3 - k) @ p
-    cov = 0.5 * (cov + cov.T)
-    return EkfState._of(mean, cov)
+    obs = np.asarray(obs, dtype=float).reshape(3).tolist()
+    m = np.asarray(obs_cov, dtype=float).reshape(9).tolist()
+    return EkfState._of(*_update(state.mean.tolist(),
+                                 state.cov.ravel().tolist(), obs, m))
 
 
 def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
@@ -224,17 +308,16 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
     the predicted mean with near-infinite variance, which keeps the position
     dead reckoning exactly while still absorbing the IMU heading.
     """
-    pred = ekf_predict(state, u, params)
+    mean, cov = _predict(*_unpack(state), u, params.process_noise_scale)
     if gnss is not None and gnss.valid:
         p = project_to_local(gnss, origin, params.earth_radius)
-        obs = np.array([p.x, p.y, imu.yaw])
+        obs = (p.x, p.y, imu.yaw)
         var = gnss.pos_variance
     else:
-        obs = np.array([pred.mean[0], pred.mean[1], imu.yaw])
+        obs = (mean[0], mean[1], imu.yaw)
         var = GNSS_DROPOUT_VARIANCE
-    m = np.array([[var, 0.0, 0.0], [0.0, var, 0.0],
-                  [0.0, 0.0, imu.yaw_variance]])
-    return ekf_update(pred, obs, m)
+    m = (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, 0.0, imu.yaw_variance)
+    return EkfState._of(*_update(mean, cov, obs, m))
 
 
 # --- replay log interface ---------------------------------------------------

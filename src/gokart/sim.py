@@ -88,6 +88,11 @@ class SensorConfig:
 
 # Largest physics step the RK4 plant accepts.
 MAX_DT = 0.05
+# Most physics steps a scenario may ask for (duration_s / dt).
+MAX_TICKS = 10**7
+# The chi-square(3) 95% point: a consistent filter's NIS exceeds it on 5% of
+# the updates with a GNSS fix.
+CHI2_3_95 = 7.81
 
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
@@ -551,8 +556,9 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
             raise ScenarioError(f"{key} must {rule}, got {value!r}")
 
     need(0.0 < cfg.dt <= MAX_DT, "dt", f"lie in (0, {MAX_DT}]", cfg.dt)
-    need(round(cfg.duration_s / cfg.dt) >= 1, "duration_s",
-         "cover at least one dt step", cfg.duration_s)
+    steps = cfg.duration_s / cfg.dt  # inf where the quotient overflows
+    need(steps <= MAX_TICKS and round(steps) >= 1, "duration_s",
+         f"cover from 1 to {MAX_TICKS} dt steps", cfg.duration_s)
     need(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
     for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
                        ("opt.reg", cfg.opt_reg)):
@@ -611,6 +617,10 @@ class RunReport:
     logs: dict[str, str]
     # sim time of the filter's first GNSS fix; None if it never localized
     first_fix_s: float | None
+    # the filter's NIS over its updates with a GNSS fix: the mean and the
+    # fraction above CHI2_3_95; None if there was no such update
+    nis_mean: float | None
+    nis_over_chi2_95: float | None
 
     def to_json(self) -> str:
         """Every field but the logs."""
@@ -740,6 +750,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
 
     ekf_state: EkfState | None = None
     first_fix: float | None = None
+    fix_nis: list[float] = []
     arbiter = ModeArbiter()
     throttle = ThrottleEcu()
     bus = CanBus()
@@ -779,6 +790,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                                 dt=imu_every * dt)
                 ekf_state = fuse_step(ekf_state, u, gnss, imu, origin,
                                       scenario.ekf)
+                if gnss is not None and gnss.valid:
+                    fix_nis.append(ekf_state.nis)
 
         if ekf_state is not None and k % planner.period == 0:
             planned = planner.plan(t, ekf_state, feedback.measured_speed, truth)
@@ -856,4 +869,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         safety_stops=safety_stops,
         logs={name: "\n".join(r) + "\n" for name, r in rows.items()},
         first_fix_s=first_fix,
+        nis_mean=sum(fix_nis) / len(fix_nis) if fix_nis else None,
+        nis_over_chi2_95=(sum(n > CHI2_3_95 for n in fix_nis) / len(fix_nis)
+                          if fix_nis else None),
     )

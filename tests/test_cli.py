@@ -17,9 +17,9 @@ from gokart.cli import main
 from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
-from gokart.sim import (_SCENARIO_KEYS, TrackSampler, VehicleState,
-                        build_scenario, default_camera_homography,
-                        render_scene)
+from gokart.sim import (_SCENARIO_KEYS, MAX_TICKS, TrackSampler,
+                        VehicleState, build_scenario,
+                        default_camera_homography, render_scene)
 from gokart.track import (VehicleLimits, build_raceline, read_raceline_csv,
                           write_raceline_csv)
 from helpers import circle_track, oval_track, straight_track, write_track_csv
@@ -240,6 +240,25 @@ class TestPerceive:
         rc = main(["perceive", str(tmp_path / "scene.ppm"),
                    str(tmp_path / "h.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", ["0 0 0 0 0 0 0 0 0",
+                                      "1 0 0 0 1 0 0 0 0"])
+    def test_singular_homography_exits_2(self, tmp_path, capsys, text):
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((240, 320, 3), np.uint8))
+        (tmp_path / "h.txt").write_text(text + "\n")
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "h.txt")
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    def test_near_singular_homography_still_runs(self, tmp_path):
+        # its inverse is finite, so the warp is defined
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((60, 80, 3), np.uint8))
+        (tmp_path / "h.txt").write_text("1e300 0 0 0 1e300 0 0 0 1e-300\n")
+        rc = main(["perceive", str(tmp_path / "scene.ppm"),
+                   str(tmp_path / "h.txt"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
 
 
 class TestSimulate:
@@ -490,9 +509,9 @@ LIMIT_VALUES = {
     "mode": ["pursuit", "ftg", "drift"],
     "track.closed": ["false", "maybe"],
     "track.vehicle_half_width": ["0", "-1e-9", "3.4999", "3.5"],
-    "duration_s": ["0", "-1", "0.005", "0.015"],
+    "duration_s": ["0", "-1", "0.005", "0.015", "1e300"],
     "seed": ["0", "-1"],
-    "dt": ["0.05", "0.0500001", "0", "-0.01"],
+    "dt": ["0.05", "0.0500001", "0", "-0.01", "1e-300"],
     "spacing_m": ["0", "-1"],
     "origin_lat": [repr(math.pi / 2), repr(-math.pi / 2), "1.6"],
     "origin_lon": [repr(math.pi), repr(-math.pi), PI_NEXT, "-" + PI_NEXT],
@@ -591,6 +610,18 @@ class TestScenarioLimits:
     def test_combined_limit_values_run_or_exit_cleanly(self, short_oval, mode,
                                                        overrides):
         simulate_with(short_oval, {"mode": mode, **overrides})
+
+    @pytest.mark.parametrize("overrides", [
+        {"duration_s": "1e300"}, {"dt": "1e-300"},
+        {"duration_s": "1e300", "dt": "1e-300"}])  # this ratio overflows
+    def test_tick_count_is_bounded_at_load(self, short_oval, capsys,
+                                           overrides):
+        sets = [arg for key, value in overrides.items()
+                for arg in ("--set", f"{key}={value}")]
+        assert_exit_2_naming(capsys, ["simulate", str(short_oval / "s.txt"),
+                                      *sets, "--out-dir",
+                                      str(short_oval / "out")],
+                             "duration_s", str(MAX_TICKS))
 
 
 class TestEntryPoint:

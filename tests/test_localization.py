@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gokart.geometry import normalize_angle
-from gokart.localization import (_EYE3, EkfParams, EkfState, GeoFix,
+from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  GnssRejected, ImuReading, LocalPoint,
                                  MotionInput, ReplayFormatError,
                                  ekf_jacobian, ekf_predict, ekf_update,
                                  fuse_step, local_to_geo, project_to_local,
                                  read_replay_log, run_replay)
-from helpers import fuse_step_oracle, haversine_m, reference_linear_kalman
+from helpers import (assert_matches_oracle, assert_state_close,
+                     fuse_step_oracle, haversine_m, reference_linear_kalman)
 
 
 def default_params():
@@ -180,6 +181,28 @@ class TestUpdate:
         np.testing.assert_allclose(out.mean, [1.0, 1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(out.cov, 0.5 * np.eye(3), atol=1e-12)
 
+    def test_nis_of_constructed_updates(self):
+        # P = M = I: S = 2I, so e = (2, 0, 1) gives (4 + 1) / 2
+        state = EkfState(np.zeros(3), np.eye(3))
+        out = ekf_update(state, np.array([2.0, 0.0, 1.0]), np.eye(3))
+        assert out.nis == 2.5
+        # S = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]: S^-1 (1, 1, 0) = (1, 1, 0) / 3
+        cov = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        out = ekf_update(EkfState(np.zeros(3), cov), np.array([1.0, 1.0, 0.0]),
+                         np.zeros((3, 3)))
+        assert out.nis == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    def test_nis_only_on_updated_states(self):
+        state = EkfState.initial(0.0, 0.0, 0.0)
+        assert state.nis is None
+        assert EkfState(np.zeros(3), np.eye(3)).nis is None
+        assert ekf_predict(state, MotionInput(1.0, 0.0, 0.1),
+                           default_params()).nis is None
+        out = fuse_step(state, MotionInput(1.0, 0.0, 0.1), None,
+                        ImuReading(0.0, 0.0, 1e-4), GeoFix(0.7, -1.3),
+                        default_params())
+        assert isinstance(out.nis, float) and out.nis >= 0.0
+
     def test_singular_sum_raises(self):
         state = EkfState(np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(np.linalg.LinAlgError):
@@ -317,8 +340,8 @@ def gnss_fixes(draw):
 
 
 class TestFuseStepOracle:
-    """fuse_step against the plain numpy filter in tests/helpers.py, byte
-    for byte: removing per-call overheads must not change one float."""
+    """fuse_step, on Python floats, against the plain numpy filter in
+    tests/helpers.py within the stated tolerance (helpers.FUSE_RTOL)."""
 
     @settings(max_examples=400, deadline=None)
     @given(state=ekf_states(), gnss=gnss_fixes(), yaw=heading,
@@ -329,16 +352,17 @@ class TestFuseStepOracle:
            q=st.floats(min_value=1e-6, max_value=10.0))
     def test_matches_oracle_bitwise(self, state, gnss, yaw, yaw_var, v,
                                     omega, dt, q):
+        # within the one-step bound of helpers.FUSE_RTOL, not bit for bit
         u = MotionInput(v, omega, dt)
         imu = ImuReading(yaw, omega, yaw_var)
         params = EkfParams(process_noise_scale=q)
         mean_in, cov_in = state.mean.tobytes(), state.cov.tobytes()
         out = fuse_step(state, u, gnss, imu, ORIGIN, params)
-        mean, cov = fuse_step_oracle(state, u, gnss, imu, ORIGIN, params)
-        assert out.mean.tobytes() == mean.tobytes()
-        assert out.cov.tobytes() == cov.tobytes()
-        assert out.mean.dtype == mean.dtype and out.mean.shape == (3,)
-        assert out.cov.dtype == cov.dtype and out.cov.shape == (3, 3)
+        assert_matches_oracle(out, state, u, gnss, imu, ORIGIN, params)
+        assert out.mean.dtype == float and out.mean.shape == (3,)
+        assert out.cov.dtype == float and out.cov.shape == (3, 3)
+        assert out.mean.flags.writeable and out.cov.flags.writeable
+        assert isinstance(out.nis, float)
         # the inputs are values: never written to
         assert state.mean.tobytes() == mean_in
         assert state.cov.tobytes() == cov_in
@@ -348,7 +372,7 @@ class TestFuseStepOracle:
         rng = np.random.default_rng(17)
         params = default_params()
         state = EkfState(np.array([0.0, 0.0, 3.0]), np.eye(3))
-        mean, cov = state.mean, state.cov
+        ref = state
         for k in range(2000):
             u = MotionInput(rng.uniform(0, 8), rng.uniform(-2, 2), 0.01)
             fix = None
@@ -357,10 +381,8 @@ class TestFuseStepOracle:
                                    ORIGIN, pos_variance=4e-4)
             imu = ImuReading(rng.uniform(-4, 4), u.omega, 1e-4)
             state = fuse_step(state, u, fix, imu, ORIGIN, params)
-            mean, cov = fuse_step_oracle(EkfState(mean, cov), u, fix, imu,
-                                         ORIGIN, params)
-            assert state.mean.tobytes() == mean.tobytes()
-            assert state.cov.tobytes() == cov.tobytes()
+            ref = fuse_step_oracle(ref, u, fix, imu, ORIGIN, params)
+            assert_state_close(state, ref)
 
     @pytest.mark.parametrize("bad", ["mean", "cov"])
     def test_nonfinite_state_raises(self, bad):
@@ -380,18 +402,6 @@ class TestFuseStepOracle:
         with pytest.raises(np.linalg.LinAlgError):
             fuse_step(state, MotionInput(0.0, 0.0, 0.01), fix, imu, ORIGIN,
                       default_params())
-
-    def test_shared_identity_is_read_only(self):
-        assert not _EYE3.flags.writeable
-        with pytest.raises(ValueError):
-            _EYE3[0, 0] = 2.0
-        np.testing.assert_array_equal(_EYE3, np.eye(3))
-        # states built by the filter own fresh, writable arrays
-        state = EkfState(np.zeros(3), np.eye(3))
-        out = fuse_step(state, MotionInput(0.0, 0.0, 0.01), None,
-                        ImuReading(0.0, 0.0, 1e-4), ORIGIN, default_params())
-        assert out.mean.flags.writeable and out.cov.flags.writeable
-        assert not np.shares_memory(out.cov, _EYE3)
 
 
 class TestCovarianceHealth:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,22 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gokart.geometry import Polyline, body_to_world
-from gokart.localization import GeoFix, project_to_local
+from gokart.localization import GeoFix, fuse_step, project_to_local
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
-from gokart.sim import (_SCENARIO_KEYS, GnssSimulator, ImuSimulator,
-                        ScenarioError, SensorConfig, TrackSampler,
+from gokart.sim import (_SCENARIO_KEYS, CHI2_3_95, GnssSimulator,
+                        ImuSimulator, ScenarioError, SensorConfig, TrackSampler,
                         VehicleParams, VehicleState, _bev_body_points,
                         bev_grass_mask, bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, render_scene, run_closed_loop)
 import gokart.control
 import gokart.sim
-from helpers import (alternating, bev_grass_mask_oracle,
+from helpers import (FUSE_RTOL, alternating, bev_grass_mask_oracle,
                      bicycle_step_oracle, circle_track,
-                     detect_boundaries_oracle, geometric_scan_oracle,
-                     hairpin_track, oval_track, render_scene_oracle,
-                     straight_track, wiggly_track, write_track_csv)
+                     detect_boundaries_oracle, fuse_step_oracle,
+                     geometric_scan_oracle, hairpin_track, mean_gap,
+                     oval_track, render_scene_oracle, straight_track,
+                     wiggly_track, write_track_csv)
 
 
 def float_bits(state: VehicleState) -> list[str]:
@@ -562,6 +564,62 @@ class TestClosedLoop:
         report = run_closed_loop(scenario)
         assert report.first_fix_s is None
         assert '"first_fix_s": null' in report.to_json()
+
+    def _dropout_run(self, tmp_path, seconds=13.0):
+        # the benchmark's sensors, across the 10-12 s GNSS dropout
+        scenario = self._oval_scenario(
+            tmp_path, "sensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        scenario.duration_s = seconds
+        return scenario
+
+    def test_nis_over_the_updates_with_a_fix(self, tmp_path, monkeypatch):
+        scenario = self._dropout_run(tmp_path)
+        fixed, dropped = [], []
+
+        def recording(state, u, gnss, imu, origin, params):
+            out = fuse_step(state, u, gnss, imu, origin, params)
+            (fixed if gnss is not None and gnss.valid else dropped).append(
+                out.nis)
+            return out
+
+        monkeypatch.setattr(gokart.sim, "fuse_step", recording)
+        report = run_closed_loop(scenario)
+        # 10 Hz GNSS: 130 fixes in 13 s, the first anchors the filter and 21
+        # fall in the dropout (10.0 to 12.0 s inclusive); 100 Hz IMU
+        assert len(fixed) == 130 - 1 - 21 and len(dropped) == 1300 - 1 - 108
+        assert report.nis_mean == sum(fixed) / len(fixed)
+        assert 0.0 < report.nis_mean < math.inf
+        assert report.nis_over_chi2_95 == (
+            sum(nis > CHI2_3_95 for nis in fixed) / len(fixed))
+        payload = json.loads(report.to_json())
+        assert payload["nis_mean"] == report.nis_mean
+        assert payload["nis_over_chi2_95"] == report.nis_over_chi2_95
+
+    def test_pursuit_logs_match_the_numpy_filter(self, tmp_path,
+                                                 monkeypatch):
+        # the Python-float filter against fuse_step_oracle in the loop: the
+        # CAN quantization absorbs the filters' last-bit differences, so
+        # the plant sees the same commands
+        scenario = self._dropout_run(tmp_path)
+        floats = run_closed_loop(scenario)
+        monkeypatch.setattr(gokart.sim, "fuse_step", fuse_step_oracle)
+        numpy = run_closed_loop(scenario)
+        assert floats.logs.keys() == numpy.logs.keys()
+        assert floats.logs["frames.csv"] == numpy.logs["frames.csv"]
+        got, want = (np.array([row.split(",") for row in
+                               run.logs["poses.csv"].splitlines()])
+                     for run in (floats, numpy))
+        assert got.shape == want.shape == (1301, 9)
+        truth = [0, 1, 2, 3, 4, 8]  # t, x, y, psi, v, cross-track
+        np.testing.assert_array_equal(got[:, truth], want[:, truth])
+        est, est_want = got[1:, 5:8].astype(float), want[1:, 5:8].astype(float)
+        assert np.all(mean_gap(est, est_want)
+                      <= FUSE_RTOL * (1.0 + np.abs(est_want)))
+        report, oracle = (json.loads(run.to_json()) for run in (floats, numpy))
+        for key in ("nis_mean", "nis_over_chi2_95"):
+            assert abs(report.pop(key) - oracle.pop(key)) <= FUSE_RTOL
+        assert report == oracle
 
     def test_ftg_logs_match_oracle_stages(self, tmp_path, monkeypatch):
         # the memoized, separable, two-channel frame path against the
