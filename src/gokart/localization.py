@@ -9,6 +9,12 @@ heading through an extended Kalman filter over the velocity motion model
 The observation model is the identity over [x, y, psi]; GNSS dropouts are
 handled by inflating the position observation variance so the update keeps a
 single code path.
+
+A Localizer holds the filter's life cycle for both the replay tool and the
+closed loop: no estimate until the first valid GNSS fix, a state anchored
+there (identity covariance, heading from the IMU), then one fuse_step per
+IMU sample. It records the time of that first fix and the NIS of every later
+update that had a fix.
 """
 
 from __future__ import annotations
@@ -320,6 +326,42 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
     return EkfState._of(*_update(mean, cov, obs, m))
 
 
+# The chi-square(3) 95% point: a consistent filter's NIS exceeds it on 5% of
+# the updates with a GNSS fix.
+CHI2_3_95 = 7.81
+
+
+class Localizer:
+    """The filter's life cycle; tests and traces may pass `fuse` for fuse_step."""
+
+    def __init__(self, origin: GeoFix, params: EkfParams, fuse=fuse_step):
+        self.origin, self.params, self.fuse = origin, params, fuse
+        self.state: EkfState | None = None
+        self.first_fix_s: float | None = None
+        self.nis: list[float] = []
+
+    def step(self, t, v, dt, gnss: GeoFix | None, imu: ImuReading):
+        """The estimate after the IMU sample at time t; None before a fix."""
+        fix = gnss is not None and gnss.valid
+        if self.state is not None:
+            self.state = self.fuse(self.state, MotionInput(v, imu.yaw_rate, dt),
+                                   gnss, imu, self.origin, self.params)
+            if fix:
+                self.nis.append(self.state.nis)
+        elif fix:
+            p = project_to_local(gnss, self.origin, self.params.earth_radius)
+            self.state = EkfState.initial(p.x, p.y, imu.yaw)
+            self.first_fix_s = t
+        return self.state
+
+    def nis_mean(self) -> float | None:
+        return sum(self.nis) / len(self.nis) if self.nis else None
+
+    def nis_over_chi2_95(self) -> float | None:
+        return (sum(n > CHI2_3_95 for n in self.nis) / len(self.nis)
+                if self.nis else None)
+
+
 # --- replay log interface ---------------------------------------------------
 
 REPLAY_COLUMNS = [
@@ -333,47 +375,48 @@ POSE_LOG_COLUMNS = ["t_s", "x_m", "y_m", "psi_rad", "cov_xx", "cov_yy", "cov_pp"
 def read_replay_log(path) -> list[list[float]]:
     """Parse a sensor replay CSV into rows of floats in REPLAY_COLUMNS order
     (gnss_valid as 1.0 or 0.0); raises ReplayFormatError with the offending
-    line number on malformed input or a non-monotone timestamp."""
+    line number on malformed input, a non-monotone timestamp, a negative
+    variance, or a valid fix off the globe."""
     arr, lines = read_table(path, REPLAY_COLUMNS, ReplayFormatError,
                             {"gnss_valid": parse_bool})
     rows = arr.tolist()
-    for lineno, prev, row in zip(lines[1:], rows, rows[1:]):
-        if row[0] <= prev[0]:
-            raise ReplayFormatError(
-                f"{path} line {lineno}: non-monotone timestamp {row[0]}")
+    t_prev, anchored = -math.inf, False
+    for lineno, row in zip(lines, rows):
+        t, lat, lon, valid, var, _, yaw_var, _, _ = row
+        # the first valid fix is the local frame's origin, whose east-west
+        # scale cos(lat) vanishes at the poles
+        lat_max = math.pi / 2 if anchored else math.nextafter(math.pi / 2, 0)
+        for col, bad, rule in (
+                ("t_s", t <= t_prev, "is a non-monotone timestamp"),
+                ("imu_yaw_var_rad2", yaw_var < 0.0, "must be >= 0"),
+                ("gnss_var_m2", valid and var < 0.0, "must be >= 0"),
+                ("lat_rad", valid and abs(lat) > lat_max, "must lie in "
+                 "[-pi/2, pi/2], off the poles at the first valid fix"),
+                ("lon_rad", valid and abs(lon) > math.pi,
+                 "must lie in [-pi, pi]")):
+            if bad:
+                raise ReplayFormatError(
+                    f"{path} line {lineno}: {col} "
+                    f"{row[REPLAY_COLUMNS.index(col)]!r} {rule}")
+        t_prev, anchored = t, anchored or bool(valid)
     return rows
 
 
 def run_replay(rows, params: EkfParams | None = None):
-    """Replay the rows of read_replay_log through fuse_step.
-
-    The filter is anchored at the first valid GNSS fix (identity covariance,
-    heading from the IMU); earlier rows produce no output. Returns a list of
-    pose-log tuples matching POSE_LOG_COLUMNS.
-    """
-    params = params or EkfParams()
-    out = []
-    state: EkfState | None = None
-    origin: GeoFix | None = None
-    t_prev = 0.0
-    for t, lat, lon, valid, gnss_var, imu_yaw, imu_yaw_var, v, omega in rows:
-        fix = None
-        if valid:
-            fix = GeoFix(lat, lon, pos_variance=gnss_var, valid=True)
-        if state is None:
-            if fix is None:
-                continue
-            origin = fix
-            state = EkfState.initial(0.0, 0.0, imu_yaw)
-        else:
-            u = MotionInput(v=v, omega=omega, dt=t - t_prev)
-            imu = ImuReading(imu_yaw, omega, imu_yaw_var)
-            state = fuse_step(state, u, fix, imu, origin, params)
-        t_prev = t
-        out.append((t, state.mean[0], state.mean[1], state.mean[2],
-                    state.cov[0, 0], state.cov[1, 1], state.cov[2, 2]))
-    if state is None:
+    """The pose-log tuples (POSE_LOG_COLUMNS) of the rows of read_replay_log
+    from the first valid fix on, which is also the local frame's origin."""
+    first = next((row for row in rows if row[3]), None)
+    if first is None:
         raise ReplayFormatError("replay log contains no valid GNSS fix to anchor the filter")
+    localizer = Localizer(GeoFix(first[1], first[2]), params or EkfParams())
+    out, t_prev = [], 0.0
+    for t, lat, lon, valid, gnss_var, imu_yaw, imu_yaw_var, v, omega in rows:
+        fix = GeoFix(lat, lon, pos_variance=gnss_var) if valid else None
+        state = localizer.step(t, v, t - t_prev, fix,
+                               ImuReading(imu_yaw, omega, imu_yaw_var))
+        t_prev = t
+        if state is not None:
+            out.append((t, *state.mean.tolist(), *state.cov.diagonal().tolist()))
     return out
 
 

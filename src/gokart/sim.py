@@ -30,9 +30,9 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
 from .fileio import parse_bool, parse_float
 from .geometry import (Polyline, body_to_world, normalize_angle,
                        polyline_distance)
-from .localization import (EkfParams, EkfState, GeoFix, ImuReading, LocalPoint,
-                           MotionInput, fuse_step, local_to_geo,
-                           project_to_local)
+from .localization import (CHI2_3_95, EkfParams, EkfState, GeoFix,
+                           ImuReading, LocalPoint, Localizer, fuse_step,
+                           local_to_geo)
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
                          TRACK_RGB, detect_boundaries, homography_from_points,
                          pixel_map, scan_angles)
@@ -90,9 +90,6 @@ class SensorConfig:
 MAX_DT = 0.05
 # Most physics steps a scenario may ask for (duration_s / dt).
 MAX_TICKS = 10**7
-# The chi-square(3) 95% point: a consistent filter's NIS exceeds it on 5% of
-# the updates with a GNSS fix.
-CHI2_3_95 = 7.81
 
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
@@ -748,9 +745,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                              scenario.ekf.earth_radius)
     imu_sim = ImuSimulator(scenario.sensors)
 
-    ekf_state: EkfState | None = None
-    first_fix: float | None = None
-    fix_nis: list[float] = []
+    localizer = Localizer(origin, scenario.ekf, fuse_step)
     arbiter = ModeArbiter()
     throttle = ThrottleEcu()
     bus = CanBus()
@@ -779,22 +774,12 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
 
         gnss = gnss_sim.sample(truth, t) if k % gnss_every == 0 else None
         if k % imu_every == 0:
-            imu = imu_sim.sample(truth, omega_true, t)
-            if ekf_state is None:
-                if gnss is not None:
-                    p = project_to_local(gnss, origin, scenario.ekf.earth_radius)
-                    ekf_state = EkfState.initial(p.x, p.y, imu.yaw)
-                    first_fix = t
-            else:
-                u = MotionInput(v=feedback.measured_speed, omega=imu.yaw_rate,
-                                dt=imu_every * dt)
-                ekf_state = fuse_step(ekf_state, u, gnss, imu, origin,
-                                      scenario.ekf)
-                if gnss is not None and gnss.valid:
-                    fix_nis.append(ekf_state.nis)
+            localizer.step(t, feedback.measured_speed, imu_every * dt, gnss,
+                           imu_sim.sample(truth, omega_true, t))
 
-        if ekf_state is not None and k % planner.period == 0:
-            planned = planner.plan(t, ekf_state, feedback.measured_speed, truth)
+        if localizer.state is not None and k % planner.period == 0:
+            planned = planner.plan(t, localizer.state, feedback.measured_speed,
+                                   truth)
             if planned is not None:
                 pending_cmd, gap, stop = planned
                 safety_stops += stop
@@ -851,8 +836,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         if lap_time is None and progress >= ref_len:
             lap_time = t
 
-        est = ("nan,nan,nan" if ekf_state is None else
-               ",".join(map(repr, ekf_state.mean.tolist())))
+        est = ("nan,nan,nan" if localizer.state is None else
+               ",".join(map(repr, localizer.state.mean.tolist())))
         pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
                          f"{truth.v!r},{est},{cross!r}")
 
@@ -868,8 +853,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         boundary_violations=boundary_violations,
         safety_stops=safety_stops,
         logs={name: "\n".join(r) + "\n" for name, r in rows.items()},
-        first_fix_s=first_fix,
-        nis_mean=sum(fix_nis) / len(fix_nis) if fix_nis else None,
-        nis_over_chi2_95=(sum(n > CHI2_3_95 for n in fix_nis) / len(fix_nis)
-                          if fix_nis else None),
+        first_fix_s=localizer.first_fix_s,
+        nis_mean=localizer.nis_mean(),
+        nis_over_chi2_95=localizer.nis_over_chi2_95(),
     )

@@ -41,6 +41,13 @@ def test_loop_looks_up_bicycle_step_through_the_module():
     assert "bicycle_step" in gokart.sim.run_closed_loop.__code__.co_names
 
 
+def test_loop_looks_up_fuse_step_through_the_module():
+    # the loop hands its Localizer the module's name, which the traced runs
+    # rebind; a Localizer built on its default would escape the trace
+    assert callable(gokart.sim.__dict__["fuse_step"])
+    assert "fuse_step" in gokart.sim.run_closed_loop.__code__.co_names
+
+
 def test_traced_ftg_run_records_every_frame_span(tmp_path):
     spans = load_spans()
     write_track_csv(tmp_path / "oval.csv", oval_track())

@@ -176,6 +176,48 @@ class TestLocalize:
         rc = main(["localize", str(tmp_path / "replay.csv")])
         assert rc == 2
 
+    def _replay(self, tmp_path, first_valid=0, spoil=None):
+        """A 10-row log, dropouts before row `first_valid`; `spoil` is
+        (row, column index, cell text)."""
+        origin = GeoFix(0.7, -1.3)
+        rows = []
+        for k in range(10):
+            fix = local_to_geo(LocalPoint(1.0 + 0.2 * k, 2.0), origin)
+            rows.append([repr(0.1 * k), repr(fix.lat), repr(fix.lon),
+                         str(int(k >= first_valid)), "1e-4", "0.1", "1e-4",
+                         "2.0", "0.0"])
+        if spoil:
+            rows[spoil[0]][spoil[1]] = spoil[2]
+        (tmp_path / "replay.csv").write_text(
+            self.HEADER + "".join(",".join(row) + "\n" for row in rows))
+        return ["localize", str(tmp_path / "replay.csv"),
+                "--out-dir", str(tmp_path / "out")]
+
+    def test_leading_dropouts_start_at_the_first_fix(self, tmp_path):
+        assert main(self._replay(tmp_path, first_valid=3)) == 0
+        rows = (tmp_path / "out" / "poses.csv").read_text().splitlines()
+        assert len(rows) == 1 + 7
+        assert rows[1].startswith("0.30000000000000004,0.0,0.0,0.1,")
+
+    def test_no_valid_fix_exits_2(self, tmp_path, capsys):
+        assert_exit_2_naming(capsys, self._replay(tmp_path, first_valid=10),
+                             "no valid GNSS fix")
+        assert not (tmp_path / "out" / "poses.csv").exists()
+
+    @pytest.mark.parametrize("spoil, name", [
+        ((5, 4, "-0.5"), "gnss_var_m2"),
+        ((5, 1, "1.6"), "lat_rad"),
+        ((5, 2, "-3.2"), "lon_rad"),
+        ((5, 6, "-1e-4"), "imu_yaw_var_rad2"),
+        ((1, 6, "-1e-4"), "imu_yaw_var_rad2"),  # before the anchor
+        ((2, 1, repr(-math.pi / 2)), "lat_rad"),  # the first fix, on a pole
+    ])
+    def test_bad_row_exits_2_at_load(self, tmp_path, capsys, spoil, name):
+        argv = self._replay(tmp_path, first_valid=2, spoil=spoil)
+        assert_exit_2_naming(capsys, argv, f"replay.csv line {spoil[0] + 2}",
+                             name)
+        assert not (tmp_path / "out" / "poses.csv").exists()
+
 
 class TestPerceive:
     def test_synthetic_scene_produces_scan(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gokart.geometry import normalize_angle
 from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  GnssRejected, ImuReading, LocalPoint,
-                                 MotionInput, ReplayFormatError,
+                                 Localizer, MotionInput, ReplayFormatError,
                                  ekf_jacobian, ekf_predict, ekf_update,
                                  fuse_step, local_to_geo, project_to_local,
                                  read_replay_log, run_replay)
@@ -537,6 +537,135 @@ class TestReplay:
         write_pose_log(path, rows)
         back = read_pose_log(path)
         assert back == [tuple(float(v) for v in row) for row in rows]
+
+
+class TestLocalizer:
+    ORIGIN = GeoFix(0.7, -1.3)
+    IMU = ImuReading(0.3, 0.05, 1e-4)
+
+    def _fix(self, x, y, valid=True):
+        fix = local_to_geo(LocalPoint(x, y), self.ORIGIN, pos_variance=1e-4)
+        return GeoFix(fix.lat, fix.lon, fix.pos_variance, valid)
+
+    def test_no_state_before_a_valid_fix(self):
+        loc = Localizer(self.ORIGIN, EkfParams())
+        for t, gnss in ((0.0, None), (0.01, self._fix(1.0, 2.0, valid=False))):
+            # dt = 0 too: no motion input is built before the anchor
+            assert loc.step(t, 2.0, 0.0, gnss, self.IMU) is None
+        assert loc.state is None and loc.first_fix_s is None
+        assert loc.nis == [] and loc.nis_mean() is None
+        assert loc.nis_over_chi2_95() is None
+
+    def test_anchors_at_the_first_valid_fix(self):
+        loc = Localizer(self.ORIGIN, EkfParams())
+        loc.step(0.0, 2.0, 0.01, None, self.IMU)
+        fix = self._fix(3.0, -4.0)
+        state = loc.step(0.02, 2.0, 0.01, fix, self.IMU)
+        assert loc.first_fix_s == 0.02 and state is loc.state
+        p = project_to_local(fix, self.ORIGIN)
+        assert state.mean.tolist() == [p.x, p.y, 0.3]
+        assert state.cov.tolist() == np.eye(3).tolist()
+        assert loc.nis == []  # the anchoring fix is not an update
+
+    def test_records_nis_only_for_updates_with_a_fix(self):
+        loc = Localizer(self.ORIGIN, EkfParams())
+        loc.step(0.0, 2.0, 0.01, self._fix(0.0, 0.0), self.IMU)
+        expected, state = [], loc.state
+        for k, gnss in enumerate([self._fix(0.02, 0.0), None,
+                                  self._fix(0.06, 0.0, valid=False),
+                                  self._fix(0.08, 0.01)], start=1):
+            u = MotionInput(2.0, self.IMU.yaw_rate, 0.01)
+            state = fuse_step(state, u, gnss, self.IMU, self.ORIGIN,
+                              EkfParams())
+            got = loc.step(0.01 * k, 2.0, 0.01, gnss, self.IMU)
+            assert got.mean.tolist() == state.mean.tolist()
+            if gnss is not None and gnss.valid:
+                expected.append(state.nis)
+        assert loc.first_fix_s == 0.0
+        assert loc.nis == expected and len(expected) == 2
+        assert loc.nis_mean() == sum(expected) / 2
+        assert loc.nis_over_chi2_95() == sum(n > 7.81 for n in expected) / 2
+
+    def test_calls_the_fuse_it_was_given(self):
+        calls = []
+
+        def fuse(state, u, gnss, imu, origin, params):
+            calls.append((u, gnss, imu, origin, params))
+            return EkfState(state.mean, state.cov, nis=12.0)
+
+        params = EkfParams()
+        loc = Localizer(self.ORIGIN, params, fuse)
+        loc.step(0.0, 2.0, 0.01, self._fix(0.0, 0.0), self.IMU)
+        assert calls == []
+        fix = self._fix(0.02, 0.0)
+        loc.step(0.01, 2.5, 0.01, fix, self.IMU)
+        loc.step(0.02, 2.5, 0.01, None, self.IMU)
+        u = MotionInput(2.5, self.IMU.yaw_rate, 0.01)
+        assert calls == [(u, fix, self.IMU, self.ORIGIN, params),
+                         (u, None, self.IMU, self.ORIGIN, params)]
+        assert loc.nis == [12.0] and loc.nis_over_chi2_95() == 1.0
+
+
+class TestReplayAnchoring:
+    HEADER = TestReplay.HEADER
+    ORIGIN = GeoFix(0.7, -1.3)
+
+    def _rows(self, n=20, valid=lambda k: True):
+        rows = []
+        for k in range(n):
+            t = 0.1 * k
+            fix = local_to_geo(LocalPoint(5.0 + 2.0 * t, -3.0), self.ORIGIN)
+            rows.append([t, fix.lat, fix.lon, float(valid(k)), 1e-4, 0.2,
+                         1e-4, 2.0, 0.0])
+        return rows
+
+    def _write(self, path, rows):
+        path.write_text(self.HEADER + "".join(
+            ",".join(repr(v) for v in row) + "\n" for row in rows))
+
+    def test_leading_dropouts_start_the_output_at_the_first_fix(self, tmp_path):
+        rows = self._rows(valid=lambda k: k >= 4)
+        # the rows before the anchor may carry fixes off the globe
+        rows[1][1] = 9.0
+        path = tmp_path / "replay.csv"
+        self._write(path, rows)
+        out = run_replay(read_replay_log(path))
+        assert len(out) == 16
+        assert out[0][:4] == (0.4, 0.0, 0.0, 0.2)
+        assert out[0][4:] == (1.0, 1.0, 1.0)
+
+    def test_no_valid_fix_raises(self):
+        with pytest.raises(ReplayFormatError, match="no valid GNSS fix"):
+            run_replay(self._rows(valid=lambda k: False))
+
+    # the first two rows are dropouts; the third is the origin
+    @pytest.mark.parametrize("row, col, value", [
+        (0, 6, -1e-9),  # imu_yaw_var_rad2 before the anchor
+        (3, 6, -1.0),   # imu_yaw_var_rad2 after it
+        (5, 4, -1e-9),  # gnss_var_m2
+        (5, 1, math.nextafter(math.pi / 2, 4.0)),  # lat_rad
+        (5, 1, -math.nextafter(math.pi / 2, 4.0)),
+        (5, 2, math.nextafter(math.pi, 4.0)),  # lon_rad
+        (5, 2, -4.0),
+        (2, 1, math.pi / 2),
+        (2, 1, -math.pi / 2),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, col, value):
+        rows = self._rows(valid=lambda k: k >= 2)
+        rows[row][col] = value
+        path = tmp_path / "replay.csv"
+        self._write(path, rows)
+        with pytest.raises(ReplayFormatError,
+                           match=f"line {row + 2}: {TestReplay.HEADER.split(',')[col]}"):
+            read_replay_log(path)
+
+    def test_bad_fix_fields_pass_on_an_invalid_row(self, tmp_path):
+        rows = self._rows(valid=lambda k: k != 3)
+        rows[3][1:5] = [4.0, -9.0, 0.0, -1.0]
+        rows[1][1] = -math.pi / 2  # a later valid fix may lie on a pole
+        path = tmp_path / "replay.csv"
+        self._write(path, rows)
+        assert read_replay_log(path) == rows
 
 
 class TestAngles:
