@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fileio import require
 from .geometry import normalize_angle, polyline_distance, world_to_body
 from .track import Raceline
 
@@ -28,10 +29,12 @@ class PursuitParams:
     delta_max: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.l_min < self.l_max:
-            raise ValueError("require 0 < l_min < l_max")
-        if self.v_max <= 0.0 or self.delta_max <= 0.0:
-            raise ValueError("v_max and delta_max must be positive")
+        require(self.l_min > 0.0, "pursuit.l_min", "be > 0", self.l_min)
+        require(self.l_min < self.l_max, "pursuit.l_min",
+                f"be < pursuit.l_max = {self.l_max!r}", self.l_min)
+        for key in ("v_max", "delta_max"):
+            value = getattr(self, key)
+            require(value > 0.0, f"pursuit.{key}", "be > 0", value)
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,18 @@ def find_lookahead_point(raceline: Raceline, pose: VehiclePose, lookahead: float
         raise ValueError("empty raceline")
     n = len(raceline)
     _, i0 = polyline_distance(raceline.polyline, (pose.x, pose.y), hint)
-    target = None
-    for k in range(1, n + 1):
-        j = i0 + k
-        if raceline.closed:
-            arc = raceline.s[j % n] - raceline.s[i0]
-            if j >= n:
-                arc += raceline.length
-            j %= n
+    s = raceline.s
+    target = i0  # kept if the lookahead is longer than the whole loop
+    for j in range(i0 + 1, i0 + n + 1):
+        if j < n:
+            arc = s[j] - s[i0]
+        elif raceline.closed:
+            arc = s[j - n] - s[i0] + raceline.length
         else:
-            if j >= n:
-                raise EndOfRaceline("raceline exhausted before lookahead distance")
-            arc = raceline.s[j] - raceline.s[i0]
+            raise EndOfRaceline("raceline exhausted before lookahead distance")
         if arc >= lookahead:
-            target = j
+            target = j % n
             break
-    if target is None:
-        target = i0  # lookahead longer than the whole loop; track the nearest
     lateral = world_to_body(pose.x, pose.y, pose.psi,
                             raceline.xy[target])[1]
     return target, float(lateral), i0

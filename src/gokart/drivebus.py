@@ -230,16 +230,14 @@ class CanBus:
     """
 
     def __init__(self):
-        self._pending: list[tuple[int, int, CanFrame]] = []
-        self._counter = 0
+        self._pending: list[CanFrame] = []
 
     def send(self, frame: CanFrame) -> None:
-        self._pending.append((frame.can_id, self._counter, frame))
-        self._counter += 1
+        self._pending.append(frame)
 
     def deliver(self) -> list[CanFrame]:
-        self._pending.sort(key=lambda item: (item[0], item[1]))
-        frames = [frame for _, _, frame in self._pending]
+        # sorted() is stable, so frames of one id keep their send order
+        frames = sorted(self._pending, key=lambda frame: frame.can_id)
         self._pending.clear()
         return frames
 

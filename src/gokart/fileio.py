@@ -1,6 +1,6 @@
 """File formats shared across the stack: headed CSV tables and binary netpbm
-(PGM/PPM) images, and the text rules for the numbers and booleans in them
-and in scenario files.
+(PGM/PPM) images, the text rules for the numbers and booleans in them and
+in scenario files, and the one rule for rejecting a parameter value.
 
 Each format has one reader and one writer. Readers take the caller's error
 class, so a bad file surfaces as the named error of the layer that reads it.
@@ -36,6 +36,13 @@ def parse_bool(text: str) -> bool:
     if low in ("0", "0.0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def require(ok: bool, key: str, rule: str, value) -> None:
+    """Reject a parameter value unless ok: ValueError naming it by its
+    scenario key, "<key> must <rule>, got <value>"."""
+    if not ok:
+        raise ValueError(f"{key} must {rule}, got {value!r}")
 
 
 def read_table(path, columns, error: type[Exception],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import parse_bool, read_table, write_table
+from .fileio import parse_bool, read_table, require, write_table
 from .geometry import normalize_angle
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -106,9 +106,8 @@ class EkfParams:
 
     def __post_init__(self):
         for key in ("process_noise_scale", "earth_radius"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"ekf.{key} must be > 0, got "
-                                 f"{getattr(self, key)!r}")
+            value = getattr(self, key)
+            require(value > 0.0, f"ekf.{key}", "be > 0", value)
 
 
 @dataclass
@@ -404,7 +403,12 @@ def read_replay_log(path) -> list[list[float]]:
 
 def run_replay(rows, params: EkfParams | None = None):
     """The pose-log tuples (POSE_LOG_COLUMNS) of the rows of read_replay_log
-    from the first valid fix on, which is also the local frame's origin."""
+    from the first valid fix on, which is also the local frame's origin.
+
+    Finite but huge numbers (a speed of 1e300, a gap of 1e200 s between
+    rows) can take the filter out of the float range. ReplayFormatError
+    then names the first row the filter fails on, so no pose is ever
+    non-finite."""
     first = next((row for row in rows if row[3]), None)
     if first is None:
         raise ReplayFormatError("replay log contains no valid GNSS fix to anchor the filter")
@@ -412,8 +416,13 @@ def run_replay(rows, params: EkfParams | None = None):
     out, t_prev = [], 0.0
     for t, lat, lon, valid, gnss_var, imu_yaw, imu_yaw_var, v, omega in rows:
         fix = GeoFix(lat, lon, pos_variance=gnss_var) if valid else None
-        state = localizer.step(t, v, t - t_prev, fix,
-                               ImuReading(imu_yaw, omega, imu_yaw_var))
+        try:
+            state = localizer.step(t, v, t - t_prev, fix,
+                                   ImuReading(imu_yaw, omega, imu_yaw_var))
+            if state is not None:
+                _unpack(state)  # ValueError unless every number is finite
+        except ValueError as exc:
+            raise ReplayFormatError(f"replay row at t_s {t!r}: {exc}") from None
         t_prev = t
         if state is not None:
             out.append((t, *state.mean.tolist(), *state.cov.diagonal().tolist()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .fileio import read_table, write_table
+from .fileio import read_table, require, write_table
 
 SCAN_SIZE = 361
 # Ray-march step of mask_to_depth, in BEV pixels.
@@ -32,12 +32,6 @@ class ImageFormatError(ValueError):
     """An image (PPM/PGM) or depth-scan file could not be parsed."""
 
 
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    """Reject a config value, naming it by its scenario key."""
-    if not ok:
-        raise ValueError(f"{key} must {rule}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PerceptionConfig:
     """Tunables for the mask pipeline; tau depends on lighting and is a knob."""
@@ -47,12 +41,12 @@ class PerceptionConfig:
     morph_radius: int = 2
 
     def __post_init__(self):
-        _require(math.isfinite(self.tau), "perception.tau", "be finite",
-                 self.tau)
-        _require(self.blur_sigma > 0.0, "perception.blur_sigma", "be > 0",
-                 self.blur_sigma)
-        _require(self.morph_radius >= 1, "perception.morph_radius", "be >= 1",
-                 self.morph_radius)
+        require(math.isfinite(self.tau), "perception.tau", "be finite",
+                self.tau)
+        require(self.blur_sigma > 0.0, "perception.blur_sigma", "be > 0",
+                self.blur_sigma)
+        require(self.morph_radius >= 1, "perception.morph_radius", "be >= 1",
+                self.morph_radius)
 
 
 @dataclass(frozen=True)
@@ -70,15 +64,15 @@ class BevConfig:
     vehicle_px: tuple[float, float] | None = None
 
     def __post_init__(self):
-        _require(self.width >= 2, "bev.width", "be >= 2", self.width)
-        _require(self.height >= 1, "bev.height", "be >= 1", self.height)
+        require(self.width >= 2, "bev.width", "be >= 2", self.width)
+        require(self.height >= 1, "bev.height", "be >= 1", self.height)
         for key in ("meters_per_px", "max_range"):
             value = getattr(self, key)
-            _require(math.isfinite(value) and value > 0.0, f"bev.{key}",
-                     "be finite and > 0", value)
+            require(math.isfinite(value) and value > 0.0, f"bev.{key}",
+                    "be finite and > 0", value)
         vx, vy = self.origin_px()
-        _require(0 <= vx <= self.width - 1 and 0 <= vy <= self.height - 1,
-                 "bev.vehicle_px", "lie inside the frame", self.vehicle_px)
+        require(0 <= vx <= self.width - 1 and 0 <= vy <= self.height - 1,
+                "bev.vehicle_px", "lie inside the frame", self.vehicle_px)
 
     def origin_px(self) -> tuple[float, float]:
         if self.vehicle_px is not None:

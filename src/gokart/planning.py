@@ -14,6 +14,7 @@ from typing import Literal
 
 import numpy as np
 
+from .fileio import require
 from .perception import DepthScan, SCAN_SIZE
 
 SpeedLaw = Literal["corrected", "as_written"]
@@ -54,12 +55,12 @@ class FtgParams:
     law: SpeedLaw = "corrected"
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if not 0.0 < self.v_min <= self.v_max:
-            raise ValueError("require 0 < v_min <= v_max")
-        if self.law not in ("corrected", "as_written"):
-            raise ValueError(f"unknown speed law {self.law!r}")
+        require(self.epsilon > 0.0, "ftg.epsilon", "be > 0", self.epsilon)
+        require(self.v_min > 0.0, "ftg.v_min", "be > 0", self.v_min)
+        require(self.v_min <= self.v_max, "ftg.v_min",
+                f"be <= ftg.v_max = {self.v_max!r}", self.v_min)
+        require(self.law in ("corrected", "as_written"), "ftg.law",
+                "be corrected or as_written", self.law)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        apply_feedback, COMMAND_FRAME_ID, decode_command, ebs_step,
                        encode_command, encode_feedback, format_trace_row,
                        sbws_step, SPEED_SCALE)
-from .fileio import parse_bool, parse_float
+from .fileio import parse_bool, parse_float, require
 from .geometry import (Polyline, body_to_world, normalize_angle,
                        polyline_distance)
 from .localization import (CHI2_3_95, EkfParams, EkfState, GeoFix,
@@ -65,8 +65,9 @@ class VehicleParams:
     max_speed: float = 8.0
 
     def __post_init__(self):
-        if min(self.wheelbase, self.v_time_constant, self.max_speed) <= 0.0:
-            raise ValueError("vehicle parameters must be positive")
+        for key in ("wheelbase", "v_time_constant", "max_speed"):
+            value = getattr(self, key)
+            require(value > 0.0, f"vehicle.{key}", "be > 0", value)
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,12 @@ class SensorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gnss_rate <= 0.0 or self.imu_rate <= 0.0:
-            raise ValueError("sensor rates must be > 0")
-        if min(self.gnss_sigma, self.imu_sigma_yaw, self.imu_sigma_rate) < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        for key in ("gnss_rate", "imu_rate"):
+            value = getattr(self, key)
+            require(value > 0.0, f"sensors.{key}", "be > 0", value)
+        for key in ("gnss_sigma", "imu_sigma_yaw", "imu_sigma_rate"):
+            value = getattr(self, key)
+            require(value >= 0.0, f"sensors.{key}", "be >= 0", value)
 
 
 # Largest physics step the RK4 plant accepts.
@@ -173,10 +176,7 @@ class TrackSampler:
     def __init__(self, track: Track, step: float = 0.1):
         sp = fit_spline(track.xy, track.closed)
         count = max(int(math.ceil(sp.t_max / step)), 4 * len(track))
-        if track.closed:
-            t = np.linspace(0.0, sp.t_max, count, endpoint=False)
-        else:
-            t = np.linspace(0.0, sp.t_max, count)
+        t = np.linspace(0.0, sp.t_max, count, endpoint=not track.closed)
         self.points = sp.point(t)
         d1 = sp.derivative(t, 1)
         norm = np.hypot(d1[:, 0], d1[:, 1])
@@ -536,59 +536,57 @@ def build_scenario(raw: dict[str, str], base_dir: Path | None = None) -> Scenari
         cfg = ScenarioConfig(**top)
         for section, kwargs in sections.items():
             setattr(cfg, section, replace(getattr(cfg, section), **kwargs))
+        require(cfg.mode in ("pursuit", "ftg"), "mode", "be pursuit or ftg",
+                cfg.mode)
+        if not explicit_sensor_seed:
+            cfg.sensors = replace(cfg.sensors, seed=cfg.seed)
+        _check_ranges(cfg)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    if cfg.mode not in ("pursuit", "ftg"):
-        raise ScenarioError(f"mode must be pursuit or ftg, got {cfg.mode!r}")
-    if not explicit_sensor_seed:
-        cfg.sensors = replace(cfg.sensors, seed=cfg.seed)
-    _check_ranges(cfg)
     return cfg
 
 
 def _check_ranges(cfg: ScenarioConfig) -> None:
-    """Reject values that would otherwise fail, or run nothing, mid-run."""
-    def need(ok: bool, key: str, rule: str, value) -> None:
-        if not ok:
-            raise ScenarioError(f"{key} must {rule}, got {value!r}")
-
-    need(0.0 < cfg.dt <= MAX_DT, "dt", f"lie in (0, {MAX_DT}]", cfg.dt)
+    """Reject, with ValueError, values that would otherwise fail, or run
+    nothing, mid-run."""
+    require(0.0 < cfg.dt <= MAX_DT, "dt", f"lie in (0, {MAX_DT}]", cfg.dt)
     steps = cfg.duration_s / cfg.dt  # inf where the quotient overflows
-    need(steps <= MAX_TICKS and round(steps) >= 1, "duration_s",
-         f"cover from 1 to {MAX_TICKS} dt steps", cfg.duration_s)
-    need(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
+    require(steps <= MAX_TICKS and round(steps) >= 1, "duration_s",
+            f"cover from 1 to {MAX_TICKS} dt steps", cfg.duration_s)
+    require(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
     for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
                        ("opt.reg", cfg.opt_reg)):
-        need(value >= 0, key, "be >= 0", value)
+        require(value >= 0, key, "be >= 0", value)
     if cfg.mode == "ftg":  # the simulated camera's corner correspondences
         for key, value in (("front.width", cfg.front_width),
                            ("front.height", cfg.front_height),
                            ("bev.height", cfg.bev.height)):
-            need(value >= 2, key, "be >= 2 in ftg mode", value)
+            require(value >= 2, key, "be >= 2 in ftg mode", value)
     # the projection's east-west scale cos(origin_lat) vanishes at the poles
-    need(-math.pi / 2 < cfg.origin_lat < math.pi / 2, "origin_lat",
-         "lie in (-pi/2, pi/2) rad", cfg.origin_lat)
-    need(-math.pi <= cfg.origin_lon <= math.pi, "origin_lon",
-         "lie in [-pi, pi] rad", cfg.origin_lon)
+    require(-math.pi / 2 < cfg.origin_lat < math.pi / 2, "origin_lat",
+            "lie in (-pi/2, pi/2) rad", cfg.origin_lat)
+    require(-math.pi <= cfg.origin_lon <= math.pi, "origin_lon",
+            "lie in [-pi, pi] rad", cfg.origin_lon)
     # each rate ticks every round(1 / (rate * dt)) steps (_interval)
     for key, value in (("rates.controller_hz", cfg.controller_rate_hz),
                        ("rates.perception_hz", cfg.perception_rate_hz),
                        ("rates.command_hz", cfg.command_rate_hz),
                        ("sensors.gnss_rate", cfg.sensors.gnss_rate),
                        ("sensors.imu_rate", cfg.sensors.imu_rate)):
-        need(value * cfg.dt > 0.0 and math.isfinite(1.0 / (value * cfg.dt)),
-             key, "be > 0 with a finite tick interval 1 / (rate * dt)", value)
+        require(value * cfg.dt > 0.0
+                and math.isfinite(1.0 / (value * cfg.dt)), key,
+                "be > 0 with a finite tick interval 1 / (rate * dt)", value)
     # the TBWS feedback frame's int16 speed saturates above this
     top_speed = 32767 / SPEED_SCALE
-    need(cfg.vehicle.max_speed <= top_speed, "vehicle.max_speed",
-         f"be <= {top_speed} m/s, the fastest the speed feedback reports",
-         cfg.vehicle.max_speed)
+    require(cfg.vehicle.max_speed <= top_speed, "vehicle.max_speed",
+            f"be <= {top_speed} m/s, the fastest the speed feedback reports",
+            cfg.vehicle.max_speed)
     for key, value in (("pursuit.delta_max", cfg.pursuit.delta_max),
                        ("ftg.delta_max", cfg.ftg.delta_max)):
-        need(0.0 < value <= STEERING_LIMIT, key,
-             f"lie in (0, {STEERING_LIMIT}] rad, the steering limit", value)
+        require(0.0 < value <= STEERING_LIMIT, key,
+                f"lie in (0, {STEERING_LIMIT}] rad, the steering limit", value)
     if cfg.kill_at_s is not None:
-        need(cfg.kill_at_s >= 0.0, "kill_at_s", "be >= 0", cfg.kill_at_s)
+        require(cfg.kill_at_s >= 0.0, "kill_at_s", "be >= 0", cfg.kill_at_s)
 
 
 def load_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -663,8 +661,8 @@ class _PursuitPlanner:
     def plan(self, t, estimate: EkfState, measured_speed, truth):
         if self.ended:
             return None
-        pose = VehiclePose(x=float(estimate.mean[0]), y=float(estimate.mean[1]),
-                           psi=float(estimate.mean[2]), v=measured_speed)
+        x, y, psi = estimate.mean.tolist()
+        pose = VehiclePose(x=x, y=y, psi=psi, v=measured_speed)
         try:
             cmd = pursuit_step(self.reference, pose, self.state, self.params,
                                self.step_s)
@@ -733,7 +731,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                               math.lcm(ctrl_every, perc_every))
     ref = planner.reference
     polyline = ref.polyline
-    ref_s, ref_len, ref_closed = ref.s, ref.length, ref.closed
+    ref_s, ref_len, ref_closed = ref.s.tolist(), ref.length, ref.closed
 
     heading0 = math.atan2(polyline.y[1] - polyline.y[0],
                           polyline.x[1] - polyline.x[0])
@@ -751,7 +749,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     bus = CanBus()
     feedback = SubsystemFeedback()
     delta_act = pressure = 0.0
-    cmd_seq = fb_seq = 0
     pending_cmd: DriveCommand | None = None
     active = DriveCommand(mode=Mode.AUTONOMOUS)
 
@@ -764,7 +761,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     was_outside = False
     lap_time: float | None = None
     progress = 0.0
-    s_prev: float | None = None
     near: int | None = None  # last tick's nearest reference vertex
 
     for k in range(ticks):
@@ -791,8 +787,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             arbitrated = arbiter.step(t, Mode.AUTONOMOUS,
                                       autonomous=pending_cmd, kill=kill_active)
             pending_cmd = None
-            frame = encode_command(arbitrated, cmd_seq)
-            cmd_seq += 1
+            frame = encode_command(arbitrated, k // mcs_every)
             bus.send(frame)
             frame_rows.append(",".join(format_trace_row(t, frame)))
             for delivered in bus.deliver():
@@ -812,27 +807,24 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         for can_id, value in ((TBWS_FEEDBACK_ID, truth.v),
                               (SBWS_FEEDBACK_ID, delta_act),
                               (EBS_FEEDBACK_ID, pressure)):
-            fb_frame = encode_feedback(can_id, value, fb_seq)
+            fb_frame = encode_feedback(can_id, value, k)
             bus.send(fb_frame)
             frame_rows.append(",".join(format_trace_row(t, fb_frame)))
-        fb_seq += 1
 
         pos = (truth.x, truth.y)
-        cross, near = polyline_distance(polyline, pos, hint=near)
+        prev = near
+        cross, near = polyline_distance(polyline, pos, hint=prev)
         errors.append(cross)
-        margin = sampler.lateral_margin(pos)
-        outside = margin < 0.0
+        outside = sampler.lateral_margin(pos) < 0.0
         if outside and not was_outside:
             boundary_violations += 1
         was_outside = outside
 
-        s_here = float(ref_s[near])
-        if s_prev is not None:
-            ds = s_here - s_prev
+        if prev is not None:
+            ds = ref_s[near] - ref_s[prev]
             if ref_closed:
                 ds = (ds + 0.5 * ref_len) % ref_len - 0.5 * ref_len
             progress += ds
-        s_prev = s_here
         if lap_time is None and progress >= ref_len:
             lap_time = t
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from .fileio import read_table, write_table
+from .fileio import read_table, require, write_table
 from .geometry import Polyline
 
 
@@ -40,8 +40,9 @@ class VehicleLimits:
     v_max: float = 5.0
 
     def __post_init__(self):
-        if min(self.a_lat_max, self.a_lon_max, self.v_max) <= 0.0:
-            raise ValueError("vehicle limits must be positive")
+        for key in ("a_lat_max", "a_lon_max", "v_max"):
+            value = getattr(self, key)
+            require(value > 0.0, f"limits.{key}", "be > 0", value)
 
 
 class Track:
@@ -64,10 +65,9 @@ class Track:
             raise ValueError("a track needs at least 8 centerline points")
         # the kart must fit between the boundaries with room to move
         fit = 0.5 * float(np.min(w_left + w_right))
-        if not 0.0 <= vehicle_half_width < fit:
-            raise ValueError(
-                f"track.vehicle_half_width must lie in [0, {fit!r}) m, below "
-                f"half the narrowest track width, got {vehicle_half_width!r}")
+        require(0.0 <= vehicle_half_width < fit, "track.vehicle_half_width",
+                f"lie in [0, {fit!r}) m, below half the narrowest track width",
+                vehicle_half_width)
         self.xy = xy
         self.w_left = w_left
         self.w_right = w_right

@@ -1,0 +1,122 @@
+"""Digests of a fixed set of CLI runs, for checking that a change keeps every
+output byte-identical.
+
+Runs `gokart.cli.main` in process on each entry of the set below and prints,
+per entry, its exit code, its stdout and stderr with the output directory
+masked, and one sha256 per output file. Run it on the parent commit and on
+the change, then compare the two files:
+
+    PYTHONPATH=src python tests/identity_set.py > digests.txt
+    diff parent-digests.txt digests.txt
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from gokart.cli import main  # noqa: E402
+from gokart.localization import GeoFix, LocalPoint, local_to_geo  # noqa: E402
+from helpers import (oval_track, straight_track, wiggly_track,  # noqa: E402
+                     write_track_csv)
+
+# the README's pursuit scenario on the 45 s oval
+README = ("mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
+          "duration_s = 45\nseed = 7\nsensors.gnss_sigma = 0.02\n"
+          "sensors.gnss_dropout = 10.0:12.0\npursuit.kp = 2.0\n"
+          "limits.v_max = 5.0\n")
+
+# the benchmark's closed-loop scenario (perfbench/workloads.py)
+BENCH = ("mode = {mode}\ntrack = oval.csv\ntrack.closed = true\n"
+         "duration_s = {duration!r}\nseed = {seed}\n"
+         "sensors.gnss_sigma = 0.02\nsensors.gnss_dropout = 10.0:12.0\n")
+
+# name -> (scenario text, --set overrides); each runs `gokart simulate`
+SIMULATE = {
+    "readme_pursuit": (README, []),
+    "kill": (README, ["kill_at_s=10", "duration_s=15"]),
+    "open_track_end": ("mode = pursuit\ntrack = straight.csv\n"
+                       "track.closed = false\nduration_s = 20\nseed = 2\n",
+                       []),
+    "ftg_oval": (README, ["mode=ftg", "seed=3", "duration_s=10"]),
+    "bench_pursuit_90210": (BENCH.format(mode="pursuit", duration=45.0,
+                                         seed=90210), []),
+    "ftg_wiggly": ("mode = ftg\ntrack = wiggly.csv\ntrack.closed = true\n"
+                   "duration_s = 5\nseed = 7\n", ["rates.perception_hz=7"]),
+    "never_localized": (README, ["sensors.gnss_dropout=0:100",
+                                 "duration_s=3"]),
+}
+
+REPLAY_HEADER = ("t_s,lat_rad,lon_rad,gnss_valid,gnss_var_m2,imu_yaw_rad,"
+                 "imu_yaw_var_rad2,v_mps,omega_radps\n")
+
+
+def write_replay_log(path) -> None:
+    """300 rows at 100 Hz of a kart on a 20 m circle at 5 m/s, with noisy
+    fixes and yaw: 25 leading dropout rows, a 60-row dropout from row 150,
+    and every seventh row's fix marked invalid."""
+    rng = np.random.default_rng(11)
+    origin = GeoFix(0.7, -1.3)
+    v, radius = 5.0, 20.0
+    omega = v / radius
+    lines = [REPLAY_HEADER]
+    for k in range(300):
+        t = 0.01 * k
+        psi = omega * t
+        x, y = radius * math.sin(psi), radius * (1.0 - math.cos(psi))
+        nx, ny, nyaw = rng.normal(0.0, [0.02, 0.02, 0.01]).tolist()
+        fix = local_to_geo(LocalPoint(x + nx, y + ny), origin)
+        valid = k >= 25 and not 150 <= k < 210 and k % 7 != 3
+        lines.append(f"{t!r},{fix.lat!r},{fix.lon!r},{int(valid)},0.0004,"
+                     f"{psi + nyaw!r},0.0001,{v!r},{omega!r}\n")
+    Path(path).write_text("".join(lines))
+
+
+def run(argv, out: Path) -> list[str]:
+    """One entry's lines: exit code, masked stdout and stderr, and the
+    sha256 of every file the run wrote."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([*argv, "--out-dir", str(out)])
+    lines = [f"exit {rc}"]
+    for name, text in (("stdout", stdout), ("stderr", stderr)):
+        lines.append(f"{name} {text.getvalue().replace(str(out), '<out>')!r}")
+    for path in sorted(out.glob("*")) if out.exists() else []:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.name}")
+    return lines
+
+
+def main_set() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_track_csv(root / "oval.csv", oval_track())
+        write_track_csv(root / "straight.csv",
+                        straight_track(n=20, spacing=2.0, width=3.0))
+        write_track_csv(root / "wiggly.csv", wiggly_track())
+        write_replay_log(root / "replay.csv")
+        entries = {}
+        for name, (text, sets) in SIMULATE.items():
+            (root / f"{name}.txt").write_text(text)
+            entries[name] = ["simulate", str(root / f"{name}.txt"),
+                             *[arg for item in sets for arg in ("--set", item)]]
+        entries["localize"] = ["localize", str(root / "replay.csv")]
+        for name, argv in entries.items():
+            print(f"== {name}")
+            for line in run(argv, root / "out" / name):
+                print(line)
+
+
+if __name__ == "__main__":
+    main_set()

@@ -218,6 +218,17 @@ class TestLocalize:
                              name)
         assert not (tmp_path / "out" / "poses.csv").exists()
 
+    @pytest.mark.parametrize("spoil, t_s", [
+        ((5, 7, "1e300"), "0.5"),  # v_mps overflows v * dt
+        ((9, 0, "1e200"), "1e+200"),  # the last row, 1e200 s after the rest
+    ])
+    def test_huge_finite_numbers_exit_2_without_a_pose(self, tmp_path, capsys,
+                                                       spoil, t_s):
+        # finite, so the loader takes them; the filter state overflows
+        argv = self._replay(tmp_path, first_valid=2, spoil=spoil)
+        assert_exit_2_naming(capsys, argv, f"t_s {t_s}")
+        assert not (tmp_path / "out" / "poses.csv").exists()
+
 
 class TestPerceive:
     def test_synthetic_scene_produces_scan(self, tmp_path):
@@ -616,10 +627,11 @@ def short_oval(tmp_path_factory):
     return root
 
 
-def simulate_with(root, overrides: dict) -> None:
+def simulate_with(root, overrides: dict) -> tuple[int, str]:
     """`simulate` on root/s.txt with the overrides, in process: a value the
     loader accepts runs to the end (exit 0 or 1), one it rejects exits 2
-    with an error line, and nothing may escape as an exception."""
+    with an error line, and nothing may escape as an exception. Returns the
+    exit code and stderr."""
     sets = [arg for key, value in overrides.items()
             for arg in ("--set", f"{key}={value}")]
     err = io.StringIO()
@@ -630,6 +642,7 @@ def simulate_with(root, overrides: dict) -> None:
     assert rc in (0, 1, 2), overrides
     if rc == 2:
         assert err.getvalue().startswith("error: "), overrides
+    return rc, err.getvalue()
 
 
 class TestScenarioLimits:
@@ -642,6 +655,16 @@ class TestScenarioLimits:
         for mode in ("pursuit", "ftg"):
             for value in LIMIT_VALUES[key]:
                 simulate_with(short_oval, {"mode": mode, key: value})
+
+    @pytest.mark.parametrize("key", sorted(LIMIT_VALUES))
+    def test_each_rejected_limit_value_names_its_key(self, short_oval, key):
+        unnamed = []
+        for mode in ("pursuit", "ftg"):
+            for value in LIMIT_VALUES[key]:
+                rc, err = simulate_with(short_oval, {"mode": mode, key: value})
+                if rc == 2 and key not in err:
+                    unnamed.append((mode, value, err))
+        assert not unnamed
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from(["pursuit", "ftg"]),

@@ -544,6 +544,23 @@ class TestClosedLoop:
         assert report.max_cross_track_error_m == 0.0
         assert report.lap_time_s is None
 
+    def test_frame_sequence_bytes(self, tmp_path):
+        # 600 ticks and a command frame every other tick: both counters wrap
+        scenario = self._oval_scenario(tmp_path)
+        scenario.duration_s = 6.0
+        report = run_closed_loop(scenario)
+        rows = [row.split(",")
+                for row in report.logs["frames.csv"].splitlines()[1:]]
+        sequence = [(can_id, bytes.fromhex(payload)[7])
+                    for _, can_id, payload in rows]
+        # byte 7 of the n-th command frame is n mod 256
+        assert [seq for can_id, seq in sequence if can_id == "100"] \
+            == [n % 256 for n in range(300)]
+        # the three feedback frames of tick k, in id order, carry k mod 256
+        assert [item for item in sequence if item[0] != "100"] \
+            == [(can_id, k % 256) for k in range(600)
+                for can_id in ("201", "202", "203")]
+
     def test_gnss_dropout_run_survives(self, tmp_path):
         scenario = self._oval_scenario(
             tmp_path, "sensors.gnss_dropout = 10.0:12.0\n")
