@@ -8,10 +8,11 @@ the physical steering limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fileio import require
-from .geometry import normalize_angle, polyline_distance, world_to_body
+from .geometry import normalize_angle, polyline_distance
 from .track import Raceline
 
 
@@ -37,22 +38,25 @@ class PursuitParams:
             require(value > 0.0, f"pursuit.{key}", "be > 0", value)
 
 
-@dataclass(frozen=True)
-class VehiclePose:
-    x: float
-    y: float
-    psi: float
-    v: float
+@dataclass
+class VehicleState:
+    """The kart's pose and speed, for the plant and the controller alike."""
+
+    x: float = 0.0
+    y: float = 0.0
+    psi: float = 0.0
+    v: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", normalize_angle(self.psi))
+        self.psi = normalize_angle(self.psi)
+        if self.v < 0.0:
+            raise ValueError("speed must be >= 0")
 
 
 @dataclass(frozen=True)
 class PursuitCommand:
     steering: float
     target_speed: float
-    lookahead_index: int
 
 
 @dataclass
@@ -71,8 +75,9 @@ def lookahead_distance(v: float, params: PursuitParams) -> float:
     return min(max(raw, params.l_min), params.l_max)
 
 
-def find_lookahead_point(raceline: Raceline, pose: VehiclePose, lookahead: float,
-                         hint: int | None = None) -> tuple[int, float, int]:
+def find_lookahead_point(raceline: Raceline, pose: VehicleState,
+                         lookahead: float, hint: int | None = None
+                         ) -> tuple[int, float, int]:
     """Locate the target waypoint at arc distance >= lookahead ahead of the
     nearest waypoint: the vertex of `raceline.polyline` nearest the pose
     (the lowest index on a tie), searched around `hint` first.
@@ -97,9 +102,10 @@ def find_lookahead_point(raceline: Raceline, pose: VehiclePose, lookahead: float
         if arc >= lookahead:
             target = j % n
             break
-    lateral = world_to_body(pose.x, pose.y, pose.psi,
-                            raceline.xy[target])[1]
-    return target, float(lateral), i0
+    tx, ty = raceline.xy[target].tolist()
+    lateral = (-math.sin(pose.psi) * (tx - pose.x)
+               + math.cos(pose.psi) * (ty - pose.y))
+    return target, lateral, i0
 
 
 def pursuit_curvature(y: float, lookahead: float) -> float:
@@ -118,14 +124,14 @@ def pd_steering(gamma_now: float, gamma_prev: float, dt: float,
     return min(max(raw, -params.delta_max), params.delta_max)
 
 
-def pursuit_step(raceline: Raceline, pose: VehiclePose, state: PursuitState,
+def pursuit_step(raceline: Raceline, pose: VehicleState, state: PursuitState,
                  params: PursuitParams, dt: float) -> PursuitCommand:
     """One controller cycle: lookahead selection, curvature, PD steering.
 
     Mutates `state` (previous curvature and search hint). The first call has
     no stored curvature, so the derivative term starts at zero.
     """
-    lookahead = lookahead_distance(max(pose.v, 0.0), params)
+    lookahead = lookahead_distance(pose.v, params)
     target, lateral, nearest = find_lookahead_point(
         raceline, pose, lookahead, state.nearest_hint)
     gamma = pursuit_curvature(lateral, lookahead)
@@ -134,5 +140,4 @@ def pursuit_step(raceline: Raceline, pose: VehiclePose, state: PursuitState,
     state.gamma_prev = gamma
     state.nearest_hint = nearest
     return PursuitCommand(steering=steering,
-                          target_speed=float(raceline.v[target]),
-                          lookahead_index=target)
+                          target_speed=float(raceline.v[target]))

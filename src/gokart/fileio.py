@@ -38,11 +38,15 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+class ScenarioError(ValueError):
+    """A scenario file, override set or parameter value is invalid."""
+
+
 def require(ok: bool, key: str, rule: str, value) -> None:
-    """Reject a parameter value unless ok: ValueError naming it by its
+    """Reject a parameter value unless ok: ScenarioError naming it by its
     scenario key, "<key> must <rule>, got <value>"."""
     if not ok:
-        raise ValueError(f"{key} must {rule}, got {value!r}")
+        raise ScenarioError(f"{key} must {rule}, got {value!r}")
 
 
 def read_table(path, columns, error: type[Exception],

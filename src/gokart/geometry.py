@@ -20,22 +20,9 @@ def normalize_angle(angle: float) -> float:
     return r - math.pi
 
 
-def world_to_body(x: float, y: float, psi: float, points: np.ndarray) -> np.ndarray:
-    """Express world points in the body frame at (x, y, psi).
-
-    Body x points along the heading, body y to the left. `points` is (..., 2).
-    """
-    pts = np.asarray(points, dtype=float)
-    dx = pts[..., 0] - x
-    dy = pts[..., 1] - y
-    c, s = math.cos(psi), math.sin(psi)
-    bx = c * dx + s * dy
-    by = -s * dx + c * dy
-    return np.stack([bx, by], axis=-1)
-
-
 def body_to_world(x: float, y: float, psi: float, points: np.ndarray) -> np.ndarray:
-    """Inverse of world_to_body."""
+    """Express body-frame points (..., 2) at the pose (x, y, psi) in the
+    world frame: body x points along the heading, body y to the left."""
     pts = np.asarray(points, dtype=float)
     c, s = math.cos(psi), math.sin(psi)
     wx = x + c * pts[..., 0] - s * pts[..., 1]

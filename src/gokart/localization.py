@@ -128,15 +128,6 @@ class EkfState:
         self.cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
 
     @classmethod
-    def _of(cls, mean, cov, nis: float | None = None) -> "EkfState":
-        """A state on the Python floats the filter just computed: the mean
-        and the covariance's nine entries, row by row."""
-        state = object.__new__(cls)
-        state.mean, state.cov = np.array(mean), np.array(cov).reshape(3, 3)
-        state.nis = nis
-        return state
-
-    @classmethod
     def initial(cls, x: float, y: float, psi: float) -> "EkfState":
         """State anchored at a first fix with identity covariance."""
         return cls(np.array([x, y, normalize_angle(psi)]), np.eye(3))
@@ -286,7 +277,7 @@ def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
     """Prediction step: advance the mean by the motion model and the
     covariance by J P J^T + R."""
     mean, cov = _predict(*_unpack(state), u, params.process_noise_scale)
-    return EkfState._of(mean, cov)
+    return EkfState(mean, cov)
 
 
 def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfState:
@@ -300,8 +291,8 @@ def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfStat
     """
     obs = np.asarray(obs, dtype=float).reshape(3).tolist()
     m = np.asarray(obs_cov, dtype=float).reshape(9).tolist()
-    return EkfState._of(*_update(state.mean.tolist(),
-                                 state.cov.ravel().tolist(), obs, m))
+    return EkfState(*_update(state.mean.tolist(), state.cov.ravel().tolist(),
+                             obs, m))
 
 
 def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
@@ -322,7 +313,7 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
         obs = (mean[0], mean[1], imu.yaw)
         var = GNSS_DROPOUT_VARIANCE
     m = (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, 0.0, imu.yaw_variance)
-    return EkfState._of(*_update(mean, cov, obs, m))
+    return EkfState(*_update(mean, cov, obs, m))
 
 
 # The chi-square(3) 95% point: a consistent filter's NIS exceeds it on 5% of

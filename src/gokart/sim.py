@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .control import (EndOfRaceline, PursuitParams, PursuitState, VehiclePose,
+from .control import (EndOfRaceline, PursuitParams, PursuitState, VehicleState,
                       pursuit_step)
 from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        ModeArbiter, SBWS_FEEDBACK_ID, STEERING_LIMIT,
@@ -27,7 +27,7 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        apply_feedback, COMMAND_FRAME_ID, decode_command, ebs_step,
                        encode_command, encode_feedback, format_trace_row,
                        sbws_step, SPEED_SCALE)
-from .fileio import parse_bool, parse_float, require
+from .fileio import ScenarioError, parse_bool, parse_float, require
 from .geometry import (Polyline, body_to_world, normalize_angle,
                        polyline_distance)
 from .localization import (CHI2_3_95, EkfParams, EkfState, GeoFix,
@@ -39,23 +39,6 @@ from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
 from .planning import FtgParams, SpeedLaw, ftg_step
 from .track import (Raceline, Track, VehicleLimits, build_raceline, fit_spline,
                     optimize_min_curvature, read_raceline_csv, read_track_csv)
-
-
-class ScenarioError(ValueError):
-    """A scenario file or override set is invalid."""
-
-
-@dataclass
-class VehicleState:
-    x: float = 0.0
-    y: float = 0.0
-    psi: float = 0.0
-    v: float = 0.0
-
-    def __post_init__(self):
-        self.psi = normalize_angle(self.psi)
-        if self.v < 0.0:
-            raise ValueError("speed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -662,7 +645,7 @@ class _PursuitPlanner:
         if self.ended:
             return None
         x, y, psi = estimate.mean.tolist()
-        pose = VehiclePose(x=x, y=y, psi=psi, v=measured_speed)
+        pose = VehicleState(x=x, y=y, psi=psi, v=measured_speed)
         try:
             cmd = pursuit_step(self.reference, pose, self.state, self.params,
                                self.step_s)

@@ -20,6 +20,9 @@ from scipy.optimize import minimize
 from .fileio import read_table, require, write_table
 from .geometry import Polyline
 
+# Most waypoint steps a raceline may span (its length / spacing_m).
+MAX_WAYPOINTS = 10**6
+
 
 class TrackFormatError(ValueError):
     """A track or raceline CSV could not be parsed."""
@@ -248,28 +251,27 @@ def offset_curvature_cost(track: Track, alpha: np.ndarray) -> float:
     return float(np.sum(curvature_at(sp, sp.t_knots) ** 2))
 
 
-def velocity_profile(kappa, s, limits: VehicleLimits, *, closed: bool = False,
+def velocity_profile(kappa, s, limits: VehicleLimits, *,
                      total_length: float | None = None) -> np.ndarray:
     """Per-waypoint speed targets.
 
     Seeds v_i = min(v_max, sqrt(a_lat_max / |kappa_i|)), then makes one
     forward (acceleration) and one backward (braking) pass enforcing
-    |v_{i+1}^2 - v_i^2| <= 2 a_lon_max ds. Closed profiles wrap across the
-    seam, whose segment length comes from `total_length`, and start both
-    passes at the slowest seeded waypoint, which no cap can lower.
+    |v_{i+1}^2 - v_i^2| <= 2 a_lon_max ds. A `total_length` closes the
+    profile: it wraps across the seam, whose segment length it gives, and
+    starts both passes at the slowest seeded waypoint, which no cap can
+    lower.
     """
     kappa = np.abs(np.asarray(kappa, dtype=float))
     s = np.asarray(s, dtype=float)
     n = len(kappa)
-    if closed and total_length is None:
-        raise ValueError("closed profiles need total_length for the seam segment")
     with np.errstate(divide="ignore"):
         v = np.where(kappa > 1e-12,
                      np.sqrt(limits.a_lat_max / np.maximum(kappa, 1e-12)),
                      np.inf)
     v = np.minimum(v, limits.v_max)
     ds = np.diff(s)
-    if closed:
+    if total_length is not None:
         seam = total_length - s[-1] + s[0]
         if seam <= 0.0:
             raise ValueError("total_length inconsistent with arc positions")
@@ -331,16 +333,20 @@ def resample_raceline(spline: Spline2D, limits: VehicleLimits,
     arc = np.concatenate([[0.0], np.cumsum(
         0.5 * (speed[1:] + speed[:-1]) * np.diff(dense))])
     total = float(arc[-1])
+    steps = total / spacing  # inf where the quotient overflows
+    require(steps <= MAX_WAYPOINTS, "spacing_m", f"leave at most "
+            f"{MAX_WAYPOINTS} waypoint steps on the {total:.6g} m raceline",
+            spacing)
     if spline.closed:
-        count = max(8, int(round(total / spacing)))
+        count = max(8, int(round(steps)))
         targets = np.arange(count) * (total / count)
     else:
-        count = max(8, int(math.floor(total / spacing)) + 1)
+        count = max(8, int(math.floor(steps)) + 1)
         targets = np.linspace(0.0, total, count)
     t_at = np.interp(targets, arc, dense)
     xy = spline.point(t_at)
     kappa = curvature_at(spline, t_at)
-    v = velocity_profile(kappa, targets, limits, closed=spline.closed,
+    v = velocity_profile(kappa, targets, limits,
                          total_length=total if spline.closed else None)
     return Raceline(xy=xy, kappa=kappa, v=v, s=targets,
                     closed=spline.closed, length=total)
@@ -397,5 +403,8 @@ def read_raceline_csv(path, closed: bool) -> Raceline:
         raise TrackFormatError(f"{path}: need at least two waypoints")
     s = arr[:, 0]
     length = float(s[-1] + (s[1] - s[0])) if closed else float(s[-1])
-    return Raceline(xy=arr[:, 1:3], kappa=arr[:, 3], v=arr[:, 4], s=s,
-                    closed=closed, length=length)
+    try:
+        return Raceline(xy=arr[:, 1:3], kappa=arr[:, 3], v=arr[:, 4], s=s,
+                        closed=closed, length=length)
+    except ValueError as exc:
+        raise TrackFormatError(f"{path}: {exc}") from None

@@ -13,7 +13,9 @@ The grass-mask and scan oracles read the sign of the nearest-sample margin
 for every point, never the certified world cells of `TrackSampler.inside`.
 The velocity-profile oracle sweeps to a fixed point, the polyline
 oracle measures each segment with endpoint and cross-product distances, and
-the bicycle oracle runs RK4 on numpy state vectors.
+the bicycle oracle runs RK4 on numpy state vectors. The body-frame oracle
+is the numpy transform that the controller's Python-float lateral offset
+replaced.
 """
 
 from __future__ import annotations
@@ -323,6 +325,19 @@ def assert_state_close(got, want):
                   <= FUSE_RTOL * (1.0 + np.abs(want.mean)))
     assert np.all(np.abs(got.cov - want.cov)
                   <= FUSE_RTOL * (1.0 + np.abs(want.cov)))
+
+
+def world_to_body_oracle(x: float, y: float, psi: float,
+                         points: np.ndarray) -> np.ndarray:
+    """World points (..., 2) in the body frame at (x, y, psi): body x
+    along the heading, body y to the left."""
+    pts = np.asarray(points, dtype=float)
+    dx = pts[..., 0] - x
+    dy = pts[..., 1] - y
+    c, s = math.cos(psi), math.sin(psi)
+    bx = c * dx + s * dy
+    by = -s * dx + c * dy
+    return np.stack([bx, by], axis=-1)
 
 
 def polyline_distance_oracle(xy, p, closed=False) -> tuple[float, int]:

@@ -27,7 +27,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gokart.cli import main  # noqa: E402
+from gokart.fileio import write_netpbm  # noqa: E402
 from gokart.localization import GeoFix, LocalPoint, local_to_geo  # noqa: E402
+from gokart.perception import BevConfig  # noqa: E402
+from gokart.sim import (TrackSampler, VehicleState,  # noqa: E402
+                        default_camera_homography, render_scene)
 from helpers import (oval_track, straight_track, wiggly_track,  # noqa: E402
                      write_track_csv)
 
@@ -83,6 +87,18 @@ def write_replay_log(path) -> None:
     Path(path).write_text("".join(lines))
 
 
+def write_scene(root: Path) -> None:
+    """scene.ppm, a front camera frame rendered on the oval's lower
+    straight looking into the bend, and h.txt, the homography it was
+    rendered with."""
+    bev = BevConfig()
+    h = default_camera_homography(bev)
+    pose = VehicleState(x=15.0, y=-20.0, psi=0.0)
+    write_netpbm(root / "scene.ppm", render_scene(TrackSampler(oval_track()),
+                                                  pose, h, 320, 240, bev))
+    (root / "h.txt").write_text(" ".join(map(repr, h.ravel().tolist())))
+
+
 def run(argv, out: Path) -> list[str]:
     """One entry's lines: exit code, masked stdout and stderr, and the
     sha256 of every file the run wrote."""
@@ -106,12 +122,23 @@ def main_set() -> None:
                         straight_track(n=20, spacing=2.0, width=3.0))
         write_track_csv(root / "wiggly.csv", wiggly_track())
         write_replay_log(root / "replay.csv")
+        write_scene(root)
         entries = {}
         for name, (text, sets) in SIMULATE.items():
             (root / f"{name}.txt").write_text(text)
             entries[name] = ["simulate", str(root / f"{name}.txt"),
                              *[arg for item in sets for arg in ("--set", item)]]
         entries["localize"] = ["localize", str(root / "replay.csv")]
+        entries["optimize_oval"] = ["optimize-raceline",
+                                    str(root / "oval.csv"),
+                                    "--set", "track.closed=true"]
+        # the README's pursuit on the raceline optimize_oval writes
+        (root / "raceline_pursuit.txt").write_text(
+            README + "raceline = out/optimize_oval/raceline.csv\n")
+        entries["raceline_pursuit"] = ["simulate",
+                                       str(root / "raceline_pursuit.txt")]
+        entries["perceive_debug"] = ["perceive", str(root / "scene.ppm"),
+                                     str(root / "h.txt"), "--debug"]
         for name, argv in entries.items():
             print(f"== {name}")
             for line in run(argv, root / "out" / name):

@@ -20,8 +20,8 @@ from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
 from gokart.sim import (_SCENARIO_KEYS, MAX_TICKS, TrackSampler,
                         VehicleState, build_scenario,
                         default_camera_homography, render_scene)
-from gokart.track import (VehicleLimits, build_raceline, read_raceline_csv,
-                          write_raceline_csv)
+from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
+                          read_raceline_csv, write_raceline_csv)
 from helpers import circle_track, oval_track, straight_track, write_track_csv
 
 
@@ -552,6 +552,41 @@ class TestNonFiniteCells:
                                       "--out-dir", str(tmp_path / "out")],
                              "h.txt")
         assert not (tmp_path / "out" / "scan.csv").exists()
+
+
+class TestRacelineInputs:
+    """A raceline file the Raceline type rejects, and a spacing_m that asks
+    for more than MAX_WAYPOINTS steps, exit 2 naming the file or the key."""
+
+    @pytest.mark.parametrize("column, rule", [
+        (4, "waypoint speeds must be positive"),  # v_mps = 0
+        (0, "arc length must be strictly increasing")])  # s_m = 0 twice
+    def test_raceline_csv_row(self, tmp_path, capsys, column, rule):
+        track = oval_track()
+        write_track_csv(tmp_path / "oval.csv", track)
+        write_raceline_csv(tmp_path / "rl.csv",
+                           build_raceline(track, np.zeros(len(track)),
+                                          VehicleLimits()))
+        spoil_cell(tmp_path / "rl.csv", 3, column, "0")  # the second row
+        (tmp_path / "s.txt").write_text(
+            "track = oval.csv\nraceline = rl.csv\n"
+            "track.closed = true\nduration_s = 0.1\n")
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "rl.csv", rule)
+
+    def test_spacing_beyond_the_waypoint_cap(self, tmp_path, capsys):
+        # about 1e302 waypoints: a count numpy refuses at once, where a
+        # spacing of 1e-5 would allocate gigabytes before failing
+        write_track_csv(tmp_path / "line.csv", straight_track(n=20))
+        (tmp_path / "s.txt").write_text(
+            "track = line.csv\ntrack.closed = false\nduration_s = 0.1\n")
+        for argv in (["simulate", str(tmp_path / "s.txt")],
+                     ["optimize-raceline", str(tmp_path / "line.csv"),
+                      "--set", "track.closed=false"]):
+            assert_exit_2_naming(capsys, [*argv, "--set", "spacing_m=1e-300",
+                                          "--out-dir", str(tmp_path / "out")],
+                                 "spacing_m", str(MAX_WAYPOINTS))
 
 
 # Per scenario key, values at and just beyond the limits the loader

@@ -1,16 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gokart.control import (EndOfRaceline, PursuitParams, PursuitState,
-                            VehiclePose, find_lookahead_point,
+                            VehicleState, find_lookahead_point,
                             lookahead_distance, pd_steering, pursuit_curvature,
                             pursuit_step)
 from gokart.geometry import polyline_distance
 from gokart.track import Raceline, VehicleLimits, build_raceline, \
     optimize_min_curvature
-from helpers import circle_track, polyline_distance_oracle
+from helpers import (circle_track, oval_track, polyline_distance_oracle,
+                     straight_track, wiggly_track, world_to_body_oracle)
 
 
 def straight_raceline(n=60, spacing=1.0, v=4.0):
@@ -64,7 +68,7 @@ class TestLookaheadDistance:
 class TestFindLookahead:
     def test_on_straight_line_no_lateral_offset(self):
         rl = straight_raceline()
-        pose = VehiclePose(x=5.0, y=0.0, psi=0.0, v=3.0)
+        pose = VehicleState(x=5.0, y=0.0, psi=0.0, v=3.0)
         idx, lateral, nearest = find_lookahead_point(rl, pose, 4.0)
         assert nearest == 5
         assert rl.s[idx] - rl.s[nearest] >= 4.0
@@ -72,22 +76,22 @@ class TestFindLookahead:
 
     def test_offset_right_gives_positive_lateral(self):
         rl = straight_raceline()
-        pose = VehiclePose(x=5.0, y=-1.0, psi=0.0, v=3.0)
+        pose = VehicleState(x=5.0, y=-1.0, psi=0.0, v=3.0)
         _, lateral, _ = find_lookahead_point(rl, pose, 4.0)
         assert lateral == pytest.approx(1.0, abs=1e-9)
 
     def test_wraps_across_seam(self):
         rl = circle_raceline()
         # near the end of the loop
-        pose = VehiclePose(x=float(rl.xy[-2, 0]), y=float(rl.xy[-2, 1]),
-                           psi=0.0, v=3.0)
+        pose = VehicleState(x=float(rl.xy[-2, 0]), y=float(rl.xy[-2, 1]),
+                            psi=0.0, v=3.0)
         idx, _, nearest = find_lookahead_point(rl, pose, 5.0)
         assert nearest == len(rl) - 2
         assert idx < nearest  # wrapped past index 0
 
     def test_open_raceline_exhausted(self):
         rl = straight_raceline(n=10)
-        pose = VehiclePose(x=8.0, y=0.0, psi=0.0, v=3.0)
+        pose = VehicleState(x=8.0, y=0.0, psi=0.0, v=3.0)
         with pytest.raises(EndOfRaceline):
             find_lookahead_point(rl, pose, 5.0)
 
@@ -97,13 +101,48 @@ class TestFindLookahead:
         hint = 0
         for _ in range(50):
             th = rng.uniform(0, 2 * math.pi)
-            pose = VehiclePose(x=21.0 * math.cos(th), y=21.0 * math.sin(th),
-                               psi=th + math.pi / 2, v=3.0)
+            pose = VehicleState(x=21.0 * math.cos(th), y=21.0 * math.sin(th),
+                                psi=th + math.pi / 2, v=3.0)
             no_hint = find_lookahead_point(rl, pose, 4.0, hint=None)
             # walk from a stale-but-close hint
             hinted = find_lookahead_point(rl, pose, 4.0, hint=no_hint[2] - 2)
             assert hinted[0] == no_hint[0]
             assert hinted[2] == no_hint[2]
+
+
+@functools.cache
+def centerline_raceline(name: str) -> Raceline:
+    track = {"oval": oval_track, "wiggly": wiggly_track,
+             "open straight": lambda: straight_track(n=30)}[name]()
+    return build_raceline(track, np.zeros(len(track)), VehicleLimits())
+
+
+class TestLateralOffset:
+    """The lateral offset on Python floats is the numpy body-frame
+    transform's, bit for bit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(name=st.sampled_from(["oval", "wiggly", "open straight"]),
+           anchor=st.floats(0.0, 1.0),
+           # on and near the line, and far from it
+           offset=st.tuples(*2 * [st.one_of(st.floats(-3.0, 3.0),
+                                            st.floats(-1e3, 1e3))]),
+           psi=st.one_of(st.sampled_from([math.pi, -math.pi]),
+                         st.floats(-10.0, 10.0)),
+           lookahead=st.floats(0.5, 8.0))
+    def test_matches_the_numpy_transform(self, name, anchor, offset, psi,
+                                         lookahead):
+        rl = centerline_raceline(name)
+        x, y = (rl.xy[int(anchor * (len(rl) - 1))] + offset).tolist()
+        pose = VehicleState(x=x, y=y, psi=psi, v=3.0)
+        try:
+            target, lateral, _ = find_lookahead_point(rl, pose, lookahead)
+        except EndOfRaceline:
+            return
+        want = world_to_body_oracle(pose.x, pose.y, pose.psi,
+                                    rl.xy[target])[1]
+        assert type(lateral) is float
+        assert lateral.hex() == float(want).hex()
 
 
 class TestNearestWaypoint:
@@ -126,20 +165,20 @@ class TestNearestWaypoint:
             assert polyline_distance(rl.polyline, (x, y))[1] == want
             hint = want + offset
             hint = hint % n if rl.closed else min(max(hint, 0), n - 1)
-            pose = VehiclePose(x=float(x), y=float(y), psi=0.0, v=3.0)
+            pose = VehicleState(x=float(x), y=float(y), psi=0.0, v=3.0)
             assert find_lookahead_point(rl, pose, 1.0, hint)[2] == want
 
     @pytest.mark.parametrize("hint", [None, 4, 5, 6, 7])
     def test_tie_takes_the_lowest_index(self, hint):
         # exactly halfway between waypoints 5 and 6
         rl = straight_raceline()
-        pose = VehiclePose(x=5.5, y=0.25, psi=0.0, v=3.0)
+        pose = VehicleState(x=5.5, y=0.25, psi=0.0, v=3.0)
         assert find_lookahead_point(rl, pose, 1.0, hint)[2] == 5
 
     def test_raceline_polyline_is_built_once(self):
         rl = circle_raceline()
         polyline = rl.polyline
-        pursuit_step(rl, VehiclePose(x=20.0, y=0.5, psi=1.6, v=3.0),
+        pursuit_step(rl, VehicleState(x=20.0, y=0.5, psi=1.6, v=3.0),
                      PursuitState(), PursuitParams(), 0.05)
         assert rl.polyline is polyline
         assert polyline.closed
@@ -191,7 +230,7 @@ class TestPursuitStep:
     def test_on_straight_raceline(self):
         rl = straight_raceline(v=4.0)
         state = PursuitState()
-        pose = VehiclePose(x=5.0, y=0.0, psi=0.0, v=3.0)
+        pose = VehicleState(x=5.0, y=0.0, psi=0.0, v=3.0)
         cmd = pursuit_step(rl, pose, state, PursuitParams(), 0.05)
         assert cmd.steering == pytest.approx(0.0, abs=1e-12)
         assert cmd.target_speed == 4.0
@@ -199,7 +238,7 @@ class TestPursuitStep:
     def test_first_call_has_zero_derivative(self):
         rl = straight_raceline()
         state = PursuitState()
-        pose = VehiclePose(x=5.0, y=-1.0, psi=0.0, v=0.0)
+        pose = VehicleState(x=5.0, y=-1.0, psi=0.0, v=0.0)
         cmd = pursuit_step(rl, pose, state, PursuitParams(), 0.05)
         # lookahead 2.0 at v=0; gamma = 2*1/4 = 0.5; Kp only -> 1.0 clamped
         expected = min(2.0 * pursuit_curvature(1.0, 2.0), 1.0)
@@ -215,8 +254,8 @@ class TestPursuitStep:
         count = len(rl)
         for k in range(count):
             th = 2.0 * math.pi * k / count
-            pose = VehiclePose(x=20.0 * math.cos(th), y=20.0 * math.sin(th),
-                               psi=th + math.pi / 2, v=3.0)
+            pose = VehicleState(x=20.0 * math.cos(th), y=20.0 * math.sin(th),
+                                psi=th + math.pi / 2, v=3.0)
             cmd = pursuit_step(rl, pose, state, params, 0.05)
             gammas.append(state.gamma_prev)
         mean_gamma = np.mean(np.abs(gammas[5:]))
@@ -238,8 +277,8 @@ class TestPursuitStep:
             x, y = r * math.cos(th), r * math.sin(th)
             psi = th + math.pi / 2 + rng.normal(0, 0.3)
             v = rng.uniform(0, 5)
-            a = pursuit_step(rl, VehiclePose(x, y, psi, v), PursuitState(),
+            a = pursuit_step(rl, VehicleState(x, y, psi, v), PursuitState(),
                              params, 0.05)
-            b = pursuit_step(mirrored, VehiclePose(x, -y, -psi, v),
+            b = pursuit_step(mirrored, VehicleState(x, -y, -psi, v),
                              PursuitState(), params, 0.05)
             assert b.steering == pytest.approx(-a.steering, abs=1e-12)

@@ -171,7 +171,7 @@ class TestVelocityProfile:
         from gokart.track import velocity_profile
         limits = VehicleLimits(a_lat_max=3.2, a_lon_max=2.0, v_max=10.0)
         v = velocity_profile(np.full(60, 0.2), np.arange(60.0) * 0.5, limits,
-                             closed=True, total_length=30.0)
+                             total_length=30.0)
         np.testing.assert_allclose(v, 4.0)  # sqrt(3.2 / 0.2)
 
     def test_profile_feasibility(self):
@@ -203,8 +203,7 @@ class TestVelocityProfile:
         s = s0 + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
         total = float(s[-1] - s[0] + gaps[-1]) if closed else None
         limits = VehicleLimits(a_lat_max=a_lat, a_lon_max=a_lon, v_max=v_max)
-        got = velocity_profile(kappa, s, limits, closed=closed,
-                               total_length=total)
+        got = velocity_profile(kappa, s, limits, total_length=total)
         want = velocity_profile_oracle(kappa, s, limits, closed=closed,
                                        total_length=total)
         assert got.tobytes() == want.tobytes()
