@@ -376,6 +376,17 @@ def default_camera_homography(bev: BevConfig, front_width: int = 320,
 
 # --- scenario configuration --------------------------------------------------
 
+# The filter's process noise per predict (m^2 on x and y, rad^2 on psi) for
+# the simulated kart. The motion model integrates the last speed feedback,
+# which the 50 Hz command tick delivers up to 1.5 physics ticks behind the
+# middle of the predicted step. At full-throttle launch the plant accelerates
+# at max_speed / v_time_constant = 8 m/s^2, so that speed lags by 0.12 m/s and
+# one 0.01 s predict lands 1.2 mm off, (1.2 mm)^2 ~ 1e-6 m^2: the model's
+# largest one-step error on the plant. The yaw rate is the IMU's at the start
+# of the step, off by well under 1e-3 rad. EkfParams() keeps its 0.1.
+SCENARIO_PROCESS_NOISE = 1e-6
+
+
 @dataclass
 class ScenarioConfig:
     mode: str = "pursuit"
@@ -402,7 +413,8 @@ class ScenarioConfig:
     ftg: FtgParams = field(default_factory=FtgParams)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     sensors: SensorConfig = field(default_factory=SensorConfig)
-    ekf: EkfParams = field(default_factory=EkfParams)
+    ekf: EkfParams = field(default_factory=lambda: EkfParams(
+        process_noise_scale=SCENARIO_PROCESS_NOISE))
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     bev: BevConfig = field(default_factory=BevConfig)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import OptimizeResult
 
 from .fileio import read_table, require, write_table
 from .geometry import Polyline
@@ -181,31 +182,130 @@ def _knot_derivative_operators(track: Track) -> tuple[np.ndarray, np.ndarray, np
     return sp(tk, 1), sp(tk, 2), normals(track)
 
 
-def _objective_and_gradient(track: Track, reg: float):
-    """Summed squared curvature of the offset spline at the knots, plus the
-    tie-breaking regularizer, with its exact analytic gradient."""
+def _curvature_residual(track: Track):
+    """The knot curvatures of the offset spline as a function of alpha, and
+    their Jacobian in alpha. Returns (kappa, jacobian)."""
     d1_op, d2_op, nrm = _knot_derivative_operators(track)
     x0, y0 = track.xy[:, 0], track.xy[:, 1]
     nx, ny = nrm[:, 0], nrm[:, 1]
 
-    def fg(alpha: np.ndarray):
+    def derivatives(alpha: np.ndarray):
         x = x0 + alpha * nx
         y = y0 + alpha * ny
-        d1x, d1y = d1_op @ x, d1_op @ y
-        d2x, d2y = d2_op @ x, d2_op @ y
-        speed_sq = d1x ** 2 + d1y ** 2
-        num = d1x * d2y - d1y * d2x
-        kappa = num / speed_sq ** 1.5
-        value = float(np.sum(kappa ** 2) + reg * np.sum(alpha ** 2))
-        inv32 = 1.0 / speed_sq ** 1.5
-        inv52 = 3.0 * num / speed_sq ** 2.5
-        w = 2.0 * kappa
-        gx = d1_op.T @ (w * (d2y * inv32 - d1x * inv52)) + d2_op.T @ (w * (-d1y * inv32))
-        gy = d1_op.T @ (w * (-d2x * inv32 - d1y * inv52)) + d2_op.T @ (w * (d1x * inv32))
-        grad = gx * nx + gy * ny + 2.0 * reg * alpha
-        return value, grad
+        return d1_op @ x, d1_op @ y, d2_op @ x, d2_op @ y
 
-    return fg
+    def kappa(alpha: np.ndarray) -> np.ndarray:
+        d1x, d1y, d2x, d2y = derivatives(alpha)
+        return (d1x * d2y - d1y * d2x) / (d1x ** 2 + d1y ** 2) ** 1.5
+
+    def jacobian(alpha: np.ndarray) -> np.ndarray:
+        # kappa = num / s^1.5 with num = d1x d2y - d1y d2x, s = d1x^2 + d1y^2;
+        # each spline derivative is D @ (xy0 + alpha n), linear in alpha
+        d1x, d1y, d2x, d2y = derivatives(alpha)
+        speed_sq = d1x ** 2 + d1y ** 2
+        inv32 = speed_sq ** -1.5
+        c = 3.0 * (d1x * d2y - d1y * d2x) * inv32 / speed_sq
+        jx = (d2y * inv32 - d1x * c)[:, None] * d1_op \
+            - (d1y * inv32)[:, None] * d2_op
+        jy = (-d2x * inv32 - d1y * c)[:, None] * d1_op \
+            + (d1x * inv32)[:, None] * d2_op
+        return jx * nx + jy * ny
+
+    return kappa, jacobian
+
+
+# Armijo sufficient-decrease fraction, halvings tried along the projected arc,
+# and the largest width of the epsilon-active set.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+_ACTIVE_WIDTH = 1e-3
+
+
+def _solve_psd(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve h p = b for symmetric positive semi-definite h by Cholesky.
+
+    Where h is singular (with reg = 0, offsets that leave every knot
+    curvature unchanged, such as a straight track's linear ones, span its
+    null space), the smallest diagonal damping, in steps of 100 from 1e-12
+    of h's largest diagonal entry, that lets the factorization succeed is
+    added.
+    """
+    scale = float(np.max(np.diag(h), initial=0.0)) or 1.0
+    for damping in [0.0] + [scale * 10.0 ** k for k in range(-12, 1, 2)]:
+        try:
+            factor = cho_factor(h + damping * np.eye(len(h)))
+        except np.linalg.LinAlgError:
+            continue
+        return cho_solve(factor, b)
+    raise np.linalg.LinAlgError("no damping makes the normal matrix definite")
+
+
+def minimize(fun, x0, jac, lo, hi, reg: float = 0.0, max_iters: int = 5000,
+             rel_tol: float = 1e-8) -> OptimizeResult:
+    """Projected Gauss-Newton on ||fun(x)||^2 + reg ||x||^2 over lo <= x <= hi.
+
+    `fun` gives the residual vector and `jac` its Jacobian. Each step solves
+    the normal equations (J^T J + reg I) p = -g on the free variables by
+    Cholesky and scales the gradient of the others by the diagonal; the free
+    set leaves out Bertsekas' epsilon-active bounds, those within epsilon
+    (the projected-gradient norm, capped at _ACTIVE_WIDTH) whose gradient
+    points out of the box. The step length is found by Armijo backtracking
+    along the projected arc x(b) = clip(x + b d, lo, hi) (Bertsekas, "Projected
+    Newton methods for optimization problems with simple constraints", 1982).
+    Succeeds when the objective drop falls to `rel_tol` of
+    max(|f_k|, |f_k+1|, 1), when the projected gradient is zero, or when no
+    step lowers the objective in floating point and the full step's
+    first-order drop is within that tolerance; otherwise fails, with the
+    last iterate, when `max_iters` steps are spent or no step lowers it.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    nfev = 1
+    f = float(r @ r + reg * (x @ x))
+    nit = 0
+
+    def result(success: bool, message: str) -> OptimizeResult:
+        return OptimizeResult(x=x, fun=f, success=success, nit=nit,
+                              nfev=nfev, message=message)
+
+    for nit in range(1, max_iters + 1):
+        j = jac(x)
+        g = j.T @ r + reg * x  # half the gradient
+        projected = x - np.clip(x - g, lo, hi)
+        if not projected.any():
+            return result(True, "zero projected gradient")
+        h = j.T @ j
+        h[np.diag_indices_from(h)] += reg
+        width = min(_ACTIVE_WIDTH, float(np.linalg.norm(projected)))
+        active = (((x <= lo + width) & (g > 0.0))
+                  | ((x >= hi - width) & (g < 0.0)))
+        free = ~active
+        d = np.zeros_like(x)
+        d[free] = -_solve_psd(h[np.ix_(free, free)], g[free])
+        diag = np.diag(h)[active]
+        d[active] = -g[active] / np.where(diag > 0.0, diag, 1.0)
+        slope = float(g[free] @ d[free])  # <= 0
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x + step * d, lo, hi)
+            r_trial = fun(trial)
+            nfev += 1
+            f_trial = float(r_trial @ r_trial + reg * (trial @ trial))
+            decrease = -step * slope + float(g[active] @ (x - trial)[active])
+            if f_trial < f - 2.0 * _ARMIJO * decrease:
+                break
+            step *= 0.5
+        else:
+            # no step lowers f in floating point: converged only if the
+            # linear model's drop for the full step meets the stop rule
+            if -2.0 * float(g @ d) <= rel_tol * max(abs(f), 1.0):
+                return result(True, "no decrease above rel_tol possible")
+            return result(False, "no decrease along the projected arc")
+        drop = f - f_trial
+        x, r, f = trial, r_trial, f_trial
+        if drop <= rel_tol * max(abs(f + drop), abs(f), 1.0):
+            return result(True, "relative objective drop below rel_tol")
+    return result(False, f"iteration budget of {max_iters} steps spent")
 
 
 def optimize_min_curvature(track: Track, reg: float = 1e-6,
@@ -213,29 +313,26 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
                            rel_tol: float = 1e-8) -> np.ndarray:
     """Minimize summed squared raceline curvature over the width box.
 
-    Box-constrained quasi-Newton (L-BFGS-B) on the spline-curvature objective
-    with its exact analytic gradient; plain projected gradient descent crawls
-    on this objective (the uniform-offset valley is orders of magnitude
-    softer than single-point modes). Converges when the relative objective
-    drop falls below `rel_tol`; raises OptimizationError (carrying the best
-    iterate) if the iteration budget runs out first.
+    The knot curvatures of the offset spline, plus the tie-breaking
+    regularizer sqrt(reg) * alpha, form a bounded nonlinear least-squares
+    problem, solved by projected Gauss-Newton (`minimize`) from the
+    centerline, as in Heilmeier et al., "Minimum curvature trajectory
+    planning and control for an autonomous race car", Vehicle System
+    Dynamics, 2019. Converges when the relative objective drop falls below
+    `rel_tol`; raises OptimizationError (carrying the best iterate) if the
+    iteration budget runs out first or no step lowers the objective.
     """
     if reg < 0.0:
         raise ValueError("reg must be >= 0")
     lo, hi = alpha_bounds(track)
-    fg = _objective_and_gradient(track, reg)
-    n = len(track)
-    start = np.clip(np.zeros(n), lo, hi)
-    result = minimize(fg, start, jac=True, method="L-BFGS-B",
-                      bounds=list(zip(lo, hi)),
-                      options={"maxiter": max_iters, "maxfun": 10 * max_iters,
-                               "ftol": rel_tol, "gtol": 1e-14})
+    kappa, jacobian = _curvature_residual(track)
+    result = minimize(kappa, np.zeros(len(track)), jacobian, lo, hi, reg=reg,
+                      max_iters=max_iters, rel_tol=rel_tol)
     if not result.success:
         raise OptimizationError(
-            f"min-curvature optimizer did not converge in {max_iters} "
-            f"iterations: {result.message}",
-            alpha=np.clip(result.x, lo, hi))
-    return np.clip(result.x, lo, hi)
+            f"min-curvature optimizer did not converge in {result.nit} "
+            f"iterations: {result.message}", alpha=result.x)
+    return result.x
 
 
 def centerline_curvature_cost(track: Track) -> float:

@@ -15,7 +15,8 @@ The velocity-profile oracle sweeps to a fixed point, the polyline
 oracle measures each segment with endpoint and cross-product distances, and
 the bicycle oracle runs RK4 on numpy state vectors. The body-frame oracle
 is the numpy transform that the controller's Python-float lateral offset
-replaced.
+replaced, and the raceline oracle the L-BFGS-B solve that the projected
+Gauss-Newton solver replaced, on derivative operators of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 
 import numpy as np
 from scipy import ndimage
+from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize
 
 from gokart.geometry import body_to_world, normalize_angle
 from gokart.localization import GNSS_DROPOUT_VARIANCE, EkfState
@@ -31,7 +34,7 @@ from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
                                apply_homography, gaussian_blur, grass_mask,
                                scan_angles)
 from gokart.sim import MAX_DT, VehicleState
-from gokart.track import Track, VehicleLimits
+from gokart.track import Track, VehicleLimits, alpha_bounds, normals
 
 
 # --- track fixtures ----------------------------------------------------------
@@ -421,6 +424,60 @@ def velocity_profile_oracle(kappa, s, limits: VehicleLimits, *,
         if not changed:
             break
     return v
+
+
+def min_curvature_objective_oracle(track: Track, reg: float):
+    """The raceline objective, summed squared knot curvature of the offset
+    spline plus reg ||alpha||^2, and its analytic gradient, as one function
+    of alpha. The spline derivative operators are built here, from cubic
+    splines through the unit vectors on the centerline's chord lengths."""
+    data = np.vstack([track.xy, track.xy[:1]]) if track.closed else track.xy
+    t = np.concatenate([[0.0], np.cumsum(
+        np.linalg.norm(np.diff(data, axis=0), axis=1))])
+    knots = t[:-1] if track.closed else t
+    n = len(track)
+    unit = np.vstack([np.eye(n), np.eye(n)[:1]]) if track.closed else np.eye(n)
+    sp = CubicSpline(t, unit, axis=0,
+                     bc_type="periodic" if track.closed else "natural")
+    d1_op, d2_op = sp(knots, 1), sp(knots, 2)
+    nrm = normals(track)
+    x0, y0 = track.xy[:, 0], track.xy[:, 1]
+    nx, ny = nrm[:, 0], nrm[:, 1]
+
+    def fg(alpha):
+        x = x0 + alpha * nx
+        y = y0 + alpha * ny
+        d1x, d1y = d1_op @ x, d1_op @ y
+        d2x, d2y = d2_op @ x, d2_op @ y
+        speed_sq = d1x ** 2 + d1y ** 2
+        num = d1x * d2y - d1y * d2x
+        kappa = num / speed_sq ** 1.5
+        value = float(np.sum(kappa ** 2) + reg * np.sum(alpha ** 2))
+        inv32 = 1.0 / speed_sq ** 1.5
+        inv52 = 3.0 * num / speed_sq ** 2.5
+        w = 2.0 * kappa
+        gx = (d1_op.T @ (w * (d2y * inv32 - d1x * inv52))
+              + d2_op.T @ (w * (-d1y * inv32)))
+        gy = (d1_op.T @ (w * (-d2x * inv32 - d1y * inv52))
+              + d2_op.T @ (w * (d1x * inv32)))
+        return value, gx * nx + gy * ny + 2.0 * reg * alpha
+
+    return fg
+
+
+def optimize_min_curvature_lbfgsb_oracle(track: Track, reg: float = 1e-6,
+                                         max_iters: int = 5000,
+                                         rel_tol: float = 1e-8) -> np.ndarray:
+    """The box-constrained quasi-Newton (L-BFGS-B) solve of the raceline
+    objective that the package's projected Gauss-Newton replaced, from the
+    centerline; returns its final iterate whether or not it converged."""
+    lo, hi = alpha_bounds(track)
+    result = minimize(min_curvature_objective_oracle(track, reg),
+                      np.zeros(len(track)), jac=True, method="L-BFGS-B",
+                      bounds=list(zip(lo, hi)),
+                      options={"maxiter": max_iters, "maxfun": 10 * max_iters,
+                               "ftol": rel_tol, "gtol": 1e-14})
+    return np.clip(result.x, lo, hi)
 
 
 def geometric_scan_oracle(sampler, pose, angles, bev, step_m=0.02) -> np.ndarray:

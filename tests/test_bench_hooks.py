@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gokart.sim
+import gokart.track
 from gokart.sim import load_scenario, run_closed_loop
 from helpers import oval_track, write_track_csv
 
@@ -67,6 +68,20 @@ def test_traced_ftg_run_records_every_frame_span(tmp_path):
                                        "planning.ftg_step"))}
     assert len(frame_spans) == 9
     assert frame_spans <= called
+
+
+def test_traced_raceline_solve_records_one_solver_span():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        alpha = gokart.track.optimize_min_curvature(oval_track())
+    solves = [span for span in tracer.spans if span[0] == "track.solver"]
+    assert len(solves) == 1
+    _, _, _, parent, _, attrs = solves[0]
+    assert tracer.spans[parent][0] == "track.optimize_min_curvature"
+    assert attrs["n"] == len(alpha) == len(oval_track())
+    assert type(attrs["nit"]) is int and type(attrs["nfev"]) is int
+    assert 1 <= attrs["nit"] < attrs["nfev"]
 
 
 @pytest.fixture(scope="module")

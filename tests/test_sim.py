@@ -582,6 +582,18 @@ class TestClosedLoop:
         assert report.first_fix_s is None
         assert '"first_fix_s": null' in report.to_json()
 
+    @pytest.mark.parametrize("seed", [13, 15, 16])
+    def test_benchmark_pursuit_with_a_consistent_filter(self, tmp_path, seed):
+        # the benchmark's pursuit scenario on the seeds that left 0.5 m when
+        # the filter added 0.1 per predict; a consistent filter's NIS over
+        # [x, y, psi] averages 3
+        scenario = self._oval_scenario(
+            tmp_path, f"seed = {seed}\nsensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        report = run_closed_loop(scenario)
+        assert report.max_cross_track_error_m <= 0.5
+        assert 2.0 <= report.nis_mean <= 4.0
+
     def _dropout_run(self, tmp_path, seconds=13.0):
         # the benchmark's sensors, across the 10-12 s GNSS dropout
         scenario = self._oval_scenario(

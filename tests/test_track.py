@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gokart.track import (Raceline, Track, TrackFormatError, VehicleLimits,
-                          alpha_bounds, build_raceline,
-                          centerline_curvature_cost, curvature_at,
-                          estimated_lap_time, fit_spline, normals,
-                          offset_curvature_cost, optimize_min_curvature,
-                          read_raceline_csv, read_track_csv,
-                          resample_raceline, velocity_profile,
-                          write_raceline_csv)
-from helpers import (circle_track, oval_track, straight_track,
-                     velocity_profile_oracle, wiggly_track, write_track_csv)
+from gokart.track import (OptimizationError, Raceline, Track,
+                          TrackFormatError, VehicleLimits, alpha_bounds,
+                          build_raceline, centerline_curvature_cost,
+                          curvature_at, estimated_lap_time, fit_spline,
+                          minimize, normals, offset_curvature_cost,
+                          optimize_min_curvature, read_raceline_csv,
+                          read_track_csv, resample_raceline,
+                          velocity_profile, write_raceline_csv)
+from helpers import (circle_track, min_curvature_objective_oracle,
+                     optimize_min_curvature_lbfgsb_oracle, oval_track,
+                     straight_track, velocity_profile_oracle, wiggly_track,
+                     write_track_csv)
 
 
 class TestSpline:
@@ -158,6 +160,62 @@ class TestOptimizer:
         alpha = optimize_min_curvature(tr)
         assert offset_curvature_cost(tr, alpha) <= \
             offset_curvature_cost(tr, np.zeros(len(tr))) + 1e-9
+
+    # test_04's fixtures
+    SOLVER_FIXTURES = (circle_track, oval_track, wiggly_track,
+                       lambda: wiggly_track(seed=11), straight_track)
+
+    @pytest.mark.parametrize("fixture", SOLVER_FIXTURES)
+    def test_objective_no_higher_than_lbfgsb_oracle(self, fixture):
+        tr = fixture()
+        objective = min_curvature_objective_oracle(tr, 1e-6)
+        got, _ = objective(optimize_min_curvature(tr, reg=1e-6))
+        want, _ = objective(optimize_min_curvature_lbfgsb_oracle(tr, reg=1e-6))
+        assert got <= want + 1e-12  # ties may differ in rounding
+
+    @pytest.mark.parametrize("fixture", SOLVER_FIXTURES)
+    def test_projected_gradient_vanishes(self, fixture):
+        # first-order optimality on the box: a projected gradient step from
+        # the solution goes nowhere
+        tr = fixture()
+        alpha = optimize_min_curvature(tr, reg=1e-6)
+        _, grad = min_curvature_objective_oracle(tr, 1e-6)(alpha)
+        lo, hi = alpha_bounds(tr)
+        assert np.max(np.abs(alpha - np.clip(alpha - grad, lo, hi))) < 1e-5
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("fixture", [
+        circle_track, oval_track, wiggly_track, straight_track,
+        # turned, a straight's curvatures are rounding noise: no step lowers
+        # the objective, and at reg = 0 the normal matrix is singular
+        lambda: straight_track(heading=0.4),
+        lambda: straight_track(n=30, heading=0.4)])
+    def test_any_reg_solves_inside_the_box(self, fixture, reg):
+        tr = fixture()
+        alpha = optimize_min_curvature(tr, reg=reg)
+        lo, hi = alpha_bounds(tr)
+        assert np.all(np.isfinite(alpha))
+        assert np.all(alpha >= lo) and np.all(alpha <= hi)
+
+    def test_solver_fails_where_no_step_lowers_the_objective(self):
+        # a Jacobian of the wrong sign makes every step go uphill: the
+        # backtracking ends, and the start comes back as a failure
+        start = np.array([0.5, -0.25])
+        result = minimize(lambda x: x, start, lambda x: -np.eye(2),
+                          -np.ones(2), np.ones(2))
+        assert not result.success and result.nit == 1
+        assert "no decrease" in result.message
+        np.testing.assert_array_equal(result.x, start)
+
+    def test_spent_budget_raises_with_best_iterate(self):
+        tr = wiggly_track()
+        with pytest.raises(OptimizationError, match="did not converge") as exc:
+            optimize_min_curvature(tr, max_iters=1)
+        alpha = exc.value.alpha
+        lo, hi = alpha_bounds(tr)
+        assert np.all(alpha >= lo) and np.all(alpha <= hi)
+        assert offset_curvature_cost(tr, alpha) <= \
+            offset_curvature_cost(tr, np.zeros(len(tr)))
 
 
 class TestVelocityProfile:
