@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .fileio import require
-from .geometry import normalize_angle, polyline_distance
+from .geometry import normalize_angle
 from .track import Raceline
 
 
@@ -61,10 +61,9 @@ class PursuitCommand:
 
 @dataclass
 class PursuitState:
-    """Per-vehicle controller memory: previous curvature and a search hint."""
+    """Per-vehicle controller memory: the previous curvature."""
 
     gamma_prev: float | None = None
-    nearest_hint: int | None = None
 
 
 def lookahead_distance(v: float, params: PursuitParams) -> float:
@@ -76,20 +75,19 @@ def lookahead_distance(v: float, params: PursuitParams) -> float:
 
 
 def find_lookahead_point(raceline: Raceline, pose: VehicleState,
-                         lookahead: float, hint: int | None = None
-                         ) -> tuple[int, float, int]:
+                         lookahead: float) -> tuple[int, float, int]:
     """Locate the target waypoint at arc distance >= lookahead ahead of the
     nearest waypoint: the vertex of `raceline.polyline` nearest the pose
-    (the lowest index on a tie), searched around `hint` first.
+    (the lowest index on a tie).
 
     Returns (target index, lateral offset of the target in the vehicle frame
-    with left positive, nearest index for the next call's hint). Raises
-    EndOfRaceline when an open raceline runs out before the lookahead arc.
+    with left positive, nearest index). Raises EndOfRaceline when an open
+    raceline runs out before the lookahead arc.
     """
     if len(raceline) == 0:
         raise ValueError("empty raceline")
     n = len(raceline)
-    _, i0 = polyline_distance(raceline.polyline, (pose.x, pose.y), hint)
+    i0 = raceline.polyline.nearest_vertex(pose.x, pose.y)
     s = raceline.s
     target = i0  # kept if the lookahead is longer than the whole loop
     for j in range(i0 + 1, i0 + n + 1):
@@ -128,16 +126,14 @@ def pursuit_step(raceline: Raceline, pose: VehicleState, state: PursuitState,
                  params: PursuitParams, dt: float) -> PursuitCommand:
     """One controller cycle: lookahead selection, curvature, PD steering.
 
-    Mutates `state` (previous curvature and search hint). The first call has
-    no stored curvature, so the derivative term starts at zero.
+    Mutates `state` (the previous curvature). The first call has no stored
+    curvature, so the derivative term starts at zero.
     """
     lookahead = lookahead_distance(pose.v, params)
-    target, lateral, nearest = find_lookahead_point(
-        raceline, pose, lookahead, state.nearest_hint)
+    target, lateral, _ = find_lookahead_point(raceline, pose, lookahead)
     gamma = pursuit_curvature(lateral, lookahead)
     prev = state.gamma_prev if state.gamma_prev is not None else gamma
     steering = pd_steering(gamma, prev, dt, params)
     state.gamma_prev = gamma
-    state.nearest_hint = nearest
     return PursuitCommand(steering=steering,
                           target_speed=float(raceline.v[target]))

@@ -151,14 +151,16 @@ class ImuSimulator:
 _UNKNOWN, _TRACK, _GRASS, _MIXED = 0, 1, 2, 3
 # cells classified per vectorized pass, bounding its temporaries
 _CELLS_PER_PASS = 512
+# spacing of TrackSampler's samples along the track, m
+_SAMPLE_STEP = 0.1
 
 
 class TrackSampler:
     """Dense geometric view of a track for inside tests and boundary margins."""
 
-    def __init__(self, track: Track, step: float = 0.1):
+    def __init__(self, track: Track):
         sp = fit_spline(track.xy, track.closed)
-        count = max(int(math.ceil(sp.t_max / step)), 4 * len(track))
+        count = max(int(math.ceil(sp.t_max / _SAMPLE_STEP)), 4 * len(track))
         t = np.linspace(0.0, sp.t_max, count, endpoint=not track.closed)
         self.points = sp.point(t)
         d1 = sp.derivative(t, 1)
@@ -177,14 +179,11 @@ class TrackSampler:
         self.s = t
         self.length = sp.t_max
         self._tree = cKDTree(self.points)
-        # one-point margins read single values as Python floats
-        self._views = tuple(memoryview(a.reshape(-1)) for a in (
-            self.points, self.tangents, self.w_left, self.w_right))
         # inside() decides points by world cells of 5 steps a side over the
         # samples' bounding box, padded by the widest half-width plus half
         # the box's longer side so that a camera frame seen from the track
         # rarely leaves the grid; cells are classified on first use
-        self._cell = 5.0 * step
+        self._cell = 5.0 * _SAMPLE_STEP
         widest = float(max(self.w_left.max(), self.w_right.max()))
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         pad = widest + 0.5 * float((hi - lo).max())
@@ -201,11 +200,9 @@ class TrackSampler:
         """The samples set up for nearest-sample queries, built once."""
         return Polyline(self.points, self.closed)
 
-    def lateral_margin(self, pts):
-        """Distance to the nearest boundary, positive inside the track: a
-        float for one (x, y) tuple, an array for an (N, 2) array."""
-        if isinstance(pts, tuple):
-            return self._point_margin(*pts)
+    def lateral_margin(self, pts) -> np.ndarray:
+        """Distance to the nearest boundary, positive inside the track, for
+        each point of an (N, 2) array."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _, idx = self._tree.query(pts)
         d = pts - self.points[idx]
@@ -219,22 +216,6 @@ class TrackSampler:
             last = len(self.points) - 1
             margin = np.where((idx == last) & (lon > 0.0),
                               np.minimum(margin, -lon), margin)
-        return margin
-
-    def _point_margin(self, x: float, y: float) -> float:
-        """The array path's arithmetic on one point, in Python floats."""
-        _, i = self._tree.query((x, y))
-        points, tangents, w_left, w_right = self._views
-        dx, dy = x - points[2 * i], y - points[2 * i + 1]
-        tx, ty = tangents[2 * i], tangents[2 * i + 1]
-        lat = tx * dy - ty * dx
-        lon = tx * dx + ty * dy
-        margin = min(w_left[i] - lat, w_right[i] + lat)
-        if not self.closed:
-            if i == 0 and lon < 0.0:
-                margin = min(margin, lon)
-            if i == len(w_left) - 1 and lon > 0.0:
-                margin = min(margin, -lon)
         return margin
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
@@ -552,6 +533,8 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
     for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
                        ("opt.reg", cfg.opt_reg)):
         require(value >= 0, key, "be >= 0", value)
+    require(cfg.opt_max_iters >= 1, "opt.max_iters", "be >= 1",
+            cfg.opt_max_iters)
     if cfg.mode == "ftg":  # the simulated camera's corner correspondences
         for key, value in (("front.width", cfg.front_width),
                            ("front.height", cfg.front_height),
@@ -635,8 +618,8 @@ def prepare_raceline(track: Track, scenario: ScenarioConfig) -> Raceline:
 
 # A planner runs every `period` ticks once the filter has a fix; `plan`
 # returns (command, gap or None, safety stop) or None, `rows` its own logs.
-# Its `reference` (a Raceline or a TrackSampler) is the path the loop
-# measures cross-track error and progress against: `polyline`, arc
+# Its `reference` (a Raceline or a TrackSampler) is the path the run's
+# cross-track error and progress are measured against: `polyline`, arc
 # positions `s`, `length` and `closed`.
 
 class _PursuitPlanner:
@@ -726,7 +709,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                               math.lcm(ctrl_every, perc_every))
     ref = planner.reference
     polyline = ref.polyline
-    ref_s, ref_len, ref_closed = ref.s.tolist(), ref.length, ref.closed
 
     heading0 = math.atan2(polyline.y[1] - polyline.y[0],
                           polyline.x[1] - polyline.x[0])
@@ -747,16 +729,11 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     pending_cmd: DriveCommand | None = None
     active = DriveCommand(mode=Mode.AUTONOMOUS)
 
-    pose_rows = ["t_s,x_m,y_m,psi_rad,v_mps,est_x_m,est_y_m,est_psi_rad,cross_track_m"]
+    pose_rows = []  # each tick's row without its cross-track cell
+    positions = []  # the truth after each tick's plant step
     command_rows = ["t_s,steering_rad,speed_mps,gap_i,gap_j"]
     frame_rows = ["t_s,id_hex,payload_hex"]
-
-    errors: list[float] = []
-    boundary_violations = safety_stops = 0
-    was_outside = False
-    lap_time: float | None = None
-    progress = 0.0
-    near: int | None = None  # last tick's nearest reference vertex
+    safety_stops = 0
 
     for k in range(ticks):
         t = k * dt
@@ -806,38 +783,37 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             bus.send(fb_frame)
             frame_rows.append(",".join(format_trace_row(t, fb_frame)))
 
-        pos = (truth.x, truth.y)
-        prev = near
-        cross, near = polyline_distance(polyline, pos, hint=prev)
-        errors.append(cross)
-        outside = sampler.lateral_margin(pos) < 0.0
-        if outside and not was_outside:
-            boundary_violations += 1
-        was_outside = outside
-
-        if prev is not None:
-            ds = ref_s[near] - ref_s[prev]
-            if ref_closed:
-                ds = (ds + 0.5 * ref_len) % ref_len - 0.5 * ref_len
-            progress += ds
-        if lap_time is None and progress >= ref_len:
-            lap_time = t
-
+        positions.append((truth.x, truth.y))
         est = ("nan,nan,nan" if localizer.state is None else
                ",".join(map(repr, localizer.state.mean.tolist())))
         pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
-                         f"{truth.v!r},{est},{cross!r}")
+                         f"{truth.v!r},{est}")
 
-    rows = {"poses.csv": pose_rows, "commands.csv": command_rows,
+    # score the truth trajectory against the reference
+    positions = np.array(positions, dtype=float).reshape(-1, 2)
+    cross, near = polyline_distance(polyline, positions)
+    outside = sampler.lateral_margin(positions) < 0.0
+    # the ticks that leave the track, from inside before the first one
+    entered = outside & ~np.append(False, outside[:-1])
+    ds = np.diff(ref.s[near])
+    if ref.closed:
+        ds = (ds + 0.5 * ref.length) % ref.length - 0.5 * ref.length
+    # the progress at tick k >= 1 is cumsum(ds)[k - 1]; at tick 0 it is 0
+    lapped = np.flatnonzero(np.cumsum(ds) >= ref.length)
+    poses = ["t_s,x_m,y_m,psi_rad,v_mps,est_x_m,est_y_m,est_psi_rad,"
+             "cross_track_m"]
+    poses += map("{},{!r}".format, pose_rows, cross.tolist())
+
+    rows = {"poses.csv": poses, "commands.csv": command_rows,
             "frames.csv": frame_rows, **planner.rows}
     return RunReport(
         mode=scenario.mode,
         duration_s=scenario.duration_s,
         ticks=ticks,
-        lap_time_s=lap_time,
-        max_cross_track_error_m=float(max(errors)) if errors else 0.0,
-        mean_abs_cross_track_error_m=float(np.mean(errors)) if errors else 0.0,
-        boundary_violations=boundary_violations,
+        lap_time_s=(int(lapped[0]) + 1) * dt if len(lapped) else None,
+        max_cross_track_error_m=float(cross.max()) if ticks else 0.0,
+        mean_abs_cross_track_error_m=float(np.mean(cross)) if ticks else 0.0,
+        boundary_violations=int(np.count_nonzero(entered)),
         safety_stops=safety_stops,
         logs={name: "\n".join(r) + "\n" for name, r in rows.items()},
         first_fix_s=localizer.first_fix_s,

@@ -215,10 +215,12 @@ def _curvature_residual(track: Track):
 
 
 # Armijo sufficient-decrease fraction, halvings tried along the projected arc,
-# and the largest width of the epsilon-active set.
+# the largest width of the epsilon-active set, and the relative objective
+# drop at which the solve has converged.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _ACTIVE_WIDTH = 1e-3
+_REL_TOL = 1e-8
 
 
 def _solve_psd(h: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,8 +242,8 @@ def _solve_psd(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("no damping makes the normal matrix definite")
 
 
-def minimize(fun, x0, jac, lo, hi, reg: float = 0.0, max_iters: int = 5000,
-             rel_tol: float = 1e-8) -> OptimizeResult:
+def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
+             max_iters: int = 5000) -> OptimizeResult:
     """Projected Gauss-Newton on ||fun(x)||^2 + reg ||x||^2 over lo <= x <= hi.
 
     `fun` gives the residual vector and `jac` its Jacobian. Each step solves
@@ -252,7 +254,7 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0, max_iters: int = 5000,
     points out of the box. The step length is found by Armijo backtracking
     along the projected arc x(b) = clip(x + b d, lo, hi) (Bertsekas, "Projected
     Newton methods for optimization problems with simple constraints", 1982).
-    Succeeds when the objective drop falls to `rel_tol` of
+    Succeeds when the objective drop falls to _REL_TOL of
     max(|f_k|, |f_k+1|, 1), when the projected gradient is zero, or when no
     step lowers the objective in floating point and the full step's
     first-order drop is within that tolerance; otherwise fails, with the
@@ -298,19 +300,18 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0, max_iters: int = 5000,
         else:
             # no step lowers f in floating point: converged only if the
             # linear model's drop for the full step meets the stop rule
-            if -2.0 * float(g @ d) <= rel_tol * max(abs(f), 1.0):
-                return result(True, "no decrease above rel_tol possible")
+            if -2.0 * float(g @ d) <= _REL_TOL * max(abs(f), 1.0):
+                return result(True, "no decrease above the tolerance possible")
             return result(False, "no decrease along the projected arc")
         drop = f - f_trial
         x, r, f = trial, r_trial, f_trial
-        if drop <= rel_tol * max(abs(f + drop), abs(f), 1.0):
-            return result(True, "relative objective drop below rel_tol")
+        if drop <= _REL_TOL * max(abs(f + drop), abs(f), 1.0):
+            return result(True, "relative objective drop below the tolerance")
     return result(False, f"iteration budget of {max_iters} steps spent")
 
 
 def optimize_min_curvature(track: Track, reg: float = 1e-6,
-                           max_iters: int = 5000,
-                           rel_tol: float = 1e-8) -> np.ndarray:
+                           max_iters: int = 5000) -> np.ndarray:
     """Minimize summed squared raceline curvature over the width box.
 
     The knot curvatures of the offset spline, plus the tie-breaking
@@ -319,7 +320,7 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
     centerline, as in Heilmeier et al., "Minimum curvature trajectory
     planning and control for an autonomous race car", Vehicle System
     Dynamics, 2019. Converges when the relative objective drop falls below
-    `rel_tol`; raises OptimizationError (carrying the best iterate) if the
+    _REL_TOL; raises OptimizationError (carrying the best iterate) if the
     iteration budget runs out first or no step lowers the objective.
     """
     if reg < 0.0:
@@ -327,7 +328,7 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
     lo, hi = alpha_bounds(track)
     kappa, jacobian = _curvature_residual(track)
     result = minimize(kappa, np.zeros(len(track)), jacobian, lo, hi, reg=reg,
-                      max_iters=max_iters, rel_tol=rel_tol)
+                      max_iters=max_iters)
     if not result.success:
         raise OptimizationError(
             f"min-curvature optimizer did not converge in {result.nit} "

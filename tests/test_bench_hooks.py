@@ -3,8 +3,9 @@ perfbench/spans.py) and its measured runs rebind `gokart.sim.bicycle_step`.
 These tests keep a refactor from silently breaking either: every rebound
 name must exist where the benchmark looks for it, a traced FTG run must
 record calls on every frame-path span, and a traced pursuit run exactly one
-reference search, boundary margin and plant step per tick, and exactly the
-filter, codec and controller calls that its tick schedule implies."""
+plant step per tick, one reference search and one boundary margin per run,
+and exactly the filter, codec and controller calls that its tick schedule
+implies."""
 
 import types
 from collections import Counter
@@ -102,22 +103,23 @@ def traced_pursuit(tmp_path_factory):
     return traced, Counter(span[0] for span in tracer.spans)
 
 
-def test_traced_pursuit_run_records_one_reference_query_per_tick(
+def test_traced_pursuit_run_records_one_plant_step_per_tick_and_one_score(
         traced_pursuit):
+    # the run is scored once, from its whole trajectory, after the ticks
     traced, calls = traced_pursuit
-    for name in ("geometry.polyline_distance", "sim.lateral_margin",
-                 "sim.bicycle_step"):
-        assert calls[name] == traced.ticks == 100
+    assert calls["sim.bicycle_step"] == traced.ticks == 100
+    assert calls["geometry.polyline_distance"] == 1
+    assert calls["sim.lateral_margin"] == 1
 
 
 def test_traced_pursuit_run_records_one_controller_step_per_period(
         traced_pursuit):
     # the controller runs every 5th tick (20 Hz at dt = 0.01) from the first
-    # fix at t = 0; its nearest-waypoint search goes through gokart.geometry,
+    # fix at t = 0; its nearest-waypoint search is Polyline.nearest_vertex,
     # not the rebound gokart.sim name, so it adds no reference-query spans
     traced, calls = traced_pursuit
     assert calls["control.pursuit_step"] == traced.ticks // 5 == 20
-    assert calls["geometry.polyline_distance"] == traced.ticks
+    assert calls["geometry.polyline_distance"] == 1
 
 
 def test_traced_pursuit_run_records_every_filter_and_codec_call(

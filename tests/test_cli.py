@@ -423,6 +423,8 @@ class TestSimulate:
         (["vehicle.max_speed=32.768"], "vehicle.max_speed"),
         (["vehicle.max_speed=1e200"], "vehicle.max_speed"),
         (["vehicle.max_speed=1e300"], "vehicle.max_speed"),
+        # the raceline solver's iteration budget
+        (["opt.max_iters=0"], "opt.max_iters"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, overrides,
                                         key):

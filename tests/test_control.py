@@ -95,20 +95,6 @@ class TestFindLookahead:
         with pytest.raises(EndOfRaceline):
             find_lookahead_point(rl, pose, 5.0)
 
-    def test_hint_matches_full_search(self):
-        rl = circle_raceline()
-        rng = np.random.default_rng(4)
-        hint = 0
-        for _ in range(50):
-            th = rng.uniform(0, 2 * math.pi)
-            pose = VehicleState(x=21.0 * math.cos(th), y=21.0 * math.sin(th),
-                                psi=th + math.pi / 2, v=3.0)
-            no_hint = find_lookahead_point(rl, pose, 4.0, hint=None)
-            # walk from a stale-but-close hint
-            hinted = find_lookahead_point(rl, pose, 4.0, hint=no_hint[2] - 2)
-            assert hinted[0] == no_hint[0]
-            assert hinted[2] == no_hint[2]
-
 
 @functools.cache
 def centerline_raceline(name: str) -> Raceline:
@@ -147,14 +133,11 @@ class TestLateralOffset:
 
 class TestNearestWaypoint:
     """The nearest waypoint is the raceline's global nearest vertex, the
-    lowest index on a tie, wherever the hint lies."""
+    lowest index on a tie."""
 
     @pytest.mark.parametrize("make", [circle_raceline, open_arc_raceline],
                              ids=["closed", "open"])
-    @pytest.mark.parametrize("offset", [-30, -4, -1, 0, 1, 4, 30])
-    def test_any_hint_gives_the_global_nearest(self, make, offset):
-        # a hint ahead of the nearest waypoint is where a forward-only walk
-        # from the hint stops at once
+    def test_global_nearest(self, make):
         rl = make()
         n = len(rl)
         rng = np.random.default_rng(21)
@@ -162,18 +145,15 @@ class TestNearestWaypoint:
             i = int(rng.integers(0, n - 8))
             x, y = rl.xy[i] + rng.normal(0.0, 0.8, 2)
             want = polyline_distance_oracle(rl.xy, (x, y), rl.closed)[1]
-            assert polyline_distance(rl.polyline, (x, y))[1] == want
-            hint = want + offset
-            hint = hint % n if rl.closed else min(max(hint, 0), n - 1)
+            assert polyline_distance(rl.polyline, [(x, y)])[1][0] == want
             pose = VehicleState(x=float(x), y=float(y), psi=0.0, v=3.0)
-            assert find_lookahead_point(rl, pose, 1.0, hint)[2] == want
+            assert find_lookahead_point(rl, pose, 1.0)[2] == want
 
-    @pytest.mark.parametrize("hint", [None, 4, 5, 6, 7])
-    def test_tie_takes_the_lowest_index(self, hint):
+    def test_tie_takes_the_lowest_index(self):
         # exactly halfway between waypoints 5 and 6
         rl = straight_raceline()
         pose = VehicleState(x=5.5, y=0.25, psi=0.0, v=3.0)
-        assert find_lookahead_point(rl, pose, 1.0, hint)[2] == 5
+        assert find_lookahead_point(rl, pose, 1.0)[2] == 5
 
     def test_raceline_polyline_is_built_once(self):
         rl = circle_raceline()

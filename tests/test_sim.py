@@ -15,15 +15,17 @@ from gokart.sim import (_SCENARIO_KEYS, CHI2_3_95, GnssSimulator,
                         VehicleParams, VehicleState, _bev_body_points,
                         bev_grass_mask, bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
-                        parse_scenario_text, render_scene, run_closed_loop)
-import gokart.control
+                        parse_scenario_text, prepare_raceline, render_scene,
+                        run_closed_loop)
+from gokart.track import read_track_csv
 import gokart.sim
 from helpers import (FUSE_RTOL, alternating, bev_grass_mask_oracle,
                      bicycle_step_oracle, circle_track,
                      detect_boundaries_oracle, fuse_step_oracle,
                      geometric_scan_oracle, hairpin_track, mean_gap,
-                     oval_track, render_scene_oracle, straight_track,
-                     wiggly_track, write_track_csv)
+                     oval_track, polyline_distance_oracle,
+                     render_scene_oracle, straight_track, wiggly_track,
+                     write_track_csv)
 
 
 def float_bits(state: VehicleState) -> list[str]:
@@ -174,28 +176,6 @@ class TestTrackSampler:
         outside_pt = np.array([[23.0, 0.0]])
         assert sampler.lateral_margin(inside_pt)[0] > 0.0
         assert sampler.lateral_margin(outside_pt)[0] < 0.0
-
-    @pytest.mark.parametrize("track", [oval_track(), wiggly_track(),
-                                       straight_track(n=12, spacing=2.0)],
-                             ids=["oval", "wiggly", "open straight"])
-    def test_one_point_margin_matches_the_array_path(self, track):
-        sampler = TrackSampler(track)
-        rng = np.random.default_rng(13)
-        lo, hi = track.xy.min(axis=0) - 6.0, track.xy.max(axis=0) + 6.0
-        pts = rng.uniform(lo, hi, size=(2000, 2))
-        if not track.closed:  # beyond both ends, near the axis
-            pts[:200, 0] = rng.uniform(lo[0], track.xy[0, 0], 200)
-            pts[200:400, 0] = rng.uniform(track.xy[-1, 0], hi[0], 200)
-            pts[:400, 1] = rng.uniform(-1.5, 1.5, 400)
-        together = sampler.lateral_margin(pts)
-        for (x, y), want in zip(pts.tolist(), together.tolist()):
-            got = sampler.lateral_margin((x, y))
-            assert type(got) is float
-            assert got.hex() == want.hex()
-            alone = sampler.lateral_margin(np.array([[x, y]]))[0]
-            assert got.hex() == float(alone).hex()
-        if not track.closed:
-            assert (together[:400] < 0.0).sum() > 300
 
     def test_polyline_is_built_once_over_the_samples(self):
         sampler = TrackSampler(oval_track())
@@ -717,9 +697,8 @@ class TestClosedLoop:
     def test_logs_match_full_searches_and_vector_rk4(self, tmp_path,
                                                      monkeypatch, mode,
                                                      duration):
-        # hinted reference search, one-point margin and scalar RK4 against
-        # the full search, the array margin and the vector RK4; the pursuit
-        # run covers the 10-12 s GNSS dropout
+        # scalar RK4 against the vector RK4; the pursuit run covers the
+        # 10-12 s GNSS dropout
         write_track_csv(tmp_path / "oval.csv", oval_track())
         (tmp_path / "s.txt").write_text(
             f"mode = {mode}\ntrack = oval.csv\ntrack.closed = true\n"
@@ -727,56 +706,90 @@ class TestClosedLoop:
             "sensors.gnss_dropout = 10.0:12.0\n")
         scenario = load_scenario(tmp_path / "s.txt")
         fast = run_closed_loop(scenario)
-        monkeypatch.setattr(Polyline, "_window_search",
-                            lambda self, px, py, hint: None)
-        monkeypatch.setattr(TrackSampler, "_point_margin",
-                            lambda self, x, y: float(
-                                self.lateral_margin(np.array([[x, y]]))[0]))
         monkeypatch.setattr(gokart.sim, "bicycle_step", bicycle_step_oracle)
         slow = run_closed_loop(scenario)
         assert fast.ticks == duration * 100
         assert fast.logs == slow.logs
         assert fast.to_json() == slow.to_json()
 
-    def test_pursuit_logs_match_an_unhinted_controller_search(
-            self, tmp_path, monkeypatch):
-        # the controller's nearest waypoint searched around its last one
-        # against a search of the whole raceline on every call, over 13 s
-        # across the 10-12 s GNSS dropout
-        scenario = self._oval_scenario(
-            tmp_path, "sensors.gnss_sigma = 0.02\n"
-            "sensors.gnss_dropout = 10.0:12.0\n")
-        scenario.duration_s = 13.0
-        hinted = run_closed_loop(scenario)
-        search = gokart.control.polyline_distance
-        hints = []
-
-        def unhinted(ref, p, hint=None):
-            hints.append(hint)
-            return search(ref, p)
-
-        monkeypatch.setattr(gokart.control, "polyline_distance", unhinted)
-        full = run_closed_loop(scenario)
-        assert len(hints) == 13 * 20 and hints.count(None) == 1
-        assert hinted.logs == full.logs
-        assert hinted.to_json() == full.to_json()
+    @pytest.mark.parametrize("track,text,expected", [
+        ("oval", "mode = pursuit\nduration_s = 13\nseed = 7\n"
+         "sensors.gnss_sigma = 0.02\nsensors.gnss_dropout = 10.0:12.0\n",
+         (0, False)),
+        ("oval", "mode = ftg\nduration_s = 2\nseed = 7\n"
+         "sensors.gnss_sigma = 0.02\nsensors.gnss_dropout = 10.0:12.0\n",
+         (0, False)),
+        ("straight", "mode = pursuit\ntrack.closed = false\n"
+         "duration_s = 20\nseed = 2\n", (1, True)),
+    ], ids=["pursuit across the dropout", "ftg", "open straight"])
+    def test_score_recomputed_from_the_poses(self, tmp_path, track, text,
+                                             expected):
+        # each tick scored on its own from the run's poses.csv: the
+        # cross-track error and nearest vertex by the brute-force oracle,
+        # the boundary test one point at a time, and progress as the sum
+        # of nearest-vertex steps
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        write_track_csv(tmp_path / "straight.csv",
+                        straight_track(n=20, spacing=2.0, width=3.0))
+        (tmp_path / "s.txt").write_text(f"track = {track}.csv\n{text}")
+        scenario = load_scenario(tmp_path / "s.txt")
+        report = run_closed_loop(scenario)
+        track = read_track_csv(scenario.track, scenario.track_closed,
+                               scenario.vehicle_half_width)
+        sampler = TrackSampler(track)
+        if scenario.mode == "ftg":
+            ref, xy = sampler, sampler.points
+        else:
+            ref = prepare_raceline(track, scenario)
+            xy = ref.xy
+        s = ref.s.tolist()
+        rows = [row.split(",")
+                for row in report.logs["poses.csv"].splitlines()[1:]]
+        assert len(rows) == report.ticks
+        cross = [float(row[-1]) for row in rows]
+        violations, was_outside = 0, False
+        progress, lap_time, prev = 0.0, None, None
+        for row, got in zip(rows, cross):
+            x, y = float(row[1]), float(row[2])
+            want, near = polyline_distance_oracle(xy, (x, y), ref.closed)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            outside = sampler.lateral_margin(np.array([[x, y]]))[0] < 0.0
+            violations += outside and not was_outside
+            was_outside = outside
+            if prev is not None:
+                ds = s[near] - s[prev]
+                if ref.closed:
+                    ds = (ds + 0.5 * ref.length) % ref.length \
+                        - 0.5 * ref.length
+                progress += ds
+            if lap_time is None and progress >= ref.length:
+                lap_time = float(row[0])
+            prev = near
+        assert (violations, lap_time is not None) == expected
+        assert report.boundary_violations == violations
+        assert report.lap_time_s == lap_time
+        assert report.max_cross_track_error_m.hex() == max(cross).hex()
+        assert report.mean_abs_cross_track_error_m.hex() \
+            == float(np.mean(cross)).hex()
 
     def test_loop_and_controller_share_one_polyline(self, tmp_path,
                                                     monkeypatch):
         scenario = self._oval_scenario(tmp_path)
         scenario.duration_s = 0.5
         queried = {"loop": set(), "controller": set()}
+        search = gokart.sim.polyline_distance
+        nearest = Polyline.nearest_vertex
 
-        def recorder(who, search):
-            def record(ref, p, hint=None):
-                queried[who].add(id(ref))
-                return search(ref, p, hint)
-            return record
+        def loop_search(ref, pts):
+            queried["loop"].add(id(ref))
+            return search(ref, pts)
 
-        for who, module in (("loop", gokart.sim),
-                            ("controller", gokart.control)):
-            monkeypatch.setattr(module, "polyline_distance",
-                                recorder(who, module.polyline_distance))
+        def controller_search(ref, x, y):
+            queried["controller"].add(id(ref))
+            return nearest(ref, x, y)
+
+        monkeypatch.setattr(gokart.sim, "polyline_distance", loop_search)
+        monkeypatch.setattr(Polyline, "nearest_vertex", controller_search)
         built = []
         init = Polyline.__init__
 
