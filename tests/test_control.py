@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 
@@ -133,11 +134,23 @@ class TestLateralOffset:
 
 class TestNearestWaypoint:
     """The nearest waypoint is the raceline's global nearest vertex, the
-    lowest index on a tie."""
+    lowest index on a tie, wherever the previous query (the "hint" an
+    earlier controller carried) was made: the search keeps no memory."""
+
+    @staticmethod
+    def query_at_waypoint(rl, k):
+        """One controller query standing on waypoint k."""
+        x, y = rl.xy[k]
+        pose = VehicleState(x=float(x), y=float(y), psi=0.0, v=3.0)
+        with contextlib.suppress(EndOfRaceline):
+            find_lookahead_point(rl, pose, 1.0)
 
     @pytest.mark.parametrize("make", [circle_raceline, open_arc_raceline],
                              ids=["closed", "open"])
-    def test_global_nearest(self, make):
+    @pytest.mark.parametrize("offset", [-30, -4, -1, 0, 1, 4, 30])
+    def test_any_hint_gives_the_global_nearest(self, make, offset):
+        # a previous query ahead of the nearest waypoint is where a
+        # forward-only walk from it would stop at once
         rl = make()
         n = len(rl)
         rng = np.random.default_rng(21)
@@ -146,12 +159,18 @@ class TestNearestWaypoint:
             x, y = rl.xy[i] + rng.normal(0.0, 0.8, 2)
             want = polyline_distance_oracle(rl.xy, (x, y), rl.closed)[1]
             assert polyline_distance(rl.polyline, [(x, y)])[1][0] == want
+            hint = want + offset
+            hint = hint % n if rl.closed else min(max(hint, 0), n - 1)
+            self.query_at_waypoint(rl, hint)
             pose = VehicleState(x=float(x), y=float(y), psi=0.0, v=3.0)
             assert find_lookahead_point(rl, pose, 1.0)[2] == want
 
-    def test_tie_takes_the_lowest_index(self):
+    @pytest.mark.parametrize("hint", [None, 4, 5, 6, 7])
+    def test_tie_takes_the_lowest_index(self, hint):
         # exactly halfway between waypoints 5 and 6
         rl = straight_raceline()
+        if hint is not None:
+            self.query_at_waypoint(rl, hint)
         pose = VehicleState(x=5.5, y=0.25, psi=0.0, v=3.0)
         assert find_lookahead_point(rl, pose, 1.0)[2] == 5
 
