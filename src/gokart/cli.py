@@ -134,6 +134,10 @@ def cmd_simulate(args) -> int:
         # the controller never ran, so the clean numbers above mean nothing
         print("never localized: the filter got no GNSS fix", file=sys.stderr)
         return 1
+    if report.distance_m == 0.0:
+        # nothing moved, so nothing could leave the track or the raceline
+        print("never moved: the kart drove 0 m", file=sys.stderr)
+        return 1
     return 0 if report.boundary_violations == 0 and report.safety_stops == 0 else 1
 
 

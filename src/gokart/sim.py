@@ -587,6 +587,8 @@ class RunReport:
     mean_abs_cross_track_error_m: float
     boundary_violations: int
     safety_stops: int
+    # length of the truth path; 0 if the kart never moved
+    distance_m: float
     logs: dict[str, str]
     # sim time of the filter's first GNSS fix; None if it never localized
     first_fix_s: float | None
@@ -815,6 +817,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         mean_abs_cross_track_error_m=float(np.mean(cross)) if ticks else 0.0,
         boundary_violations=int(np.count_nonzero(entered)),
         safety_stops=safety_stops,
+        distance_m=float(np.sum(np.hypot(*np.diff(
+            np.vstack([(polyline.x[0], polyline.y[0]), positions]), axis=0).T))),
         logs={name: "\n".join(r) + "\n" for name, r in rows.items()},
         first_fix_s=localizer.first_fix_s,
         nis_mean=localizer.nis_mean(),

@@ -12,10 +12,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
 from scipy.optimize import OptimizeResult
 
 from .fileio import read_table, require, write_table
@@ -160,58 +162,184 @@ def alpha_bounds(track: Track) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _knot_derivative_operators(track: Track) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear maps from interpolation data to spline derivatives at the knots.
-
-    For a fixed parameterization the cubic-spline fit is linear in the data,
-    so d1 = D1 @ data and d2 = D2 @ data hold exactly. The parameterization
-    is frozen to the centerline chord length; curvature is
-    parameterization-invariant, so this does not bias the optimum.
-    Returns (D1, D2, normals).
-    """
-    base = track.xy
-    data = np.vstack([base, base[:1]]) if track.closed else base
-    seg = np.linalg.norm(np.diff(data, axis=0), axis=1)
-    t = np.concatenate([[0.0], np.cumsum(seg)])
-    tk = t[:-1] if track.closed else t
-    n = len(base)
-    ident = np.eye(n)
-    cols = np.vstack([ident, ident[:1]]) if track.closed else ident
-    bc = "periodic" if track.closed else "natural"
-    sp = CubicSpline(t, cols, axis=0, bc_type=bc)
-    return sp(tk, 1), sp(tk, 2), normals(track)
+# Unknowns per knot in the Gauss-Newton step's KKT system, in this order: the
+# multiplier of the x slope equation, the x slope step, the offset step, the
+# y slope step and the multiplier of the y slope equation. With the knots in
+# zig-zag order every coupling lies within _BAND places of the diagonal.
+_PER_KNOT = 5
+_MULT_X, _SLOPE_X, _OFFSET, _SLOPE_Y, _MULT_Y = range(_PER_KNOT)
+_BAND = 2 * _PER_KNOT + 2
+# Columns of J formed at once when their squared norms are taken.
+_CHUNK = 256
 
 
 def _curvature_residual(track: Track):
     """The knot curvatures of the offset spline as a function of alpha, and
-    their Jacobian in alpha. Returns (kappa, jacobian)."""
-    d1_op, d2_op, nrm = _knot_derivative_operators(track)
-    x0, y0 = track.xy[:, 0], track.xy[:, 1]
-    nx, ny = nrm[:, 0], nrm[:, 1]
+    their linearization in alpha. Returns (kappa, linearize).
 
-    def derivatives(alpha: np.ndarray):
-        x = x0 + alpha * nx
-        y = y0 + alpha * ny
-        return d1_op @ x, d1_op @ y, d2_op @ x, d2_op @ y
+    The parameterization is frozen to the centerline chord lengths 1/q;
+    curvature is parameterization-invariant, so this does not bias the
+    optimum. The knot slopes m of each coordinate y of the spline data then
+    solve T m = R y, with T tridiagonal (cyclic when the track is closed) and
+    symmetric positive definite, and the knot second derivatives are
+    c (y[nb] - y) - e (4 m + 2 m[nb]), taken on the segment from each knot to
+    its neighbour nb: the next knot, but the previous one at an open track's
+    end, where the spline ends naturally. So the Jacobian is
+    J = G + Kx T^-1 R Nx + Ky T^-1 R Ny with G, K, R and the normals N all
+    banded or diagonal, and `linearize(alpha)` gives it as the operator that
+    `minimize` takes. Each of its products and its step cost O(n) time and
+    memory, and `column_norms2` O(n) per column.
+    """
+    n, closed = len(track), track.closed
+    # segment k joins knots tail[k] and head[k]
+    tail = np.arange(n if closed else n - 1)
+    head = (tail + 1) % n
+    q = 1.0 / np.linalg.norm(track.xy[head] - track.xy[tail], axis=1)
+    w = 3.0 * q ** 2
+    knots = np.arange(n)
+    nb = head if closed else np.append(head, n - 2)
+    q_nb = q[np.minimum(knots, len(q) - 1)]
+    c = 6.0 * q_nb ** 2
+    e = q_nb if closed else np.append(q_nb[:-1], -q_nb[-1])
+    nrm = normals(track)
+
+    def spread(v):  # each segment's value added onto both its knots
+        out = np.zeros((n,) + v.shape[1:])
+        out[tail] += v
+        out[head] += v
+        return out
+
+    def to_nb(v):  # the transpose of v -> v[nb]
+        out = np.zeros_like(v)
+        np.add.at(out, nb, v)
+        return out
+
+    def r_apply(y):
+        return spread(w[:, None] * (y[head] - y[tail]))
+
+    def r_transpose(v):
+        z = w[:, None] * (v[head] + v[tail])
+        out = np.zeros_like(v)
+        out[head] += z
+        out[tail] -= z
+        return out
+
+    # each knot's place in the order 0, n-1, 1, n-2, ...: neighbours on a
+    # closed loop, across the seam too, lie at most two places apart
+    place = 2 * np.minimum(knots, n - 1 - knots) + (knots >= (n + 1) // 2)
+    order = np.argsort(place)
+    # T over those places, in upper symmetric band storage
+    t_diag = 2.0 * spread(q)
+    t_band = np.zeros((3, n))
+    t_band[2, place] = t_diag
+    near, far = np.sort([place[tail], place[head]], axis=0)
+    t_band[2 + near - far, far] = q
+    t_factor = cholesky_banded(t_band)
+
+    def t_solve(b):
+        return dpbtrs(t_factor, b[order])[0][place]
+
+    last = {}  # the latest alpha and its derivatives, which a step reuses
+
+    def derivatives(alpha):
+        if not np.array_equal(alpha, last.get("alpha")):
+            xy = track.xy + alpha[:, None] * nrm
+            m = t_solve(r_apply(xy))
+            d2 = c[:, None] * (xy[nb] - xy) - e[:, None] * (4.0 * m + 2.0 * m[nb])
+            last.update(alpha=alpha.copy(), m=m, d2=d2)
+        return last["m"], last["d2"]
 
     def kappa(alpha: np.ndarray) -> np.ndarray:
-        d1x, d1y, d2x, d2y = derivatives(alpha)
-        return (d1x * d2y - d1y * d2x) / (d1x ** 2 + d1y ** 2) ** 1.5
+        m, d2 = derivatives(alpha)
+        return (m[:, 0] * d2[:, 1] - m[:, 1] * d2[:, 0]) \
+            / (m[:, 0] ** 2 + m[:, 1] ** 2) ** 1.5
 
-    def jacobian(alpha: np.ndarray) -> np.ndarray:
-        # kappa = num / s^1.5 with num = d1x d2y - d1y d2x, s = d1x^2 + d1y^2;
-        # each spline derivative is D @ (xy0 + alpha n), linear in alpha
-        d1x, d1y, d2x, d2y = derivatives(alpha)
-        speed_sq = d1x ** 2 + d1y ** 2
+    # The step's KKT system, in LAPACK's general band storage: the
+    # Gauss-Newton model of the residual in the offset step d and the slope
+    # steps u, w, under T u = R (nx d) and T w = R (ny d).
+    size = _PER_KNOT * n
+
+    def at(var, k):
+        return _PER_KNOT * place[k] + var
+
+    def band_at(rows, cols):  # flat positions in column-major band storage
+        return (3 * _BAND + 1) * cols + 2 * _BAND + rows - cols
+
+    def symmetric(rows, cols, vals):  # entries and their transposes
+        return (np.concatenate([band_at(rows, cols), band_at(cols, rows)]),
+                np.tile(vals, 2))
+
+    # each residual row couples d, u, w at its knot and at nb
+    slots = np.column_stack([at(var, k) for k in (knots, nb)
+                             for var in (_OFFSET, _SLOPE_X, _SLOPE_Y)])
+    t_rows = np.concatenate([knots, tail, head])
+    t_cols = np.concatenate([knots, head, tail])
+    r_rows = np.concatenate([tail, tail, head, head])
+    r_cols = np.concatenate([head, tail, head, tail])
+    r_vals = np.concatenate([w, -w, w, -w])
+    t_at, t_vals = symmetric(
+        np.concatenate([at(_MULT_X, t_rows), at(_MULT_Y, t_rows)]),
+        np.concatenate([at(_SLOPE_X, t_cols), at(_SLOPE_Y, t_cols)]),
+        np.tile(np.concatenate([t_diag, q, q]), 2))
+    coupling_at, coupling_vals = symmetric(
+        np.concatenate([at(_MULT_X, r_rows), at(_MULT_Y, r_rows)]),
+        np.tile(at(_OFFSET, r_cols), 2),
+        -np.concatenate([r_vals * nrm[r_cols, 0], r_vals * nrm[r_cols, 1]]))
+    coupling_knot = np.tile(r_cols, 4)
+    model_at = np.concatenate([
+        band_at(slots[:, :, None], slots[:, None, :]).ravel(), coupling_at, t_at])
+    diag = at(_OFFSET, knots)
+
+    def linearize(alpha: np.ndarray) -> SimpleNamespace:
+        m, d2 = derivatives(alpha)
+        speed_sq = m[:, 0] ** 2 + m[:, 1] ** 2
         inv32 = speed_sq ** -1.5
-        c = 3.0 * (d1x * d2y - d1y * d2x) * inv32 / speed_sq
-        jx = (d2y * inv32 - d1x * c)[:, None] * d1_op \
-            - (d1y * inv32)[:, None] * d2_op
-        jy = (-d2x * inv32 - d1y * c)[:, None] * d1_op \
-            + (d1x * inv32)[:, None] * d2_op
-        return jx * nx + jy * ny
+        cross = 3.0 * (m[:, 0] * d2[:, 1] - m[:, 1] * d2[:, 0]) * inv32 / speed_sq
+        # the curvature's partials in the knot slopes and second derivatives
+        dk_dm = np.column_stack([d2[:, 1] * inv32 - m[:, 0] * cross,
+                                 -d2[:, 0] * inv32 - m[:, 1] * cross])
+        dk_d2 = np.column_stack([-m[:, 1] * inv32, m[:, 0] * inv32])
+        # J d = gs d + gn d[nb] + ks . dm + kn . dm[nb], T dm = R (d N)
+        gs = -c * np.sum(dk_d2 * nrm, axis=1)
+        gn = c * np.sum(dk_d2 * nrm[nb], axis=1)
+        ks = dk_dm - 4.0 * e[:, None] * dk_d2
+        kn = -2.0 * e[:, None] * dk_d2
 
-    return kappa, jacobian
+        def rmatvec(r):
+            v = t_solve(ks * r[:, None] + to_nb(kn * r[:, None]))
+            return gs * r + to_nb(gn * r) + np.sum(nrm * r_transpose(v), axis=1)
+
+        def column_norms2(mask):
+            cols = np.flatnonzero(mask)
+            out = np.empty(len(cols))
+            for start in range(0, len(cols), _CHUNK):
+                part = cols[start:start + _CHUNK]
+                unit = np.zeros((n, len(part)))
+                unit[part, np.arange(len(part))] = 1.0
+                # the slopes that one unit of data at each column moves
+                s = t_solve(r_apply(unit))
+                along = nrm[part].T
+                col = ((ks @ along) * s + (kn @ along) * s[nb]
+                       + gs[:, None] * unit + gn[:, None] * unit[nb])
+                out[start:start + len(part)] = np.einsum("ik,ik->k", col, col)
+            return out
+
+        def solve(free, b, reg):
+            # active offsets are pinned at 0 by a unit diagonal
+            coef = np.column_stack([gs * free, ks, gn * free[nb], kn])
+            vals = np.concatenate([(coef[:, :, None] * coef[:, None, :]).ravel(),
+                                   coupling_vals * free[coupling_knot], t_vals])
+            band = np.bincount(model_at, vals, minlength=(3 * _BAND + 1) * size
+                               ).reshape(size, -1).T
+            band[2 * _BAND, diag] += np.where(free, reg, 1.0)
+            rhs = np.zeros(size)
+            rhs[diag[free]] = b
+            return _solve_psd(band, rhs, diag[free])[diag[free]]
+
+        return SimpleNamespace(rmatvec=rmatvec, column_norms2=column_norms2,
+                               solve=solve)
+
+    return kappa, linearize
 
 
 # Armijo sufficient-decrease fraction, halvings tried along the projected arc,
@@ -221,44 +349,52 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _ACTIVE_WIDTH = 1e-3
 _REL_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
-def _solve_psd(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve h p = b for symmetric positive semi-definite h by Cholesky.
+def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Solve the KKT system of a Gauss-Newton step, given in LAPACK's general
+    band storage with _BAND sub- and super-diagonals, by banded LU.
 
-    Where h is singular (with reg = 0, offsets that leave every knot
-    curvature unchanged, such as a straight track's linear ones, span its
-    null space), the smallest diagonal damping, in steps of 100 from 1e-12
-    of h's largest diagonal entry, that lets the factorization succeed is
-    added.
+    The unknowns `block` carry the positive semi-definite normal matrix of
+    the free offsets. Where it is singular (with reg = 0, offsets that leave
+    every knot curvature unchanged, such as a straight track's linear ones,
+    span its null space), the smallest damping of that block, in steps of
+    100 from 1e-12 of its largest diagonal entry, that keeps every pivot of
+    the factorization above the machine epsilon times the system's size and
+    largest pivot is added.
     """
-    scale = float(np.max(np.diag(h), initial=0.0)) or 1.0
+    scale = float(np.max(band[2 * _BAND, block], initial=0.0)) or 1.0
     for damping in [0.0] + [scale * 10.0 ** k for k in range(-12, 1, 2)]:
-        try:
-            factor = cho_factor(h + damping * np.eye(len(h)))
-        except np.linalg.LinAlgError:
-            continue
-        return cho_solve(factor, b)
-    raise np.linalg.LinAlgError("no damping makes the normal matrix definite")
+        ab = band.copy(order="F")
+        ab[2 * _BAND, block] += damping
+        lu, piv, _ = dgbtrf(ab, _BAND, _BAND, overwrite_ab=True)
+        pivots = np.abs(lu[2 * _BAND])
+        if np.min(pivots) > _EPS * len(b) * np.max(pivots):
+            return dgbtrs(lu, _BAND, _BAND, b[:, None], piv)[0][:, 0]
+    raise np.linalg.LinAlgError("no damping makes the step's system regular")
 
 
 def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
              max_iters: int = 5000) -> OptimizeResult:
     """Projected Gauss-Newton on ||fun(x)||^2 + reg ||x||^2 over lo <= x <= hi.
 
-    `fun` gives the residual vector and `jac` its Jacobian. Each step solves
-    the normal equations (J^T J + reg I) p = -g on the free variables by
-    Cholesky and scales the gradient of the others by the diagonal; the free
-    set leaves out Bertsekas' epsilon-active bounds, those within epsilon
-    (the projected-gradient norm, capped at _ACTIVE_WIDTH) whose gradient
-    points out of the box. The step length is found by Armijo backtracking
-    along the projected arc x(b) = clip(x + b d, lo, hi) (Bertsekas, "Projected
-    Newton methods for optimization problems with simple constraints", 1982).
-    Succeeds when the objective drop falls to _REL_TOL of
-    max(|f_k|, |f_k+1|, 1), when the projected gradient is zero, or when no
-    step lowers the objective in floating point and the full step's
-    first-order drop is within that tolerance; otherwise fails, with the
-    last iterate, when `max_iters` steps are spent or no step lowers it.
+    `fun` gives the residual vector and `jac(x)` its Jacobian J at x as an
+    operator: `rmatvec(r)` = J^T r, `column_norms2(mask)` the squared norms
+    of the masked columns, and `solve(free, b, reg)` the p with
+    (J_f^T J_f + reg I) p = b on the free columns. Each step solves that
+    system for the free variables with b = -g and scales the gradient g of
+    the others by the diagonal; the free set leaves out Bertsekas'
+    epsilon-active bounds, those within epsilon (the projected-gradient
+    norm, capped at _ACTIVE_WIDTH) whose gradient points out of the box. The
+    step length is found by Armijo backtracking along the projected arc
+    x(b) = clip(x + b d, lo, hi) (Bertsekas, "Projected Newton methods for
+    optimization problems with simple constraints", 1982). Succeeds when the
+    objective drop falls to _REL_TOL of max(|f_k|, |f_k+1|, 1), when the
+    projected gradient is zero, or when no step lowers the objective in
+    floating point and the full step's first-order drop is within that
+    tolerance; otherwise fails, with the last iterate, when `max_iters`
+    steps are spent or no step lowers it.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
@@ -272,19 +408,17 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
 
     for nit in range(1, max_iters + 1):
         j = jac(x)
-        g = j.T @ r + reg * x  # half the gradient
+        g = j.rmatvec(r) + reg * x  # half the gradient
         projected = x - np.clip(x - g, lo, hi)
         if not projected.any():
             return result(True, "zero projected gradient")
-        h = j.T @ j
-        h[np.diag_indices_from(h)] += reg
         width = min(_ACTIVE_WIDTH, float(np.linalg.norm(projected)))
         active = (((x <= lo + width) & (g > 0.0))
                   | ((x >= hi - width) & (g < 0.0)))
         free = ~active
         d = np.zeros_like(x)
-        d[free] = -_solve_psd(h[np.ix_(free, free)], g[free])
-        diag = np.diag(h)[active]
+        d[free] = j.solve(free, -g[free], reg)
+        diag = j.column_norms2(active) + reg
         d[active] = -g[active] / np.where(diag > 0.0, diag, 1.0)
         slope = float(g[free] @ d[free])  # <= 0
         step = 1.0
@@ -319,15 +453,18 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
     problem, solved by projected Gauss-Newton (`minimize`) from the
     centerline, as in Heilmeier et al., "Minimum curvature trajectory
     planning and control for an autonomous race car", Vehicle System
-    Dynamics, 2019. Converges when the relative objective drop falls below
-    _REL_TOL; raises OptimizationError (carrying the best iterate) if the
-    iteration budget runs out first or no step lowers the objective.
+    Dynamics, 2019. The Jacobian stays in its banded factors
+    (`_curvature_residual`), so each step takes O(n) time and memory and
+    full circuits of thousands of points solve in seconds. Converges when
+    the relative objective drop falls below _REL_TOL; raises
+    OptimizationError (carrying the best iterate) if the iteration budget
+    runs out first or no step lowers the objective.
     """
     if reg < 0.0:
         raise ValueError("reg must be >= 0")
     lo, hi = alpha_bounds(track)
-    kappa, jacobian = _curvature_residual(track)
-    result = minimize(kappa, np.zeros(len(track)), jacobian, lo, hi, reg=reg,
+    kappa, linearize = _curvature_residual(track)
+    result = minimize(kappa, np.zeros(len(track)), linearize, lo, hi, reg=reg,
                       max_iters=max_iters)
     if not result.success:
         raise OptimizationError(

@@ -15,8 +15,9 @@ The velocity-profile oracle sweeps to a fixed point, the polyline
 oracle measures each segment with endpoint and cross-product distances, and
 the bicycle oracle runs RK4 on numpy state vectors. The body-frame oracle
 is the numpy transform that the controller's Python-float lateral offset
-replaced, and the raceline oracle the L-BFGS-B solve that the projected
-Gauss-Newton solver replaced, on derivative operators of its own.
+replaced, and the raceline oracles are the L-BFGS-B solve that the
+projected Gauss-Newton solver replaced and the dense n x n linearization
+that its banded one replaced, both on derivative operators of their own.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import numpy as np
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from gokart.geometry import body_to_world, normalize_angle
@@ -35,6 +37,7 @@ from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
                                scan_angles)
 from gokart.sim import MAX_DT, VehicleState
 from gokart.track import Track, VehicleLimits, alpha_bounds, normals
+from gokart.track import minimize as gn_minimize
 
 
 # --- track fixtures ----------------------------------------------------------
@@ -68,13 +71,16 @@ def oval_track(radius=20.0, straight=40.0, width=3.5, vhw=0.4) -> Track:
                              closed=True, vehicle_half_width=vhw)
 
 
-def wiggly_track(seed=3, n=60, radius=30.0, amp=4.0, width=3.0, vhw=0.4) -> Track:
+def wiggly_track(seed=3, n=60, radius=30.0, amp=4.0, width=3.0, vhw=0.4,
+                 closed=True) -> Track:
+    """A loop whose radius wiggles three and five times a lap; opened at the
+    seam unless `closed`."""
     rng = np.random.default_rng(seed)
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     coef = rng.normal(size=2)
     r = radius + amp * (np.sin(3 * th + coef[0]) + 0.5 * np.sin(5 * th + coef[1]))
     xy = np.column_stack([r * np.cos(th), r * np.sin(th)])
-    return Track.from_arrays(xy, width, width, closed=True,
+    return Track.from_arrays(xy, width, width, closed=closed,
                              vehicle_half_width=vhw)
 
 
@@ -87,12 +93,13 @@ def straight_track(n=12, spacing=2.0, width=2.0, vhw=0.4,
 
 
 def hairpin_track(length=30.0, gap=4.0, wide=2.5, narrow=0.8, heading=0.4,
-                  spacing=1.0) -> Track:
+                  spacing=1.0, closed=True) -> Track:
     """Two parallel straights `gap` apart joined by half circles, turned by
     `heading`. The first straight is `wide` each side, reaching past the
     midline between them; the second `narrow`. Between the straights the
     margin's sign then flips on the midline, where the nearest sample jumps
-    from one straight to the other."""
+    from one straight to the other. Unless `closed`, the loop is open
+    between its last and first point."""
     r = gap / 2.0
     n_straight = int(length / spacing)
     n_turn = max(int(math.pi * r / spacing), 4)
@@ -109,7 +116,7 @@ def hairpin_track(length=30.0, gap=4.0, wide=2.5, narrow=0.8, heading=0.4,
                             np.linspace(narrow, wide, n_turn)])
     c, s = math.cos(heading), math.sin(heading)
     xy = xy @ np.array([[c, s], [-s, c]])
-    return Track.from_arrays(xy, width, width, closed=True,
+    return Track.from_arrays(xy, width, width, closed=closed,
                              vehicle_half_width=0.4)
 
 
@@ -426,20 +433,34 @@ def velocity_profile_oracle(kappa, s, limits: VehicleLimits, *,
     return v
 
 
-def min_curvature_objective_oracle(track: Track, reg: float):
-    """The raceline objective, summed squared knot curvature of the offset
-    spline plus reg ||alpha||^2, and its analytic gradient, as one function
-    of alpha. The spline derivative operators are built here, from cubic
-    splines through the unit vectors on the centerline's chord lengths."""
+def knot_derivative_operators(track: Track) -> tuple[np.ndarray, np.ndarray]:
+    """The dense maps (D1, D2) from the spline data to its first and second
+    derivatives at the knots, on the centerline's chord lengths: cubic
+    splines through the unit vectors, a block of 256 at a time."""
     data = np.vstack([track.xy, track.xy[:1]]) if track.closed else track.xy
     t = np.concatenate([[0.0], np.cumsum(
         np.linalg.norm(np.diff(data, axis=0), axis=1))])
     knots = t[:-1] if track.closed else t
     n = len(track)
-    unit = np.vstack([np.eye(n), np.eye(n)[:1]]) if track.closed else np.eye(n)
-    sp = CubicSpline(t, unit, axis=0,
-                     bc_type="periodic" if track.closed else "natural")
-    d1_op, d2_op = sp(knots, 1), sp(knots, 2)
+    d1_op, d2_op = np.empty((n, n)), np.empty((n, n))
+    for start in range(0, n, 256):
+        cols = np.arange(start, min(start + 256, n))
+        unit = np.zeros((n, len(cols)))
+        unit[cols, cols - start] = 1.0
+        if track.closed:
+            unit = np.vstack([unit, unit[:1]])
+        sp = CubicSpline(t, unit, axis=0,
+                         bc_type="periodic" if track.closed else "natural")
+        d1_op[:, cols] = sp(knots, 1)
+        d2_op[:, cols] = sp(knots, 2)
+    return d1_op, d2_op
+
+
+def min_curvature_objective_oracle(track: Track, reg: float):
+    """The raceline objective, summed squared knot curvature of the offset
+    spline plus reg ||alpha||^2, and its analytic gradient, as one function
+    of alpha, on the dense derivative operators."""
+    d1_op, d2_op = knot_derivative_operators(track)
     nrm = normals(track)
     x0, y0 = track.xy[:, 0], track.xy[:, 1]
     nx, ny = nrm[:, 0], nrm[:, 1]
@@ -463,6 +484,76 @@ def min_curvature_objective_oracle(track: Track, reg: float):
         return value, gx * nx + gy * ny + 2.0 * reg * alpha
 
     return fg
+
+
+def dense_curvature_residual(track: Track):
+    """The knot curvatures of the offset spline and their dense n x n
+    Jacobian, on the dense derivative operators: the linearization that the
+    package's banded one replaced. Returns (kappa, jacobian)."""
+    d1_op, d2_op = knot_derivative_operators(track)
+    nrm = normals(track)
+    x0, y0 = track.xy[:, 0], track.xy[:, 1]
+    nx, ny = nrm[:, 0], nrm[:, 1]
+
+    def derivatives(alpha):
+        x = x0 + alpha * nx
+        y = y0 + alpha * ny
+        return d1_op @ x, d1_op @ y, d2_op @ x, d2_op @ y
+
+    def kappa(alpha):
+        d1x, d1y, d2x, d2y = derivatives(alpha)
+        return (d1x * d2y - d1y * d2x) / (d1x ** 2 + d1y ** 2) ** 1.5
+
+    def jacobian(alpha):
+        d1x, d1y, d2x, d2y = derivatives(alpha)
+        speed_sq = d1x ** 2 + d1y ** 2
+        inv32 = speed_sq ** -1.5
+        c = 3.0 * (d1x * d2y - d1y * d2x) * inv32 / speed_sq
+        jx = (d2y * inv32 - d1x * c)[:, None] * d1_op \
+            - (d1y * inv32)[:, None] * d2_op
+        jy = (-d2x * inv32 - d1y * c)[:, None] * d1_op \
+            + (d1x * inv32)[:, None] * d2_op
+        return jx * nx + jy * ny
+
+    return kappa, jacobian
+
+
+class DenseJacobian:
+    """A dense Jacobian as the operator `gokart.track.minimize` takes: the
+    normal matrix is formed and its free block solved by Cholesky, damped as
+    the dense solver did where it is singular."""
+
+    def __init__(self, j: np.ndarray):
+        self.j = j
+
+    def rmatvec(self, r):
+        return self.j.T @ r
+
+    def column_norms2(self, mask):
+        return np.sum(self.j[:, mask] ** 2, axis=0)
+
+    def solve(self, free, b, reg):
+        jf = self.j[:, free]
+        h = jf.T @ jf + reg * np.eye(len(b))
+        scale = float(np.max(np.diag(h), initial=0.0)) or 1.0
+        for damping in [0.0] + [scale * 10.0 ** k for k in range(-12, 1, 2)]:
+            try:
+                factor = cho_factor(h + damping * np.eye(len(h)))
+            except np.linalg.LinAlgError:
+                continue
+            return cho_solve(factor, b)
+        raise np.linalg.LinAlgError("no damping makes the normal matrix definite")
+
+
+def minimize_dense_oracle(track: Track, reg: float = 1e-6,
+                          max_iters: int = 5000):
+    """The package's projected Gauss-Newton solve of the raceline, from the
+    centerline, on the dense linearization; returns its OptimizeResult."""
+    kappa, jacobian = dense_curvature_residual(track)
+    lo, hi = alpha_bounds(track)
+    return gn_minimize(kappa, np.zeros(len(track)),
+                       lambda alpha: DenseJacobian(jacobian(alpha)), lo, hi,
+                       reg=reg, max_iters=max_iters)
 
 
 def optimize_min_curvature_lbfgsb_oracle(track: Track, reg: float = 1e-6,

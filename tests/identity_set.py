@@ -32,8 +32,8 @@ from gokart.localization import GeoFix, LocalPoint, local_to_geo  # noqa: E402
 from gokart.perception import BevConfig  # noqa: E402
 from gokart.sim import (TrackSampler, VehicleState,  # noqa: E402
                         default_camera_homography, render_scene)
-from helpers import (oval_track, straight_track, wiggly_track,  # noqa: E402
-                     write_track_csv)
+from helpers import (hairpin_track, oval_track, straight_track,  # noqa: E402
+                     wiggly_track, write_track_csv)
 
 # the README's pursuit scenario on the 45 s oval
 README = ("mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
@@ -121,6 +121,7 @@ def main_set() -> None:
         write_track_csv(root / "straight.csv",
                         straight_track(n=20, spacing=2.0, width=3.0))
         write_track_csv(root / "wiggly.csv", wiggly_track())
+        write_track_csv(root / "hairpin_open.csv", hairpin_track(closed=False))
         write_replay_log(root / "replay.csv")
         write_scene(root)
         entries = {}
@@ -132,6 +133,10 @@ def main_set() -> None:
         entries["optimize_oval"] = ["optimize-raceline",
                                     str(root / "oval.csv"),
                                     "--set", "track.closed=true"]
+        # the open spline's natural ends
+        entries["optimize_open_hairpin"] = ["optimize-raceline",
+                                            str(root / "hairpin_open.csv"),
+                                            "--set", "track.closed=false"]
         # the README's pursuit on the raceline optimize_oval writes
         (root / "raceline_pursuit.txt").write_text(
             README + "raceline = out/optimize_oval/raceline.csv\n")

@@ -329,6 +329,8 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["boundary_violations"] == 0
         assert report["first_fix_s"] == 0.0
+        # 45 s of pursuit on the oval drive 222.7 m
+        assert report["distance_m"] == pytest.approx(222.7, abs=0.05)
         assert (tmp_path / "out" / "poses.csv").exists()
         assert (tmp_path / "out" / "commands.csv").exists()
         assert (tmp_path / "out" / "frames.csv").exists()
@@ -456,6 +458,24 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["first_fix_s"] is None
         assert report["max_cross_track_error_m"] == 0.0
+
+    @pytest.mark.parametrize("overrides", [
+        # the kill switch holds from the start
+        ["kill_at_s=0"],
+        # every raceline speed quantizes to 0 mm/s on the command frame
+        ["limits.v_max=1e-6"]])
+    def test_never_moved_exits_1(self, tmp_path, capsys, overrides):
+        # the zero error and violation counts must not pass for a clean run
+        self._write_oval(tmp_path)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        rc = main(["simulate", str(tmp_path / "scenario.txt"), *sets,
+                   "--set", "duration_s=5", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "never moved" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["distance_m"] == 0.0
+        assert report["first_fix_s"] == 0.0
+        assert report["boundary_violations"] == 0
 
     def test_config_file_merges_under_scenario_file(self, tmp_path):
         self._write_oval(tmp_path)

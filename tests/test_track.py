@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gokart.track import (OptimizationError, Raceline, Track,
-                          TrackFormatError, VehicleLimits, alpha_bounds,
+                          TrackFormatError, VehicleLimits,
+                          _curvature_residual, alpha_bounds,
                           build_raceline, centerline_curvature_cost,
                           curvature_at, estimated_lap_time, fit_spline,
                           minimize, normals, offset_curvature_cost,
                           optimize_min_curvature, read_raceline_csv,
                           read_track_csv, resample_raceline,
                           velocity_profile, write_raceline_csv)
-from helpers import (circle_track, min_curvature_objective_oracle,
+from helpers import (DenseJacobian, circle_track, dense_curvature_residual,
+                     hairpin_track, min_curvature_objective_oracle,
+                     minimize_dense_oracle,
                      optimize_min_curvature_lbfgsb_oracle, oval_track,
                      straight_track, velocity_profile_oracle, wiggly_track,
                      write_track_csv)
@@ -126,6 +129,66 @@ class TestTrackModel:
         np.testing.assert_allclose(lo, -1.5)
 
 
+def circuit_1920():
+    """A 1.9 km closed circuit at 1 m spacing."""
+    return wiggly_track(seed=5, n=1920, radius=300.0, amp=40.0)
+
+
+def open_road_2000():
+    """A 2 km open road at 1 m spacing."""
+    return wiggly_track(seed=6, n=2000, radius=320.0, amp=40.0, closed=False)
+
+
+def wiggly_seed_11():
+    return wiggly_track(seed=11)
+
+
+def open_hairpin():
+    return hairpin_track(closed=False)
+
+
+def assert_close(got, want, rel=1e-9):
+    """Equal to `rel` of the largest entry of `want`."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestBandedLinearization:
+    """The banded curvature residual and Jacobian against the dense
+    operators, at offsets that reach both bounds."""
+
+    FIXTURES = (circle_track, oval_track, wiggly_track, wiggly_seed_11,
+                straight_track, open_hairpin)
+
+    @staticmethod
+    def linearized(fixture):
+        tr = fixture()
+        lo, hi = alpha_bounds(tr)
+        alpha = np.random.default_rng(len(tr)).uniform(lo, hi)
+        alpha[::5] = lo[::5]
+        alpha[2::7] = hi[2::7]
+        kappa, linearize = _curvature_residual(tr)
+        dense_kappa, jacobian = dense_curvature_residual(tr)
+        active = (alpha == lo) | (alpha == hi)
+        return (kappa(alpha), linearize(alpha), dense_kappa(alpha),
+                DenseJacobian(jacobian(alpha)), active)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_kappa_gradient_and_active_columns(self, fixture):
+        kappa, banded, dense_kappa, dense, active = self.linearized(fixture)
+        assert active.any() and not active.all()
+        assert_close(kappa, dense_kappa)
+        assert_close(banded.rmatvec(kappa), dense.rmatvec(dense_kappa))
+        assert_close(banded.column_norms2(active), dense.column_norms2(active))
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_free_step(self, fixture, reg):
+        _, banded, _, dense, active = self.linearized(fixture)
+        free = ~active
+        b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
+        assert_close(banded.solve(free, b, reg), dense.solve(free, b, reg))
+
+
 class TestOptimizer:
     def test_straight_track_stays_centered(self):
         alpha = optimize_min_curvature(straight_track())
@@ -164,6 +227,7 @@ class TestOptimizer:
     # test_04's fixtures
     SOLVER_FIXTURES = (circle_track, oval_track, wiggly_track,
                        lambda: wiggly_track(seed=11), straight_track)
+    SCALE_FIXTURES = (circuit_1920, open_road_2000)
 
     @pytest.mark.parametrize("fixture", SOLVER_FIXTURES)
     def test_objective_no_higher_than_lbfgsb_oracle(self, fixture):
@@ -174,6 +238,15 @@ class TestOptimizer:
         assert got <= want + 1e-12  # ties may differ in rounding
 
     @pytest.mark.parametrize("fixture", SOLVER_FIXTURES)
+    def test_objective_no_higher_than_dense_oracle(self, fixture):
+        # the same solver on the dense n x n linearization it replaced
+        tr = fixture()
+        objective = min_curvature_objective_oracle(tr, 1e-6)
+        got, _ = objective(optimize_min_curvature(tr, reg=1e-6))
+        want, _ = objective(minimize_dense_oracle(tr, reg=1e-6).x)
+        assert got <= want * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("fixture", SOLVER_FIXTURES + SCALE_FIXTURES)
     def test_projected_gradient_vanishes(self, fixture):
         # first-order optimality on the box: a projected gradient step from
         # the solution goes nowhere
@@ -181,6 +254,7 @@ class TestOptimizer:
         alpha = optimize_min_curvature(tr, reg=1e-6)
         _, grad = min_curvature_objective_oracle(tr, 1e-6)(alpha)
         lo, hi = alpha_bounds(tr)
+        assert np.all(alpha >= lo) and np.all(alpha <= hi)
         assert np.max(np.abs(alpha - np.clip(alpha - grad, lo, hi))) < 1e-5
 
     @pytest.mark.parametrize("reg", [0.0, 1e-6, 1.0])
@@ -201,7 +275,7 @@ class TestOptimizer:
         # a Jacobian of the wrong sign makes every step go uphill: the
         # backtracking ends, and the start comes back as a failure
         start = np.array([0.5, -0.25])
-        result = minimize(lambda x: x, start, lambda x: -np.eye(2),
+        result = minimize(lambda x: x, start, lambda x: DenseJacobian(-np.eye(2)),
                           -np.ones(2), np.ones(2))
         assert not result.success and result.nit == 1
         assert "no decrease" in result.message
