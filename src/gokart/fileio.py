@@ -98,7 +98,8 @@ def write_table(path, columns, rows) -> None:
 
 def read_netpbm(path, magic: bytes, error: type[Exception]) -> np.ndarray:
     """Read a binary PGM (magic b"P5", (H, W)) or PPM (b"P6", (H, W, 3))
-    uint8 image with maxval 255; `#` comments in the header are skipped."""
+    uint8 image with maxval 255 and at least one pixel; `#` comments in the
+    header are skipped."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, pos = [], 0
@@ -114,8 +115,8 @@ def read_netpbm(path, magic: bytes, error: type[Exception]) -> np.ndarray:
         w, h, maxval = (int(tok) for tok in tokens[1:])
     except ValueError:
         raise error(f"{path}: malformed image header") from None
-    if w < 0 or h < 0:
-        raise error(f"{path}: negative image size")
+    if w < 1 or h < 1:
+        raise error(f"{path}: image size must be at least 1 x 1, got {w} x {h}")
     if maxval != 255:
         raise error(f"{path}: only maxval 255 is supported")
     channels = _NETPBM_CHANNELS[magic]

@@ -103,15 +103,29 @@ class DepthScan:
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, kernel radius ceil(3 sigma), edges clamped."""
+    """Separable Gaussian blur, kernel radius ceil(3 sigma), edges clamped.
+
+    Each channel plane is filtered down the columns straight from uint8
+    (ndimage widens every line to float64 in its own buffer, so the sums are
+    those of filtering `img.astype(float)`), then along the rows, then
+    rounded and clipped back to uint8. Takes (H, W) or (H, W, C) images,
+    strided views included.
+    """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     radius = math.ceil(3.0 * sigma)
-    out = img.astype(float)
-    for axis in (0, 1):
-        out = ndimage.gaussian_filter1d(out, sigma, axis=axis, mode="nearest",
-                                        radius=radius)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    planes = img[..., None] if img.ndim == 2 else img
+    out = np.empty(planes.shape, dtype=np.uint8)
+    cols = np.empty(planes.shape[:2])
+    rows = np.empty(planes.shape[:2])
+    for c in range(planes.shape[2]):
+        ndimage.gaussian_filter1d(planes[..., c], sigma, axis=0, output=cols,
+                                  mode="nearest", radius=radius)
+        ndimage.gaussian_filter1d(cols, sigma, axis=1, output=rows,
+                                  mode="nearest", radius=radius)
+        np.clip(np.rint(rows, out=rows), 0, 255, out=rows)
+        out[..., c] = rows
+    return out.reshape(img.shape)
 
 
 def grass_mask(img: np.ndarray, tau: float) -> np.ndarray:
@@ -121,30 +135,56 @@ def grass_mask(img: np.ndarray, tau: float) -> np.ndarray:
     return (0.6 * g - b >= tau).astype(np.uint8)
 
 
+def _runs(work: np.ndarray, size: int, axis: int, op) -> np.ndarray:
+    """`op` (logical and/or) over every `size` consecutive lines along
+    `axis`: out[i] = op(work[i], ..., work[i + size - 1]), n - size + 1 lines.
+
+    Runs of 1, 2, 4, ... lines are built by doubling, and the last run is two
+    overlapping power-of-two runs, so this takes O(log size) array passes.
+    """
+    work = np.moveaxis(work, axis, 0)
+    width = 1
+    while 2 * width <= size:
+        work = op(work[:-width], work[width:])
+        width *= 2
+    if width < size:
+        work = op(work[:width - size], work[size - width:])
+    return np.moveaxis(work, 0, axis)
+
+
 def morph_open_close(mask: np.ndarray, radius: int) -> np.ndarray:
     """Opening then closing with a square structuring element of side
     2 radius + 1.
 
-    The mask is zero-padded by 2 radius before the operations so the result
-    matches the infinite-plane morphology restricted to the frame (no border
-    artifacts, and the combined filter stays idempotent). The square element
-    is separable: each erosion (dilation) is a row then a column minimum
-    (maximum) filter, with zeros beyond the padded frame.
+    The result is the infinite-plane morphology of the mask (zero beyond the
+    frame) restricted to the frame, so there are no border artifacts and the
+    combined filter stays idempotent. The square element is separable, and
+    each pass keeps only the lines whose window lies inside its array:
+    the erosion leaves the frame's interior core; the opening's and the
+    closing's dilations compose into one dilation of side 4 radius + 1, run
+    on the core placed in zeros; the last erosion brings that back to the
+    frame. When 2 radius + 1 exceeds a side of the frame, the erosion
+    empties the frame and the result is all zeros.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    pad = 2 * radius
     size = 2 * radius + 1
-
-    def sweep(work, line_filter):
-        for axis in (0, 1):
-            work = line_filter(work, size, axis=axis, mode="constant", cval=0)
-        return work
-
-    work = np.pad(mask.astype(bool), pad, mode="constant")
-    work = sweep(sweep(work, ndimage.minimum_filter1d), ndimage.maximum_filter1d)
-    work = sweep(sweep(work, ndimage.maximum_filter1d), ndimage.minimum_filter1d)
-    return work[pad:-pad, pad:-pad].astype(np.uint8)
+    if size > min(mask.shape):
+        return np.zeros(mask.shape, dtype=np.uint8)
+    # erosion: the (H - 2r, W - 2r) core
+    work = mask.astype(bool)
+    for axis in (0, 1):
+        work = _runs(work, size, axis, np.logical_and)
+    # dilation by 4r + 1, out to r beyond the frame: each axis reads the
+    # core with 4r zeros on either side
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (4 * radius, 4 * radius)
+        work = _runs(np.pad(work, pad), 2 * size - 1, axis, np.logical_or)
+    # erosion back to the (H, W) frame
+    for axis in (0, 1):
+        work = _runs(work, size, axis, np.logical_and)
+    return work.view(np.uint8)
 
 
 def homography_from_points(src, dst) -> np.ndarray:
@@ -277,8 +317,8 @@ def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
     Returns (scan, grass mask, BEV mask); the masks are the Fig-style debug
     stages.
     """
-    # grass_mask reads only green and blue, so red is left unblurred
-    blurred = img.copy()
+    # grass_mask reads only green and blue, so red stays zero
+    blurred = np.zeros_like(img)
     blurred[..., 1:] = gaussian_blur(img[..., 1:], cfg.blur_sigma)
     mask = grass_mask(blurred, cfg.tau)
     mask = morph_open_close(mask, cfg.morph_radius)

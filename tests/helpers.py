@@ -5,10 +5,11 @@ oracle enumerates every subsequence, the scan oracle marches the true
 geometry in meters, haversine is the textbook great-circle formula, and the
 linear Kalman reference is written out long-hand. The EKF cycle oracle is
 the plain numpy filter (BLAS products and LAPACK's solve) that the package's
-Python-float filter replaced. The frame-stage oracles (rendering, morphology, warp, ray march,
-the whole perception pipeline) recompute every pixel map per call and use
-the plain 2-D morphology, so the memoized and separable versions in the
-package must match them exactly.
+Python-float filter replaced. The frame-stage oracles (rendering, blur, morphology, warp, ray march,
+the whole perception pipeline) recompute every pixel map per call, blur a
+float64 copy of the whole image and use the plain 2-D morphology, so the
+memoized, per-channel and sliced versions in the package must match them
+exactly.
 The grass-mask and scan oracles read the sign of the nearest-sample margin
 for every point, never the certified world cells of `TrackSampler.inside`.
 The velocity-profile oracle sweeps to a fixed point, the polyline
@@ -33,8 +34,7 @@ from scipy.optimize import minimize
 from gokart.geometry import body_to_world, normalize_angle
 from gokart.localization import GNSS_DROPOUT_VARIANCE, EkfState
 from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
-                               apply_homography, gaussian_blur, grass_mask,
-                               scan_angles)
+                               apply_homography, grass_mask, scan_angles)
 from gokart.sim import MAX_DT, VehicleState
 from gokart.track import Track, VehicleLimits, alpha_bounds, normals
 from gokart.track import minimize as gn_minimize
@@ -629,6 +629,17 @@ def render_scene_oracle(sampler, pose, h, front_width, front_height,
     return img
 
 
+def gaussian_blur_oracle(img, sigma) -> np.ndarray:
+    """The two 1-D Gaussian passes (axis 0, then axis 1) on a float64 copy
+    of the whole image, rounded and clipped back to uint8."""
+    radius = math.ceil(3.0 * sigma)
+    out = img.astype(float)
+    for axis in (0, 1):
+        out = ndimage.gaussian_filter1d(out, sigma, axis=axis, mode="nearest",
+                                        radius=radius)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
 def morph_open_close_oracle(mask, radius) -> np.ndarray:
     """Opening then closing with the full square element on the mask
     zero-padded by 2 radius."""
@@ -679,7 +690,7 @@ def mask_to_depth_oracle(bev_mask, bev) -> DepthScan:
 def detect_boundaries_oracle(img, h, cfg, bev):
     """The perception pipeline with all three channels blurred and the
     oracle stages above."""
-    mask = grass_mask(gaussian_blur(img, cfg.blur_sigma), cfg.tau)
+    mask = grass_mask(gaussian_blur_oracle(img, cfg.blur_sigma), cfg.tau)
     mask = morph_open_close_oracle(mask, cfg.morph_radius)
     bev_mask = warp_to_bev_oracle(mask, h, bev)
     return mask_to_depth_oracle(bev_mask, bev), mask, bev_mask

@@ -27,7 +27,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gokart.cli import main  # noqa: E402
-from gokart.fileio import write_netpbm  # noqa: E402
+from gokart.fileio import read_netpbm, write_netpbm  # noqa: E402
 from gokart.localization import GeoFix, LocalPoint, local_to_geo  # noqa: E402
 from gokart.perception import BevConfig  # noqa: E402
 from gokart.sim import (TrackSampler, VehicleState,  # noqa: E402
@@ -99,6 +99,17 @@ def write_scene(root: Path) -> None:
     (root / "h.txt").write_text(" ".join(map(repr, h.ravel().tolist())))
 
 
+def write_noisy_scene(root: Path) -> None:
+    """scene_noisy.ppm: scene.ppm plus seeded uniform noise of +-100,
+    clipped to 0-255, so no blur window is uniform and every channel value
+    from 0 to 255 occurs."""
+    img = read_netpbm(root / "scene.ppm", b"P6", ValueError).astype(int)
+    noise = np.random.default_rng(17).integers(-100, 101, size=img.shape)
+    noisy = np.clip(img + noise, 0, 255).astype(np.uint8)
+    assert len(np.unique(noisy)) == 256
+    write_netpbm(root / "scene_noisy.ppm", noisy)
+
+
 def run(argv, out: Path) -> list[str]:
     """One entry's lines: exit code, masked stdout and stderr, and the
     sha256 of every file the run wrote."""
@@ -124,6 +135,7 @@ def main_set() -> None:
         write_track_csv(root / "hairpin_open.csv", hairpin_track(closed=False))
         write_replay_log(root / "replay.csv")
         write_scene(root)
+        write_noisy_scene(root)
         entries = {}
         for name, (text, sets) in SIMULATE.items():
             (root / f"{name}.txt").write_text(text)
@@ -144,6 +156,11 @@ def main_set() -> None:
                                        str(root / "raceline_pursuit.txt")]
         entries["perceive_debug"] = ["perceive", str(root / "scene.ppm"),
                                      str(root / "h.txt"), "--debug"]
+        entries["perceive_noisy"] = ["perceive", str(root / "scene_noisy.ppm"),
+                                     str(root / "h.txt"),
+                                     "--set", "perception.blur_sigma=1.3",
+                                     "--set", "perception.morph_radius=3",
+                                     "--debug"]
         for name, argv in entries.items():
             print(f"== {name}")
             for line in run(argv, root / "out" / name):

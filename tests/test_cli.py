@@ -286,6 +286,17 @@ class TestPerceive:
                    str(tmp_path / "h.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("size", ["0 0", "0 5", "5 0"])
+    def test_empty_image_exits_2(self, tmp_path, capsys, size):
+        # a frame without pixels would give a scan with no grass, not an error
+        (tmp_path / "scene.ppm").write_bytes(f"P6\n{size}\n255\n".encode())
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "scene.ppm")
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
     def test_bad_homography_file_exits_2(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         write_netpbm(tmp_path / "scene.ppm", img)
@@ -344,6 +355,20 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "scans.csv").exists()
+
+    def test_ftg_morph_radius_past_the_frame_runs(self, tmp_path):
+        # the opening empties every frame: no grass seen, no padded frame
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 1\nseed = 3\n")
+        rc = main(["simulate", str(tmp_path / "s.txt"),
+                   "--set", "perception.morph_radius=1000000",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        scans = np.loadtxt(tmp_path / "out" / "scans.csv", delimiter=",",
+                           skiprows=1)
+        np.testing.assert_array_equal(scans[:, 2], BevConfig().max_range)
 
     def test_missing_track_exits_2(self, tmp_path):
         (tmp_path / "s.txt").write_text(

@@ -14,8 +14,8 @@ from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
                                warp_to_bev, write_scan_csv)
 from gokart.sim import default_camera_homography
 from helpers import (alternating, detect_boundaries_oracle,
-                     mask_to_depth_oracle, morph_open_close_oracle,
-                     warp_to_bev_oracle)
+                     gaussian_blur_oracle, mask_to_depth_oracle,
+                     morph_open_close_oracle, warp_to_bev_oracle)
 
 
 def random_mask(rng, shape, dense=None):
@@ -50,6 +50,26 @@ class TestGaussianBlur:
             a = float(img[inner + (c,)].sum())
             b = float(out[inner + (c,)].sum())
             assert b == pytest.approx(a, rel=0.01)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.5, 2.0, 3.7])
+    def test_matches_float_oracle_bit_for_bit(self, sigma):
+        rng = np.random.default_rng(int(sigma * 10))
+        shapes = [(37, 45), (37, 45, 1), (37, 45, 2), (37, 45, 3),
+                  (1, 1), (1, 1, 3), (1, 29), (29, 1, 2), (3, 4, 3), (12, 2)]
+        for shape in shapes:
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            out = gaussian_blur(img, sigma)
+            assert out.dtype == np.uint8 and out.shape == img.shape
+            np.testing.assert_array_equal(out, gaussian_blur_oracle(img, sigma))
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.5, 2.0, 3.7])
+    def test_strided_views_match_float_oracle(self, sigma):
+        rng = np.random.default_rng(7)
+        img = rng.integers(0, 256, size=(41, 53, 3), dtype=np.uint8)
+        for view in (img[..., 1:], img[..., 2], img[::2, ::3],
+                     img[5:9, ::-1, :2], img[:, :, ::-1]):
+            np.testing.assert_array_equal(gaussian_blur(view, sigma),
+                                          gaussian_blur_oracle(view, sigma))
 
 
 class TestGrassMask:
@@ -103,7 +123,7 @@ class TestMorphology:
         # the separable row/column passes against the 2-D element
         rng = np.random.default_rng(12)
         for _ in range(120):
-            radius = int(rng.integers(1, 4))
+            radius = int(rng.integers(1, 7))
             shape = tuple(int(v) for v in rng.integers(8, 48, size=2))
             mask = random_mask(rng, shape)
             out = morph_open_close(mask, radius)
@@ -119,13 +139,45 @@ class TestMorphology:
                 morph_open_close(mask, radius),
                 morph_open_close_oracle(mask, radius))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (3, 1),
+                                       (1, 3), (5, 5), (9, 14), (31, 26)])
+    def test_thin_tiny_and_uniform_masks_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for radius in range(1, 7):
+            for mask in (np.zeros(shape, np.uint8), np.ones(shape, np.uint8),
+                         random_mask(rng, shape)):
+                out = morph_open_close(mask, radius)
+                assert out.dtype == np.uint8 and out.shape == mask.shape
+                np.testing.assert_array_equal(
+                    out, morph_open_close_oracle(mask, radius))
+
+    def test_radius_past_the_frame_gives_zeros(self):
+        # a window wider than a side always reaches the zero padding, so
+        # the opening empties the frame; no padded frame is built
+        mask = np.ones((240, 320), dtype=np.uint8)
+        out = morph_open_close(mask, 10**6)
+        assert out.dtype == np.uint8 and out.shape == mask.shape
+        assert not out.any()
+
+    @pytest.mark.parametrize("shape", [(40, 52), (21, 14), (15, 22), (14, 15)])
+    def test_radius_near_half_the_frame_matches_oracle(self, shape):
+        rng = np.random.default_rng(14)
+        half = min(shape) // 2
+        for radius in (half - 1, half, half + 1):
+            for mask in (np.ones(shape, np.uint8),
+                         random_mask(rng, shape, dense=0.97)):
+                np.testing.assert_array_equal(
+                    morph_open_close(mask, radius),
+                    morph_open_close_oracle(mask, radius))
+
     def test_idempotent_on_random_masks(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            mask = (rng.random((24, 24)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
-            once = morph_open_close(mask, 1)
-            twice = morph_open_close(once, 1)
-            np.testing.assert_array_equal(once, twice)
+        for radius in (1, 2, 3):
+            for _ in range(100):
+                mask = (rng.random((24, 24)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+                once = morph_open_close(mask, radius)
+                twice = morph_open_close(once, radius)
+                np.testing.assert_array_equal(once, twice)
 
 
 class TestHomography:
@@ -413,6 +465,14 @@ class TestImageFiles:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         with pytest.raises(ImageFormatError):
             read_netpbm(path, b"P6", ImageFormatError)
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    @pytest.mark.parametrize("size", [b"0 0", b"0 5", b"5 0"])
+    def test_empty_image_rejected(self, tmp_path, magic, size):
+        path = tmp_path / "empty.pnm"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n")
+        with pytest.raises(ImageFormatError, match="empty.pnm"):
+            read_netpbm(path, magic, ImageFormatError)
 
     def test_scan_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
