@@ -103,6 +103,8 @@ def cmd_localize(args) -> int:
 def cmd_perceive(args) -> int:
     cfg = build_scenario(_gather_raw(args))
     img = read_netpbm(args.image_ppm, b"P6", ImageFormatError)
+    cfg.perception.require_fits(img.shape[1], img.shape[0],
+                                f"the {img.shape[1]}x{img.shape[0]} image")
     h = load_homography(args.homography)
     scan, mask, bev_mask = detect_boundaries(img, h, cfg.perception, cfg.bev)
     out = _out_dir(args)

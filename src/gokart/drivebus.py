@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -58,11 +59,14 @@ class DriveCommand:
     kill: bool = False
 
     def __post_init__(self):
-        if abs(self.steering) > STEERING_LIMIT + 1e-9:
+        # one comparison per value on the valid path; nan fails them all
+        if not abs(self.steering) <= STEERING_LIMIT + 1e-9:
             raise ValueError(
-                f"steering exceeds the {STEERING_LIMIT} rad physical limit")
-        if self.speed < 0.0:
-            raise ValueError("speed must be >= 0")
+                f"steering exceeds the {STEERING_LIMIT} rad physical limit"
+                if math.isfinite(self.steering) else "steering must be finite")
+        if not 0.0 <= self.speed < math.inf:
+            raise ValueError("speed must be >= 0" if self.speed < 0.0 else
+                             "speed must be finite")
         if not 0.0 <= self.brake <= 1.0:
             raise ValueError("brake must be in [0, 1]")
 
@@ -86,20 +90,26 @@ class SubsystemFeedback:
     brake_pressure: float = 0.0
 
 
-def _sat(value: float, lo: int, hi: int) -> int:
-    return int(min(max(round(value), lo), hi))
-
+# Each encoder rounds half to even first, so nan and inf raise there
+# (ValueError, OverflowError), and then saturates the integer inline.
 
 def encode_command(cmd: DriveCommand, seq: int = 0) -> CanFrame:
     """Pack a command into its wire frame; scaled values saturate."""
-    payload = _COMMAND.pack(
-        _sat(cmd.steering * STEERING_SCALE, -32768, 32767),
-        _sat(cmd.speed * SPEED_SCALE, -32768, 32767),
-        _sat(cmd.brake * BRAKE_SCALE, 0, 65535),
-        (int(cmd.kill) & 0x1) | ((int(cmd.mode) & 0x3) << 1),
-        seq % 256,
-    )
-    return CanFrame(COMMAND_FRAME_ID, payload)
+    steering = round(cmd.steering * STEERING_SCALE)
+    speed = round(cmd.speed * SPEED_SCALE)
+    brake = round(cmd.brake * BRAKE_SCALE)
+    return CanFrame(COMMAND_FRAME_ID, _COMMAND.pack(
+        -32768 if steering < -32768 else 32767 if steering > 32767
+        else steering,
+        -32768 if speed < -32768 else 32767 if speed > 32767 else speed,
+        0 if brake < 0 else 65535 if brake > 65535 else brake,
+        (cmd.kill & 0x1) | ((cmd.mode & 0x3) << 1),
+        seq & 255,
+    ))
+
+
+# mode bits 1-2 of the flags byte -> Mode; the value 3 names no mode
+_MODE_BITS = (Mode.MANUAL, Mode.REMOTE, Mode.AUTONOMOUS)
 
 
 def decode_command(frame: CanFrame) -> DriveCommand:
@@ -107,40 +117,43 @@ def decode_command(frame: CanFrame) -> DriveCommand:
     if frame.can_id != COMMAND_FRAME_ID:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
     steering, speed, brake, flags, _seq = _COMMAND.unpack(frame.payload)
-    return DriveCommand(
-        steering=steering / STEERING_SCALE,
-        speed=speed / SPEED_SCALE,
-        brake=brake / BRAKE_SCALE,
-        mode=Mode((flags >> 1) & 0x3),
-        kill=bool(flags & 0x1),
-    )
+    bits = (flags >> 1) & 0x3
+    if bits == 3:
+        raise FrameDecodeError(f"mode bits {bits} name no mode")
+    return DriveCommand(steering / STEERING_SCALE, speed / SPEED_SCALE,
+                        brake / BRAKE_SCALE, _MODE_BITS[bits],
+                        bool(flags & 0x1))
 
 
-# feedback id -> (SubsystemFeedback field, wire scale, payload struct
-# (value, five pad bytes, sequence), saturation range of the raw value)
+# feedback id -> (SubsystemFeedback field position, wire scale, payload
+# struct (value, five pad bytes, sequence), saturation range of the raw value)
 _FEEDBACK = {
-    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, _INT16, (-32768, 32767)),
-    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, _INT16,
-                       (-32768, 32767)),
-    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, _UINT16, (0, 65535)),
+    TBWS_FEEDBACK_ID: (0, SPEED_SCALE, _INT16, -32768, 32767),
+    SBWS_FEEDBACK_ID: (1, STEERING_SCALE, _INT16, -32768, 32767),
+    EBS_FEEDBACK_ID: (2, BRAKE_SCALE, _UINT16, 0, 65535),
 }
 
 
 def encode_feedback(can_id: int, value: float, seq: int = 0) -> CanFrame:
-    if can_id not in _FEEDBACK:
+    spec = _FEEDBACK.get(can_id)
+    if spec is None:
         raise ValueError(f"not a feedback id: 0x{can_id:03x}")
-    _, scale, payload, (lo, hi) = _FEEDBACK[can_id]
-    return CanFrame(can_id, payload.pack(_sat(value * scale, lo, hi),
-                                         seq % 256))
+    _, scale, payload, lo, hi = spec
+    raw = round(value * scale)
+    return CanFrame(can_id, payload.pack(
+        lo if raw < lo else hi if raw > hi else raw, seq & 255))
 
 
 def apply_feedback(fb: SubsystemFeedback, frame: CanFrame) -> SubsystemFeedback:
     """Fold one feedback frame into the gathered subsystem state."""
-    if frame.can_id not in _FEEDBACK:
+    spec = _FEEDBACK.get(frame.can_id)
+    if spec is None:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
-    name, scale, payload, _ = _FEEDBACK[frame.can_id]
+    index, scale, payload, _, _ = spec
     raw, _seq = payload.unpack(frame.payload)
-    return SubsystemFeedback(**{**fb.__dict__, name: raw / scale})
+    values = [fb.measured_speed, fb.measured_steering, fb.brake_pressure]
+    values[index] = raw / scale
+    return SubsystemFeedback(*values)
 
 
 class ModeArbiter:
@@ -161,8 +174,14 @@ class ModeArbiter:
              remote: DriveCommand | None = None,
              autonomous: DriveCommand | None = None,
              kill: bool = False) -> DriveCommand:
-        selected = {Mode.MANUAL: manual, Mode.REMOTE: remote,
-                    Mode.AUTONOMOUS: autonomous}[mode]
+        if mode == Mode.AUTONOMOUS:
+            selected = autonomous
+        elif mode == Mode.REMOTE:
+            selected = remote
+        elif mode == Mode.MANUAL:
+            selected = manual
+        else:
+            raise KeyError(mode)
         if kill or (selected is not None and selected.kill):
             return DriveCommand(steering=0.0, speed=0.0, brake=1.0,
                                 mode=mode, kill=True)
@@ -221,6 +240,9 @@ def ebs_step(target_brake: float, measured_pressure: float, dt: float,
     return min(max(p, 0.0), 1.0)
 
 
+_CAN_ID = operator.attrgetter("can_id")
+
+
 class CanBus:
     """Single-owner tick-driven queue.
 
@@ -237,7 +259,7 @@ class CanBus:
 
     def deliver(self) -> list[CanFrame]:
         # sorted() is stable, so frames of one id keep their send order
-        frames = sorted(self._pending, key=lambda frame: frame.can_id)
+        frames = sorted(self._pending, key=_CAN_ID)
         self._pending.clear()
         return frames
 

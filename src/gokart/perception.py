@@ -48,6 +48,14 @@ class PerceptionConfig:
         require(self.morph_radius >= 1, "perception.morph_radius", "be >= 1",
                 self.morph_radius)
 
+    def require_fits(self, width: int, height: int, frame: str) -> None:
+        """Reject, naming perception.morph_radius, a morphology window
+        2 radius + 1 wider or taller than the frame: its opening would empty
+        every mask (see morph_open_close)."""
+        require(2 * self.morph_radius + 1 <= min(width, height),
+                "perception.morph_radius",
+                f"keep its window 2 r + 1 within {frame}", self.morph_radius)
+
 
 @dataclass(frozen=True)
 class BevConfig:

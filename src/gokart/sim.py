@@ -111,21 +111,41 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
                         v=float(min(max(s1[3], 0.0), params.max_speed)))
 
 
+# sensor noise pairs drawn per generator call
+_NOISE_BLOCK = 256
+
+
+def _noise_pairs(rng: np.random.Generator, scale_a: float, scale_b: float):
+    """Endless (a, b) pairs of zero-mean normal noise.
+
+    Drawn _NOISE_BLOCK pairs per call, in the order of one
+    normal(0, scale_a) then one normal(0, scale_b) call per pair, so the
+    values are bitwise those of per-pair calls. Nothing is drawn before the
+    first pair is taken.
+    """
+    scales = np.tile([scale_a, scale_b], _NOISE_BLOCK)
+    while True:
+        block = iter(rng.normal(0.0, scales).tolist())
+        yield from zip(block, block)
+
+
 class GnssSimulator:
-    """Noisy GNSS with scripted dropout windows; deterministic from the seed."""
+    """Noisy GNSS with scripted dropout windows; deterministic from the seed.
+    A sample inside a dropout window draws no noise."""
 
     def __init__(self, config: SensorConfig, origin: GeoFix,
                  earth_radius: float):
         self.config = config
         self.origin = origin
         self.earth_radius = earth_radius
-        self._rng = np.random.default_rng([config.seed, 0])
+        self._noise = _noise_pairs(np.random.default_rng([config.seed, 0]),
+                                   config.gnss_sigma, config.gnss_sigma)
 
     def sample(self, state: VehicleState, t: float) -> GeoFix | None:
         for start, end in self.config.gnss_dropout_windows:
             if start <= t <= end:
                 return None
-        nx, ny = self._rng.normal(0.0, self.config.gnss_sigma, size=2)
+        nx, ny = next(self._noise)
         return local_to_geo(LocalPoint(state.x + nx, state.y + ny),
                             self.origin, self.earth_radius,
                             pos_variance=self.config.gnss_sigma ** 2)
@@ -136,12 +156,12 @@ class ImuSimulator:
 
     def __init__(self, config: SensorConfig):
         self.config = config
-        self._rng = np.random.default_rng([config.seed, 1])
+        self._noise = _noise_pairs(np.random.default_rng([config.seed, 1]),
+                                   config.imu_sigma_yaw, config.imu_sigma_rate)
 
     def sample(self, state: VehicleState, omega_true: float,
                t: float) -> ImuReading:
-        ny = self._rng.normal(0.0, self.config.imu_sigma_yaw)
-        nr = self._rng.normal(0.0, self.config.imu_sigma_rate)
+        ny, nr = next(self._noise)
         return ImuReading(yaw=normalize_angle(state.psi + ny),
                           yaw_rate=omega_true + nr,
                           yaw_variance=self.config.imu_sigma_yaw ** 2)
@@ -540,6 +560,10 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
                            ("front.height", cfg.front_height),
                            ("bev.height", cfg.bev.height)):
             require(value >= 2, key, "be >= 2 in ftg mode", value)
+        cfg.perception.require_fits(
+            cfg.front_width, cfg.front_height,
+            f"the {cfg.front_width}x{cfg.front_height} camera frame "
+            "(front.width x front.height) in ftg mode")
     # the projection's east-west scale cos(origin_lat) vanishes at the poles
     require(-math.pi / 2 < cfg.origin_lat < math.pi / 2, "origin_lat",
             "lie in (-pi/2, pi/2) rad", cfg.origin_lat)
@@ -736,15 +760,19 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     command_rows = ["t_s,steering_rad,speed_mps,gap_i,gap_j"]
     frame_rows = ["t_s,id_hex,payload_hex"]
     safety_stops = 0
+    vehicle = scenario.vehicle
+    wheelbase, max_speed = vehicle.wheelbase, vehicle.max_speed
+    kill_at = math.inf if scenario.kill_at_s is None else scenario.kill_at_s
+    imu_dt = imu_every * dt
 
     for k in range(ticks):
         t = k * dt
-        kill_active = scenario.kill_at_s is not None and t >= scenario.kill_at_s
-        omega_true = truth.v / scenario.vehicle.wheelbase * math.tan(delta_act)
+        kill_active = t >= kill_at
+        omega_true = truth.v / wheelbase * math.tan(delta_act)
 
         gnss = gnss_sim.sample(truth, t) if k % gnss_every == 0 else None
         if k % imu_every == 0:
-            localizer.step(t, feedback.measured_speed, imu_every * dt, gnss,
+            localizer.step(t, feedback.measured_speed, imu_dt, gnss,
                            imu_sim.sample(truth, omega_true, t))
 
         if localizer.state is not None and k % planner.period == 0:
@@ -775,8 +803,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             duty = 0.0  # hardware kill cuts motor power independent of the ECU
         delta_act = sbws_step(active.steering, delta_act, dt)
         pressure = ebs_step(active.brake, pressure, dt)
-        truth = bicycle_step(truth, delta_act, duty * scenario.vehicle.max_speed,
-                             pressure, scenario.vehicle, dt)
+        truth = bicycle_step(truth, delta_act, duty * max_speed, pressure,
+                             vehicle, dt)
 
         for can_id, value in ((TBWS_FEEDBACK_ID, truth.v),
                               (SBWS_FEEDBACK_ID, delta_act),

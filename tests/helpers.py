@@ -7,7 +7,7 @@ linear Kalman reference is written out long-hand. The EKF cycle oracle is
 the plain numpy filter (BLAS products and LAPACK's solve) that the package's
 Python-float filter replaced. The frame-stage oracles (rendering, blur, morphology, warp, ray march,
 the whole perception pipeline) recompute every pixel map per call, blur a
-float64 copy of the whole image and use the plain 2-D morphology, so the
+float64 copy of the whole image and use plain ndimage morphology, so the
 memoized, per-channel and sliced versions in the package must match them
 exactly.
 The grass-mask and scan oracles read the sign of the nearest-sample margin
@@ -19,11 +19,15 @@ is the numpy transform that the controller's Python-float lateral offset
 replaced, and the raceline oracles are the L-BFGS-B solve that the
 projected Gauss-Newton solver replaced and the dense n x n linearization
 that its banded one replaced, both on derivative operators of their own.
+The CAN codec oracles are the plain codec that the package's inlined one
+replaced: a rounding-and-clamping helper, `Mode(bits)` and a dict merge,
+each frame laid out with `struct` format strings of its own.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 from scipy import ndimage
@@ -31,6 +35,11 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
+from gokart.drivebus import (BRAKE_SCALE, CanFrame, COMMAND_FRAME_ID,
+                             DriveCommand, EBS_FEEDBACK_ID, FrameDecodeError,
+                             Mode, SBWS_FEEDBACK_ID, SPEED_SCALE,
+                             STEERING_SCALE, SubsystemFeedback,
+                             TBWS_FEEDBACK_ID)
 from gokart.geometry import body_to_world, normalize_angle
 from gokart.localization import GNSS_DROPOUT_VARIANCE, EkfState
 from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
@@ -641,13 +650,22 @@ def gaussian_blur_oracle(img, sigma) -> np.ndarray:
 
 
 def morph_open_close_oracle(mask, radius) -> np.ndarray:
-    """Opening then closing with the full square element on the mask
-    zero-padded by 2 radius."""
+    """Opening then closing with the square element on the mask zero-padded
+    by 2 radius, each square pass a row element then a column element
+    (equal to the 2-D element, with the same zero border, and small enough
+    for radii near half a camera frame)."""
     pad = 2 * radius
-    se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    row = np.ones((1, 2 * radius + 1), dtype=bool)
+    col = row.T
+
+    def erode(work):
+        return ndimage.binary_erosion(ndimage.binary_erosion(work, row), col)
+
+    def dilate(work):
+        return ndimage.binary_dilation(ndimage.binary_dilation(work, row), col)
+
     work = np.pad(mask.astype(bool), pad, mode="constant")
-    work = ndimage.binary_dilation(ndimage.binary_erosion(work, se), se)
-    work = ndimage.binary_erosion(ndimage.binary_dilation(work, se), se)
+    work = erode(dilate(dilate(erode(work))))
     return work[pad:-pad, pad:-pad].astype(np.uint8)
 
 
@@ -694,3 +712,58 @@ def detect_boundaries_oracle(img, h, cfg, bev):
     mask = morph_open_close_oracle(mask, cfg.morph_radius)
     bev_mask = warp_to_bev_oracle(mask, h, bev)
     return mask_to_depth_oracle(bev_mask, bev), mask, bev_mask
+
+
+# --- CAN codec ---------------------------------------------------------------
+
+def _sat_oracle(value: float, lo: int, hi: int) -> int:
+    return int(min(max(round(value), lo), hi))
+
+
+def encode_command_oracle(cmd, seq: int = 0) -> CanFrame:
+    payload = struct.pack(
+        "<hhHBB",
+        _sat_oracle(cmd.steering * STEERING_SCALE, -32768, 32767),
+        _sat_oracle(cmd.speed * SPEED_SCALE, -32768, 32767),
+        _sat_oracle(cmd.brake * BRAKE_SCALE, 0, 65535),
+        (int(cmd.kill) & 0x1) | ((int(cmd.mode) & 0x3) << 1),
+        seq % 256)
+    return CanFrame(COMMAND_FRAME_ID, payload)
+
+
+def decode_command_oracle(frame: CanFrame) -> DriveCommand:
+    """Raises ValueError from Mode() for the mode bits 3."""
+    if frame.can_id != COMMAND_FRAME_ID:
+        raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
+    steering, speed, brake, flags, _seq = struct.unpack("<hhHBB",
+                                                        frame.payload)
+    return DriveCommand(steering=steering / STEERING_SCALE,
+                        speed=speed / SPEED_SCALE, brake=brake / BRAKE_SCALE,
+                        mode=Mode((flags >> 1) & 0x3), kill=bool(flags & 0x1))
+
+
+# feedback id -> (field, scale, value format, saturation range)
+FEEDBACK_ORACLE = {
+    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, "<h", -32768, 32767),
+    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, "<h",
+                       -32768, 32767),
+    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, "<H", 0, 65535),
+}
+
+
+def encode_feedback_oracle(can_id: int, value: float,
+                           seq: int = 0) -> CanFrame:
+    if can_id not in FEEDBACK_ORACLE:
+        raise ValueError(f"not a feedback id: 0x{can_id:03x}")
+    _, scale, fmt, lo, hi = FEEDBACK_ORACLE[can_id]
+    return CanFrame(can_id, struct.pack(fmt, _sat_oracle(value * scale, lo, hi))
+                    + bytes(5) + bytes([seq % 256]))
+
+
+def apply_feedback_oracle(fb: SubsystemFeedback,
+                          frame: CanFrame) -> SubsystemFeedback:
+    if frame.can_id not in FEEDBACK_ORACLE:
+        raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
+    name, scale, fmt, _, _ = FEEDBACK_ORACLE[frame.can_id]
+    (raw,) = struct.unpack_from(fmt, frame.payload)
+    return SubsystemFeedback(**{**fb.__dict__, name: raw / scale})

@@ -17,8 +17,8 @@ from gokart.cli import main
 from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
-from gokart.sim import (_SCENARIO_KEYS, MAX_TICKS, TrackSampler,
-                        VehicleState, build_scenario,
+from gokart.sim import (_SCENARIO_KEYS, MAX_TICKS, ScenarioError,
+                        TrackSampler, VehicleState, build_scenario,
                         default_camera_homography, render_scene)
 from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
                           read_raceline_csv, write_raceline_csv)
@@ -297,6 +297,32 @@ class TestPerceive:
                              "scene.ppm")
         assert not (tmp_path / "out" / "scan.csv").exists()
 
+    @pytest.mark.parametrize("size, radius", [((4, 9), "2"), ((9, 4), "2"),
+                                              ((240, 320), "120")])
+    def test_image_smaller_than_the_window_exits_2(self, tmp_path, capsys,
+                                                   size, radius):
+        # the opening would empty the mask: a scan with no grass, not an error
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((*size, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--set", f"perception.morph_radius={radius}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.morph_radius",
+                             f"{size[1]}x{size[0]}")
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    @pytest.mark.parametrize("size, radius", [((5, 9), "2"), ((9, 5), "2"),
+                                              ((240, 320), "119")])
+    def test_image_as_small_as_the_window_runs(self, tmp_path, size, radius):
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((*size, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        rc = main(["perceive", str(tmp_path / "scene.ppm"),
+                   str(tmp_path / "h.txt"),
+                   "--set", f"perception.morph_radius={radius}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
     def test_bad_homography_file_exits_2(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         write_netpbm(tmp_path / "scene.ppm", img)
@@ -356,19 +382,30 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "out" / "scans.csv").exists()
 
-    def test_ftg_morph_radius_past_the_frame_runs(self, tmp_path):
-        # the opening empties every frame: no grass seen, no padded frame
+    @pytest.mark.parametrize("radius", ["120", "1000000"])
+    def test_ftg_morph_radius_past_the_frame_exits_2(self, tmp_path, capsys,
+                                                      radius):
+        # the opening would empty every 320x240 frame: a run blind to grass
         write_track_csv(tmp_path / "oval.csv", oval_track())
         (tmp_path / "s.txt").write_text(
             "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
             "duration_s = 1\nseed = 3\n")
-        rc = main(["simulate", str(tmp_path / "s.txt"),
-                   "--set", "perception.morph_radius=1000000",
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 0
-        scans = np.loadtxt(tmp_path / "out" / "scans.csv", delimiter=",",
-                           skiprows=1)
-        np.testing.assert_array_equal(scans[:, 2], BevConfig().max_range)
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--set", f"perception.morph_radius={radius}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.morph_radius", "320x240")
+        assert not (tmp_path / "out").exists()
+
+    def test_morph_window_rule_holds_only_in_ftg_mode(self):
+        raw = {"track": "oval.csv", "front.width": "9", "front.height": "12"}
+        # the largest window that fits the narrower side, 2 r + 1 = 9
+        build_scenario({**raw, "mode": "ftg", "perception.morph_radius": "4"})
+        with pytest.raises(ScenarioError, match="perception.morph_radius"):
+            build_scenario({**raw, "mode": "ftg",
+                            "perception.morph_radius": "5"})
+        # pursuit renders no camera frame
+        build_scenario({**raw, "mode": "pursuit",
+                        "perception.morph_radius": "5"})
 
     def test_missing_track_exits_2(self, tmp_path):
         (tmp_path / "s.txt").write_text(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gokart.drivebus import (BRAKE_SCALE, CanBus, CanFrame, COMMAND_FRAME_ID,
                              TBWS_FEEDBACK_ID, ThrottleEcu, apply_feedback,
                              decode_command, ebs_step, encode_command,
                              encode_feedback, format_trace_row, sbws_step)
+from helpers import (apply_feedback_oracle, decode_command_oracle,
+                     encode_command_oracle, encode_feedback_oracle)
 
 command_strategy = st.builds(
     DriveCommand,
@@ -72,6 +75,12 @@ class TestCodec:
         brake = int.from_bytes(frame.payload[4:6], "little")
         assert steering == 1000
         assert brake == 10000
+
+    @pytest.mark.parametrize("flags", [0x06, 0x07, 0xFE, 0xFF])
+    def test_mode_bits_3_rejected(self, flags):
+        payload = bytes([0, 0, 0, 0, 0, 0, flags, 0])
+        with pytest.raises(FrameDecodeError, match="mode bits 3"):
+            decode_command(CanFrame(COMMAND_FRAME_ID, payload))
 
     def test_frame_invariants(self):
         with pytest.raises(ValueError):
@@ -167,6 +176,122 @@ class TestFeedbackCodecOracle:
         (raw,) = struct.unpack_from(fmt, frame.payload)
         got = apply_feedback(fb, frame)
         assert got == dataclasses.replace(fb, **{name: raw / scale})
+        assert fb == SubsystemFeedback(*before)
+
+
+class TestDriveCommandValidation:
+    @pytest.mark.parametrize("steering", [math.nan, math.inf, -math.inf])
+    def test_non_finite_steering_rejected(self, steering):
+        with pytest.raises(ValueError, match="steering must be finite"):
+            DriveCommand(steering=steering)
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed must be finite"):
+            DriveCommand(speed=speed)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"steering": 1.1}, "physical limit"),
+        ({"steering": -1.1}, "physical limit"),
+        ({"speed": -1e-9}, "speed must be >= 0"),
+        ({"speed": -math.inf}, "speed must be >= 0"),
+        ({"brake": math.nan}, "brake must be in"),
+        ({"brake": math.inf}, "brake must be in")])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DriveCommand(**kwargs)
+
+    def test_limits_accepted(self):
+        DriveCommand(steering=-1.0, speed=0.0, brake=0.0)
+        DriveCommand(steering=1.0, speed=1e300, brake=1.0)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def scaled(scale):
+    """Values whose scaled wire value lies at, near, halfway between and
+    past the saturation limits, plus any float at all (nan and inf too)."""
+    raw = st.one_of(st.integers(-70_000, 70_000),
+                    st.sampled_from([-32769, -32768, -32767, -1, 0, 1, 32766,
+                                     32767, 32768, 65534, 65535, 65536]))
+    offset = st.sampled_from([0.0, 0.5, -0.5, 0.4999999999, -0.4999999999,
+                              0.5000000001])
+    return st.one_of(st.builds(lambda k, off: (k + off) / scale, raw, offset),
+                     st.floats(), st.floats(-1e12, 1e12))
+
+
+sequence = st.integers(-100_000, 100_000)
+
+
+class TestCodecAgainstOracle:
+    """The inlined codec against the plain one in tests/helpers.py: equal
+    frames and commands, and the same exception types, for any input."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(steering=scaled(STEERING_SCALE), speed=scaled(SPEED_SCALE),
+           brake=scaled(BRAKE_SCALE),
+           mode=st.sampled_from([*Mode, 0, 1, 2, 3]),
+           kill=st.sampled_from([False, True, 0, 1, 2, 3]), seq=sequence)
+    def test_encode_command(self, steering, speed, brake, mode, kill, seq):
+        # a plain object, so values DriveCommand rejects reach the encoder
+        cmd = types.SimpleNamespace(steering=steering, speed=speed,
+                                    brake=brake, mode=mode, kill=kill)
+        assert outcome(encode_command, cmd, seq) == \
+            outcome(encode_command_oracle, cmd, seq)
+
+    @settings(max_examples=500, deadline=None)
+    @given(cmd=command_strategy, seq=sequence)
+    def test_encode_valid_command(self, cmd, seq):
+        assert encode_command(cmd, seq) == encode_command_oracle(cmd, seq)
+
+    @settings(max_examples=500, deadline=None)
+    @given(can_id=st.sampled_from([COMMAND_FRAME_ID, 0x000, 0x1FF, 0x7FF]),
+           payload=st.binary(min_size=8, max_size=8))
+    def test_decode_command(self, can_id, payload):
+        frame = CanFrame(can_id, payload)
+        got = outcome(decode_command, frame)
+        want = outcome(decode_command_oracle, frame)
+        if can_id == COMMAND_FRAME_ID and (payload[6] >> 1) & 0x3 == 3:
+            # Mode(3) raised a bare ValueError; the table names the bits
+            assert got is FrameDecodeError and want is ValueError
+            return
+        assert got == want
+        if isinstance(want, DriveCommand):
+            assert got.mode is want.mode and type(got.kill) is bool
+
+    @settings(max_examples=500, deadline=None)
+    @given(can_id=st.sampled_from(sorted(FEEDBACK_FIELDS)), value=st.data(),
+           seq=sequence)
+    def test_encode_feedback(self, can_id, value, seq):
+        value = value.draw(scaled(FEEDBACK_FIELDS[can_id][1]))
+        assert outcome(encode_feedback, can_id, value, seq) == \
+            outcome(encode_feedback_oracle, can_id, value, seq)
+
+    @pytest.mark.parametrize("value, error", [(math.nan, ValueError),
+                                              (math.inf, OverflowError),
+                                              (-math.inf, OverflowError)])
+    def test_non_finite_feedback_raises_as_the_oracle(self, value, error):
+        # round() raises before any saturation
+        for can_id in FEEDBACK_FIELDS:
+            assert outcome(encode_feedback, can_id, value, 0) is error
+            assert outcome(encode_feedback_oracle, can_id, value, 0) is error
+
+    @settings(max_examples=500, deadline=None)
+    @given(can_id=st.sampled_from([*sorted(FEEDBACK_FIELDS), COMMAND_FRAME_ID,
+                                   0x200, 0x204]),
+           payload=st.binary(min_size=8, max_size=8),
+           before=st.tuples(*[st.floats(allow_nan=False)] * 3))
+    def test_apply_feedback(self, can_id, payload, before):
+        fb = SubsystemFeedback(*before)
+        frame = CanFrame(can_id, payload)
+        assert outcome(apply_feedback, fb, frame) == \
+            outcome(apply_feedback_oracle, fb, frame)
         assert fb == SubsystemFeedback(*before)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from gokart.fileio import read_netpbm, write_netpbm
 from gokart.perception import _ray_index
@@ -119,8 +120,25 @@ class TestMorphology:
         mask = np.ones((20, 20), dtype=np.uint8)
         np.testing.assert_array_equal(morph_open_close(mask, 2), mask)
 
+    def test_oracle_row_and_column_elements_equal_the_square(self):
+        # the oracle's row-then-column passes against the 2-D element with
+        # the same zero border, on frames small enough for the latter
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            radius = int(rng.integers(1, 6))
+            shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+            mask = random_mask(rng, shape, dense=rng.uniform(0.3, 0.97))
+            pad = 2 * radius
+            se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+            work = np.pad(mask.astype(bool), pad)
+            work = ndimage.binary_dilation(ndimage.binary_erosion(work, se), se)
+            work = ndimage.binary_erosion(ndimage.binary_dilation(work, se), se)
+            np.testing.assert_array_equal(
+                morph_open_close_oracle(mask, radius),
+                work[pad:-pad, pad:-pad].astype(np.uint8))
+
     def test_matches_full_square_oracle(self):
-        # the separable row/column passes against the 2-D element
+        # the package's sliced sweeps against the oracle's ndimage passes
         rng = np.random.default_rng(12)
         for _ in range(120):
             radius = int(rng.integers(1, 7))
@@ -159,7 +177,8 @@ class TestMorphology:
         assert out.dtype == np.uint8 and out.shape == mask.shape
         assert not out.any()
 
-    @pytest.mark.parametrize("shape", [(40, 52), (21, 14), (15, 22), (14, 15)])
+    @pytest.mark.parametrize("shape", [(40, 52), (21, 14), (15, 22), (14, 15),
+                                       (240, 320)])
     def test_radius_near_half_the_frame_matches_oracle(self, shape):
         rng = np.random.default_rng(14)
         half = min(shape) // 2

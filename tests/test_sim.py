@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gokart.geometry import Polyline, body_to_world
-from gokart.localization import GeoFix, fuse_step, project_to_local
+from gokart.geometry import Polyline, body_to_world, normalize_angle
+from gokart.localization import (GeoFix, LocalPoint, fuse_step, local_to_geo,
+                                 project_to_local)
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
-from gokart.sim import (_SCENARIO_KEYS, CHI2_3_95, GnssSimulator,
+from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, CHI2_3_95, GnssSimulator,
                         ImuSimulator, ScenarioError, SensorConfig, TrackSampler,
                         VehicleParams, VehicleState, _bev_body_points,
                         bev_grass_mask, bicycle_step, build_scenario,
@@ -155,6 +156,76 @@ class TestSensors:
             fa = a.sample(VehicleState(x=k), k * 0.1)
             fb = b.sample(VehicleState(x=k), k * 0.1)
             assert fa.lat == fb.lat and fa.lon == fb.lon
+
+
+class TestSensorNoiseBlocks:
+    """Noise drawn in blocks against one default_rng call per draw, bit for
+    bit, over several block edges."""
+
+    SAMPLES = 3 * _NOISE_BLOCK + 7
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.7, 0.0])
+    def test_gnss_matches_per_call_draws(self, sigma):
+        # 0.1 s samples; one dropout straddles the first block edge, the
+        # other the second one, which the first has moved 13 samples on
+        b = _NOISE_BLOCK
+        windows = ((0.1 * (b - 6) - 0.01, 0.1 * (b + 6) + 0.01),
+                   (0.1 * (2 * b + 8) - 0.01, 0.1 * (2 * b + 18) + 0.01))
+        cfg = SensorConfig(gnss_sigma=sigma, gnss_dropout_windows=windows,
+                           seed=31)
+        origin = GeoFix(0.7, -1.3)
+        sim = GnssSimulator(cfg, origin, 6_371_000.0)
+        rng = np.random.default_rng([31, 0])
+        dropped = 0
+        for k in range(self.SAMPLES):
+            t = 0.1 * k
+            state = VehicleState(x=0.3 * k, y=-0.2 * k)
+            fix = sim.sample(state, t)
+            if any(start <= t <= end for start, end in windows):
+                assert fix is None
+                dropped += 1
+                continue
+            nx, ny = rng.normal(0.0, sigma, size=2)
+            want = local_to_geo(LocalPoint(state.x + nx, state.y + ny),
+                                origin, 6_371_000.0, pos_variance=sigma ** 2)
+            assert (fix.lat.hex(), fix.lon.hex(), fix.pos_variance) == \
+                (float(want.lat).hex(), float(want.lon).hex(),
+                 want.pos_variance)
+        assert dropped == 13 + 11
+        # the fixes took more than two blocks of pairs
+        assert self.SAMPLES - dropped > 2 * b
+
+    @pytest.mark.parametrize("sigma_yaw, sigma_rate", [(0.01, 0.0),
+                                                       (0.02, 0.003),
+                                                       (0.0, 0.0)])
+    def test_imu_matches_per_call_draws(self, sigma_yaw, sigma_rate):
+        cfg = SensorConfig(imu_sigma_yaw=sigma_yaw, imu_sigma_rate=sigma_rate,
+                           seed=32)
+        sim = ImuSimulator(cfg)
+        rng = np.random.default_rng([32, 1])
+        for k in range(self.SAMPLES):
+            state = VehicleState(psi=3.1 - 0.01 * k)
+            reading = sim.sample(state, 0.2 + 0.001 * k, 0.01 * k)
+            ny = rng.normal(0.0, sigma_yaw)
+            nr = rng.normal(0.0, sigma_rate)
+            assert float(reading.yaw).hex() == \
+                float(normalize_angle(state.psi + ny)).hex()
+            assert float(reading.yaw_rate).hex() == \
+                float(0.2 + 0.001 * k + nr).hex()
+            assert reading.yaw_variance == sigma_yaw ** 2
+
+    def test_a_run_of_dropouts_draws_nothing(self):
+        # the first fix after a dropout takes the first draw of the stream
+        windows = ((0.0, 5.0),)
+        origin = GeoFix(0.7, -1.3)
+        late = GnssSimulator(SensorConfig(gnss_dropout_windows=windows,
+                                          seed=4), origin, 6_371_000.0)
+        for k in range(51):
+            assert late.sample(VehicleState(), 0.1 * k) is None
+        first = GnssSimulator(SensorConfig(seed=4), origin, 6_371_000.0)
+        a = late.sample(VehicleState(x=1.0), 6.0)
+        b = first.sample(VehicleState(x=1.0), 6.0)
+        assert (a.lat, a.lon) == (b.lat, b.lon)
 
 
 class TestTrackSampler:
