@@ -167,10 +167,15 @@ class ImuSimulator:
                           yaw_variance=self.config.imu_sigma_yaw ** 2)
 
 
-# verdicts of the world cells behind TrackSampler.inside
+# verdicts of the world cells behind TrackSampler.inside, and of the
+# sub-cells of its mixed cells
 _UNKNOWN, _TRACK, _GRASS, _MIXED = 0, 1, 2, 3
 # cells classified per vectorized pass, bounding its temporaries
 _CELLS_PER_PASS = 512
+# sub-cells a side of a mixed cell
+_SPLIT = 5
+# (candidate, sub-cell) pairs per vectorized pass, bounding its temporaries
+_PAIRS_PER_PASS = 2 ** 15
 # spacing of TrackSampler's samples along the track, m
 _SAMPLE_STEP = 0.1
 
@@ -210,6 +215,10 @@ class TrackSampler:
         self._grid_origin = lo - pad
         nx, ny = np.ceil((hi - lo + 2.0 * pad) / self._cell).astype(int)
         self._verdicts = np.full((ny, nx), _UNKNOWN, dtype=np.int8)
+        # the mixed cells' flat grid indices, ascending, and their sub-cell
+        # verdicts, [row, column] within the cell
+        self._mixed = np.empty(0, dtype=np.intp)
+        self._sub_verdicts = np.empty((0, _SPLIT, _SPLIT), dtype=np.int8)
         # covers the rounding in a pixel's world position and cell index, in
         # its margin and in the corner bounds, all near 1e-16 of this scale
         far = float(np.abs(np.concatenate([lo - pad, hi + pad])).max())
@@ -240,14 +249,15 @@ class TrackSampler:
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         """`lateral_margin(pts) >= 0.0` for an (N, 2) array. Points in world
-        cells certified all track or all grass take the cell's verdict; the
-        rest, in mixed cells or off the grid, go through lateral_margin."""
+        cells, or sub-cells of mixed cells, certified all track or all grass
+        take that verdict; the rest, in mixed sub-cells or off the grid, go
+        through lateral_margin."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         gx = (pts[:, 0] - self._grid_origin[0]) / self._cell
         gy = (pts[:, 1] - self._grid_origin[1]) / self._cell
         ny, nx = self._verdicts.shape
         on_grid = (gx >= 0.0) & (gx < nx) & (gy >= 0.0) & (gy < ny)
-        verdict = np.full(len(pts), _MIXED, dtype=np.int8)
+        verdict = np.full(len(pts), _UNKNOWN, dtype=np.int8)  # off the grid
         if on_grid.any():
             ix, iy = gx[on_grid].astype(np.intp), gy[on_grid].astype(np.intp)
             x0, y0 = ix.min(), iy.min()
@@ -258,8 +268,17 @@ class TrackSampler:
                 cy = by[a:a + _CELLS_PER_PASS] + y0
                 self._verdicts[cy, cx] = self._classify(cx, cy)
             verdict[on_grid] = self._verdicts.reshape(-1).take(iy * nx + ix)
+        split = np.flatnonzero(verdict == _MIXED)
+        if len(split):  # points in mixed cells take their sub-cell's verdict
+            gx, gy = gx[split], gy[split]
+            ix, iy = gx.astype(np.intp), gy.astype(np.intp)
+            sx = np.minimum((gx - ix) * _SPLIT, _SPLIT - 1.0).astype(np.intp)
+            sy = np.minimum((gy - iy) * _SPLIT, _SPLIT - 1.0).astype(np.intp)
+            slot = np.searchsorted(self._mixed, iy * nx + ix)
+            verdict[split] = self._sub_verdicts.reshape(-1).take(
+                (slot * _SPLIT + sy) * _SPLIT + sx)
         inside = verdict == _TRACK
-        exact = verdict == _MIXED
+        exact = (verdict == _MIXED) | (verdict == _UNKNOWN)
         if exact.any():
             margin = self.lateral_margin(pts.compress(exact, axis=0))
             inside[exact] = margin >= 0.0
@@ -268,8 +287,9 @@ class TrackSampler:
     def _classify(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """The verdict of each cell (cx, cy): _TRACK if every point of it has
         a margin > 0 in lateral_margin's arithmetic, _GRASS if every point
-        has a margin < 0 there, else _MIXED."""
-        h, eps = 0.5 * self._cell, self._eps
+        has a margin < 0 there, else _MIXED. A mixed cell's sub-cells are
+        classified too, from its candidates."""
+        h = 0.5 * self._cell
         centre = self._grid_origin + (np.column_stack([cx, cy]) + 0.5) \
             * self._cell
         # Candidates. Take any sample a (the one nearest the centre c) and
@@ -283,21 +303,91 @@ class TrackSampler:
         _, near = self._tree.query(centre)
         corner = np.abs(self.points[near] - centre) + h
         radius = np.hypot(corner[:, 0], corner[:, 1]) + math.sqrt(2.0) * h \
-            + 4.0 * eps
+            + 4.0 * self._eps
         balls = self._tree.query_ball_point(centre, radius,
                                             return_sorted=False)
         counts = np.fromiter(map(len, balls), np.intp, len(balls))
         cand = np.fromiter(itertools.chain.from_iterable(balls), np.intp,
                            int(counts.sum()))
-        cell = np.repeat(np.arange(len(balls)), counts)
+        # the lists' Python ints, and below the cells' arrays, are freed so
+        # that the sub-cells' pass adds nothing to the peak memory
+        del balls
+        cell = np.repeat(np.arange(len(counts)), counts)
+        d = centre[cell] - self.points[cand]
+        track, grass = self._certify(cand, d[:, 0], d[:, 1], h)
+        verdict = _verdicts(cell, track, grass, len(counts))
+        del cell, d, track, grass
+        mixed = np.flatnonzero(verdict == _MIXED)
+        if len(mixed):
+            starts = np.cumsum(counts) - counts
+            split = self._split(centre[mixed], near[mixed], cand,
+                                starts[mixed], counts[mixed])
+            # merged into the table in key order; the cells come row by
+            # row, so their keys ascend (np.insert would sort them again)
+            keys = cy[mixed] * self._verdicts.shape[1] + cx[mixed]
+            at = np.searchsorted(self._mixed, keys) + np.arange(len(keys))
+            kept = np.ones(len(self._mixed) + len(keys), dtype=bool)
+            kept[at] = False
+            mixed_keys = np.empty(len(kept), dtype=np.intp)
+            mixed_keys[kept], mixed_keys[at] = self._mixed, keys
+            sub_verdicts = np.empty((len(kept), _SPLIT, _SPLIT), dtype=np.int8)
+            sub_verdicts[kept], sub_verdicts[at] = self._sub_verdicts, split
+            self._mixed, self._sub_verdicts = mixed_keys, sub_verdicts
+        return verdict
+
+    def _split(self, centre: np.ndarray, anchor: np.ndarray,
+               cand: np.ndarray, starts: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+        """The (k, _SPLIT, _SPLIT) verdicts, [row, column], of the sub-cells
+        of k mixed cells, given each cell's centre, the sample nearest to
+        it and its candidates cand[start:start + count].
+
+        The cell's candidates hold the nearest sample of every point in it,
+        so no new query is needed; each sub-cell keeps the ones within its
+        own ball, found as in _classify with the cell's nearest sample as
+        the anchor (any sample would do). The same 4 eps cover the
+        rounding."""
+        h = 0.5 * self._cell / _SPLIT
+        sub = _SPLIT * _SPLIT
+        # the sub-cells' centres from the cell's, (x, y), row by row
+        k = ((np.arange(_SPLIT) + 0.5) / _SPLIT - 0.5) * self._cell
+        shift = np.column_stack([np.tile(k, _SPLIT), np.repeat(k, _SPLIT)])
+        corner = np.abs((centre - self.points[anchor])[:, None] + shift) + h
+        radius = np.hypot(corner[..., 0], corner[..., 1]) \
+            + math.sqrt(2.0) * h + 4.0 * self._eps
+        verdicts = np.empty((len(centre), sub), dtype=np.int8)
+        cells = max(1, _PAIRS_PER_PASS // (sub * int(counts.max())))
+        for a in range(0, len(centre), cells):
+            size = counts[a:a + cells]
+            first = np.cumsum(size) - size
+            owner = np.repeat(np.arange(len(size)), size)
+            pick = cand[np.repeat(starts[a:a + cells] - first, size)
+                        + np.arange(int(size.sum()))]
+            # (candidate, sub-cell) pairs
+            d = centre[a:a + cells][owner] - self.points[pick]
+            dx, dy = d[:, :1] + shift[:, 0], d[:, 1:] + shift[:, 1]
+            held = np.hypot(dx, dy) <= radius[a:a + cells][owner]
+            track, grass = self._certify(pick[:, None], dx, dy, h)
+            group = owner[:, None] * sub + np.arange(sub)
+            verdicts[a:a + cells] = _verdicts(
+                group.ravel(), (track | ~held).ravel(),
+                (grass | ~held).ravel(), len(size) * sub).reshape(-1, sub)
+        return verdicts.reshape(-1, _SPLIT, _SPLIT)
+
+    def _certify(self, cand: np.ndarray, dx: np.ndarray, dy: np.ndarray,
+                 h: float) -> tuple[np.ndarray, np.ndarray]:
+        """For each sample cand and offset (dx, dy) of a square's centre
+        from it, whether every point of the square of half side h has, were
+        that sample its nearest, a margin > 0 (track) or < 0 (grass) in
+        lateral_margin's arithmetic. The arrays broadcast."""
+        eps = self._eps
         # For a fixed sample, lat and lon are linear in the point, with
-        # gradients (-ty, tx) and (tx, ty); over the cell each lies within
+        # gradients (-ty, tx) and (tx, ty); over the square each lies within
         # h (|tx| + |ty|) of its value at the centre, the bounds taken at
         # the corners.
-        d = centre[cell] - self.points[cand]
         tx, ty = self.tangents[cand, 0], self.tangents[cand, 1]
-        lat = tx * d[:, 1] - ty * d[:, 0]
-        lon = tx * d[:, 0] + ty * d[:, 1]
+        lat = tx * dy - ty * dx
+        lon = tx * dx + ty * dy
         spread = h * (np.abs(tx) + np.abs(ty))
         left, right = self.w_left[cand] - lat, self.w_right[cand] + lat
         # track: every term of the margin stays >= eps; grass: one term
@@ -311,10 +401,16 @@ class TrackSampler:
             track &= ~last | (-lon - spread >= eps)
             grass |= first & (lon + spread < -eps)
             grass |= last & (-lon + spread < -eps)
-        n = len(balls)
-        all_track = np.bincount(cell, ~track, n) == 0
-        all_grass = np.bincount(cell, ~grass, n) == 0
-        return np.where(all_track, _TRACK, np.where(all_grass, _GRASS, _MIXED))
+        return track, grass
+
+
+def _verdicts(group: np.ndarray, track: np.ndarray, grass: np.ndarray,
+              n: int) -> np.ndarray:
+    """Per group 0..n-1 of elements: _TRACK if every element is track, else
+    _GRASS if every one is grass, else _MIXED."""
+    all_track = np.bincount(group, ~track, n) == 0
+    all_grass = np.bincount(group, ~grass, n) == 0
+    return np.where(all_track, _TRACK, np.where(all_grass, _GRASS, _MIXED))
 
 
 @functools.lru_cache(maxsize=4)

@@ -378,6 +378,26 @@ def polyline_distance_oracle(xy, p, closed=False) -> tuple[float, int]:
     return best, dists.index(min(dists))
 
 
+def polyline_distance_all_pairs(ref, pts) -> tuple[np.ndarray, np.ndarray]:
+    """polyline_distance over every segment and vertex of the Polyline ref
+    for each point, in vectorized passes: the package's search before it
+    was pruned, whose values it must match bit for bit."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x, y, ux, uy, denom = ref.x, ref.y, ref.ux, ref.uy, ref.denom
+    m = len(ux)
+    dist = np.empty(len(pts))
+    near = np.empty(len(pts), dtype=np.intp)
+    rows = max(1, 2 ** 15 // len(x))
+    for a in range(0, len(pts), rows):
+        px, py = pts[a:a + rows, :1], pts[a:a + rows, 1:]
+        ox, oy = px - x, py - y
+        t = np.clip((ox[:, :m] * ux + oy[:, :m] * uy) / denom, 0.0, 1.0)
+        d = np.hypot(px - (x[:m] + t * ux), py - (y[:m] + t * uy))
+        dist[a:a + rows] = d.min(axis=1)
+        near[a:a + rows] = np.argmin(np.hypot(ox, oy), axis=1)
+    return dist, near
+
+
 def bicycle_step_oracle(state, steering, speed_cmd, brake, params, dt):
     """RK4 on numpy state vectors, all four components through every
     stage."""

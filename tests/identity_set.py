@@ -60,6 +60,10 @@ SIMULATE = {
                    "duration_s = 5\nseed = 7\n", ["rates.perception_hz=7"]),
     "never_localized": (README, ["sensors.gnss_dropout=0:100",
                                  "duration_s=3"]),
+    # FTG on an open track, past its end: the truth mask's end caps
+    "ftg_hairpin_open": ("mode = ftg\ntrack = hairpin_open.csv\n"
+                         "track.closed = false\nduration_s = 20\n"
+                         "seed = 7\n", []),
 }
 
 REPLAY_HEADER = ("t_s,lat_rad,lon_rad,gnss_valid,gnss_var_m2,imu_yaw_rad,"

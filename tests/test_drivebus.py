@@ -205,6 +205,33 @@ class TestDriveCommandValidation:
         DriveCommand(steering=-1.0, speed=0.0, brake=0.0)
         DriveCommand(steering=1.0, speed=1e300, brake=1.0)
 
+    @pytest.mark.parametrize("kill", [2, 3, -1, 256, 0.0, 1.0, 0.5, math.nan,
+                                      None, "1", np.True_])
+    def test_kill_other_than_a_flag_rejected(self, kill):
+        # kill=2 would encode kill bit 0 while the arbiter reads it as set
+        with pytest.raises(ValueError, match="kill must be True, False, 0 "
+                                             "or 1, not"):
+            DriveCommand(speed=2.0, kill=kill)
+
+    @pytest.mark.parametrize("mode", [3, -1, 4, 2.0, None, "AUTONOMOUS"])
+    def test_mode_outside_the_modes_rejected(self, mode):
+        # mode=3 would encode mode bits that decode_command rejects
+        with pytest.raises(ValueError, match="mode must be 0, 1 or 2, not"):
+            DriveCommand(mode=mode)
+
+    @pytest.mark.parametrize("mode", [*Mode, 0, 1, 2])
+    @pytest.mark.parametrize("kill", [False, True, 0, 1])
+    def test_every_mode_and_kill_round_trips(self, mode, kill):
+        cmd = DriveCommand(steering=-0.25, speed=2.0, brake=0.5, mode=mode,
+                           kill=kill)
+        got = decode_command(encode_command(cmd, 7))
+        assert got == cmd
+        assert got.mode is Mode(mode) and got.kill is bool(kill)
+        # the arbiter reads the flag as the wire does
+        forwarded = ModeArbiter().step(0.0, Mode(mode), manual=cmd,
+                                       remote=cmd, autonomous=cmd)
+        assert forwarded.kill == got.kill
+
 
 def outcome(fn, *args):
     """fn's result, or the type of the exception it raised."""

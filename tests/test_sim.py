@@ -387,8 +387,10 @@ class TestTruthMaskCells:
         run_closed_loop(scenario)
         pixels = sum(m.size for *_, m in masks)
         assert len(masks) == 100
-        # most pixels are decided by their cell: 7.7% reach the margin
+        # most pixels are decided by their cell or, in a mixed cell, by its
+        # sub-cell: 1.5% reach the margin (7.7% without sub-cells)
         assert sum(exact) < 0.15 * pixels
+        assert sum(exact) < 0.02 * pixels
         monkeypatch.undo()
         for sampler, pose, bev, got in masks:
             np.testing.assert_array_equal(
@@ -438,6 +440,53 @@ class TestTruthMaskCells:
             np.testing.assert_array_equal(
                 bev_grass_mask(sampler, pose, bev),
                 bev_grass_mask_oracle(sampler, pose, bev))
+
+    @pytest.mark.parametrize("track", [wiggly_track(), hairpin_track(),
+                                       hairpin_track(closed=False),
+                                       straight_track()],
+                             ids=["wiggly", "hairpin", "open hairpin",
+                                  "open straight"])
+    def test_points_on_sub_cell_edges(self, track, monkeypatch):
+        # points near both edges and past the ends of the track, snapped to
+        # the sub-cells' corners, to their vertical and horizontal edges,
+        # and one float off a corner either way
+        sampler = TrackSampler(track)
+        rng = np.random.default_rng(13)
+        i = rng.integers(len(sampler.points), size=500)
+        (x, y), (tx, ty) = sampler.points[i].T, sampler.tangents[i].T
+        offset = np.where(rng.random(500) < 0.5, sampler.w_left[i],
+                          -sampler.w_right[i]) + rng.normal(0.0, 0.3, 500)
+        along = np.where(np.isin(i, [0, len(sampler.points) - 1]),
+                         rng.normal(0.0, 1.0, 500), 0.0)
+        near = np.column_stack([x - ty * offset + tx * along,
+                                y + tx * offset + ty * along])
+        origin = sampler._grid_origin
+        step = sampler._cell / gokart.sim._SPLIT
+        corner = origin + np.round((near - origin) / step) * step
+        pts = np.concatenate([
+            corner,
+            np.column_stack([corner[:, 0], near[:, 1]]),
+            np.column_stack([near[:, 0], corner[:, 1]]),
+            np.nextafter(corner, np.inf), np.nextafter(corner, -np.inf)])
+        margin = sampler.lateral_margin
+        exact = []
+
+        def count(pts):
+            exact.append(len(pts))
+            return margin(pts)
+
+        monkeypatch.setattr(sampler, "lateral_margin", count)
+        got = sampler.inside(pts)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, margin(pts) >= 0.0)
+        # only mixed cells have sub-cells, and each sub-cell's own ball of
+        # candidates decides more points: 19-25% reach the margin here,
+        # 25-32% with every candidate of the cell
+        cells = sampler._verdicts.reshape(-1)
+        assert sampler._mixed.tolist() == \
+            np.flatnonzero(cells == gokart.sim._MIXED).tolist()
+        assert sampler._sub_verdicts.shape == (len(sampler._mixed), 5, 5)
+        assert sum(exact) < 0.3 * len(pts)
 
     def test_pixels_exactly_on_the_boundary_are_inside(self):
         # the pixel columns 2 m left and right of the kart lie exactly on
