@@ -191,8 +191,9 @@ def _curvature_residual(track: Track):
     memory, and `column_norms2` O(n) per column.
     """
     n, closed = len(track), track.closed
-    # segment k joins knots tail[k] and head[k]
-    tail = np.arange(n if closed else n - 1)
+    # segment k joins knots tail[k] = k and head[k] = k + 1 (mod n)
+    segs = n if closed else n - 1
+    tail = np.arange(segs)
     head = (tail + 1) % n
     q = 1.0 / np.linalg.norm(track.xy[head] - track.xy[tail], axis=1)
     w = 3.0 * q ** 2
@@ -203,31 +204,43 @@ def _curvature_residual(track: Track):
     e = q_nb if closed else np.append(q_nb[:-1], -q_nb[-1])
     nrm = normals(track)
 
-    def spread(v):  # each segment's value added onto both its knots
-        out = np.zeros((n,) + v.shape[1:])
-        out[tail] += v
-        out[head] += v
+    # Segment sums run on slices, adding onto zeros; no knot takes more than
+    # two terms, which round alike in either order.
+    def heads(v):  # v[head]
+        return np.concatenate([v[1:], v[:1]]) if closed else v[1:]
+
+    def at_nb(v):  # v[nb]
+        return heads(v) if closed else np.concatenate([v[1:], v[-2:-1]])
+
+    def add_heads(out, v):  # out[head] += v
+        out[1:] += v[:n - 1]
+        if closed:
+            out[0] += v[-1]
         return out
 
+    def spread(v):  # each segment's value added onto both its knots
+        out = np.zeros((n,) + v.shape[1:])
+        out[:segs] += v
+        return add_heads(out, v)
+
     def to_nb(v):  # the transpose of v -> v[nb]
-        out = np.zeros_like(v)
-        np.add.at(out, nb, v)
+        out = add_heads(np.zeros_like(v), v)
+        if not closed:
+            out[-2] += v[-1]
         return out
 
     def r_apply(y):
-        return spread(w[:, None] * (y[head] - y[tail]))
+        return spread(w[:, None] * (heads(y) - y[:segs]))
 
     def r_transpose(v):
-        z = w[:, None] * (v[head] + v[tail])
-        out = np.zeros_like(v)
-        out[head] += z
-        out[tail] -= z
+        z = w[:, None] * (heads(v) + v[:segs])
+        out = add_heads(np.zeros_like(v), z)
+        out[:segs] -= z
         return out
 
     # each knot's place in the order 0, n-1, 1, n-2, ...: neighbours on a
     # closed loop, across the seam too, lie at most two places apart
     place = 2 * np.minimum(knots, n - 1 - knots) + (knots >= (n + 1) // 2)
-    order = np.argsort(place)
     # T over those places, in upper symmetric band storage
     t_diag = 2.0 * spread(q)
     t_band = np.zeros((3, n))
@@ -235,9 +248,14 @@ def _curvature_residual(track: Track):
     near, far = np.sort([place[tail], place[head]], axis=0)
     t_band[2 + near - far, far] = q
     t_factor = cholesky_banded(t_band)
+    front = (n + 1) // 2  # the knots on even places
 
     def t_solve(b):
-        return dpbtrs(t_factor, b[order])[0][place]
+        zigzag = np.empty(b.shape, order="F")
+        zigzag[0::2] = b[:front]
+        zigzag[1::2] = b[:front - 1:-1]
+        z = dpbtrs(t_factor, zigzag, overwrite_b=True)[0]
+        return np.concatenate([z[0::2], z[-1 - (n % 2)::-2]])
 
     last = {}  # the latest alpha and its derivatives, which a step reuses
 
@@ -245,7 +263,8 @@ def _curvature_residual(track: Track):
         if not np.array_equal(alpha, last.get("alpha")):
             xy = track.xy + alpha[:, None] * nrm
             m = t_solve(r_apply(xy))
-            d2 = c[:, None] * (xy[nb] - xy) - e[:, None] * (4.0 * m + 2.0 * m[nb])
+            d2 = c[:, None] * (at_nb(xy) - xy) \
+                - e[:, None] * (4.0 * m + 2.0 * at_nb(m))
             last.update(alpha=alpha.copy(), m=m, d2=d2)
         return last["m"], last["d2"]
 
@@ -286,9 +305,17 @@ def _curvature_residual(track: Track):
         np.tile(at(_OFFSET, r_cols), 2),
         -np.concatenate([r_vals * nrm[r_cols, 0], r_vals * nrm[r_cols, 1]]))
     coupling_knot = np.tile(r_cols, 4)
-    model_at = np.concatenate([
-        band_at(slots[:, :, None], slots[:, None, :]).ravel(), coupling_at, t_at])
+    # The T block (multiplier rows and slope columns) shares no entry with
+    # the model and coupling values, so it is written once; each step sums
+    # only those, every entry in the order it comes.
+    summed_at, summed_bin = np.unique(np.concatenate([
+        band_at(slots[:, :, None], slots[:, None, :]).ravel(), coupling_at]),
+        return_inverse=True)
+    flat = np.bincount(t_at, t_vals, minlength=(3 * _BAND + 1) * size)
+    band = flat.reshape(size, -1).T
+    work = np.empty_like(band, order="F")  # what the factorization overwrites
     diag = at(_OFFSET, knots)
+    nrm_nb = at_nb(nrm)
 
     def linearize(alpha: np.ndarray) -> SimpleNamespace:
         m, d2 = derivatives(alpha)
@@ -301,7 +328,7 @@ def _curvature_residual(track: Track):
         dk_d2 = np.column_stack([-m[:, 1] * inv32, m[:, 0] * inv32])
         # J d = gs d + gn d[nb] + ks . dm + kn . dm[nb], T dm = R (d N)
         gs = -c * np.sum(dk_d2 * nrm, axis=1)
-        gn = c * np.sum(dk_d2 * nrm[nb], axis=1)
+        gn = c * np.sum(dk_d2 * nrm_nb, axis=1)
         ks = dk_dm - 4.0 * e[:, None] * dk_d2
         kn = -2.0 * e[:, None] * dk_d2
 
@@ -319,22 +346,22 @@ def _curvature_residual(track: Track):
                 # the slopes that one unit of data at each column moves
                 s = t_solve(r_apply(unit))
                 along = nrm[part].T
-                col = ((ks @ along) * s + (kn @ along) * s[nb]
-                       + gs[:, None] * unit + gn[:, None] * unit[nb])
+                col = ((ks @ along) * s + (kn @ along) * at_nb(s)
+                       + gs[:, None] * unit + gn[:, None] * at_nb(unit))
                 out[start:start + len(part)] = np.einsum("ik,ik->k", col, col)
             return out
 
         def solve(free, b, reg):
             # active offsets are pinned at 0 by a unit diagonal
-            coef = np.column_stack([gs * free, ks, gn * free[nb], kn])
-            vals = np.concatenate([(coef[:, :, None] * coef[:, None, :]).ravel(),
-                                   coupling_vals * free[coupling_knot], t_vals])
-            band = np.bincount(model_at, vals, minlength=(3 * _BAND + 1) * size
-                               ).reshape(size, -1).T
+            coef = np.column_stack([gs * free, ks, gn * at_nb(free), kn])
+            flat[summed_at] = np.bincount(summed_bin, np.concatenate([
+                (coef[:, :, None] * coef[:, None, :]).ravel(),
+                coupling_vals * free[coupling_knot]]))
             band[2 * _BAND, diag] += np.where(free, reg, 1.0)
+            block = diag[free]
             rhs = np.zeros(size)
-            rhs[diag[free]] = b
-            return _solve_psd(band, rhs, diag[free])[diag[free]]
+            rhs[block] = b
+            return _solve_psd(band, rhs, block, work)[block]
 
         return SimpleNamespace(rmatvec=rmatvec, column_norms2=column_norms2,
                                solve=solve)
@@ -352,9 +379,11 @@ _REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
-def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
     """Solve the KKT system of a Gauss-Newton step, given in LAPACK's general
-    band storage with _BAND sub- and super-diagonals, by banded LU.
+    band storage with _BAND sub- and super-diagonals, by banded LU in `work`,
+    an F-ordered array of the band's shape.
 
     The unknowns `block` carry the positive semi-definite normal matrix of
     the free offsets. Where it is singular (with reg = 0, offsets that leave
@@ -366,9 +395,9 @@ def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray) -> np.ndarray
     """
     scale = float(np.max(band[2 * _BAND, block], initial=0.0)) or 1.0
     for damping in [0.0] + [scale * 10.0 ** k for k in range(-12, 1, 2)]:
-        ab = band.copy(order="F")
-        ab[2 * _BAND, block] += damping
-        lu, piv, _ = dgbtrf(ab, _BAND, _BAND, overwrite_ab=True)
+        np.copyto(work, band)
+        work[2 * _BAND, block] += damping
+        lu, piv, _ = dgbtrf(work, _BAND, _BAND, overwrite_ab=True)
         pivots = np.abs(lu[2 * _BAND])
         if np.min(pivots) > _EPS * len(b) * np.max(pivots):
             return dgbtrs(lu, _BAND, _BAND, b[:, None], piv)[0][:, 0]
@@ -386,8 +415,13 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
     system for the free variables with b = -g and scales the gradient g of
     the others by the diagonal; the free set leaves out Bertsekas'
     epsilon-active bounds, those within epsilon (the projected-gradient
-    norm, capped at _ACTIVE_WIDTH) whose gradient points out of the box. The
-    step length is found by Armijo backtracking along the projected arc
+    norm, capped at _ACTIVE_WIDTH) whose gradient points out of the box.
+    An active variable pinned on its bound (x = lo with g > 0, or x = hi
+    with g < 0) steps by -g unscaled: the projection puts it back on the
+    bound at any positive scale, so the iterates are those of the scaled
+    step, and only the no-decrease stop test, which reads g . d, asks for
+    its diagonal. The step length is found by Armijo backtracking along the
+    projected arc
     x(b) = clip(x + b d, lo, hi) (Bertsekas, "Projected Newton methods for
     optimization problems with simple constraints", 1982). Succeeds when the
     objective drop falls to _REL_TOL of max(|f_k|, |f_k+1|, 1), when the
@@ -401,6 +435,10 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
     nfev = 1
     f = float(r @ r + reg * (x @ x))
     nit = 0
+
+    def scaled_diag(j, mask):  # the diagonal that scales -g on mask
+        diag = j.column_norms2(mask) + reg
+        return np.where(diag > 0.0, diag, 1.0)
 
     def result(success: bool, message: str) -> OptimizeResult:
         return OptimizeResult(x=x, fun=f, success=success, nit=nit,
@@ -416,10 +454,13 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
         active = (((x <= lo + width) & (g > 0.0))
                   | ((x >= hi - width) & (g < 0.0)))
         free = ~active
-        d = np.zeros_like(x)
+        # on its bound with the gradient pointing out: clipped back at any
+        # scale, so the step takes its direction unscaled
+        pinned = ((x == lo) & (g > 0.0)) | ((x == hi) & (g < 0.0))
+        scaled = active & ~pinned
+        d = -g
         d[free] = j.solve(free, -g[free], reg)
-        diag = j.column_norms2(active) + reg
-        d[active] = -g[active] / np.where(diag > 0.0, diag, 1.0)
+        d[scaled] /= scaled_diag(j, scaled)
         slope = float(g[free] @ d[free])  # <= 0
         step = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -434,6 +475,7 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
         else:
             # no step lowers f in floating point: converged only if the
             # linear model's drop for the full step meets the stop rule
+            d[pinned] /= scaled_diag(j, pinned)
             if -2.0 * float(g @ d) <= _REL_TOL * max(abs(f), 1.0):
                 return result(True, "no decrease above the tolerance possible")
             return result(False, "no decrease along the projected arc")
@@ -613,10 +655,14 @@ RACELINE_COLUMNS = ["s_m", "x_m", "y_m", "kappa_1pm", "v_mps"]
 
 
 def read_track_csv(path, closed: bool, vehicle_half_width: float = 0.4) -> Track:
+    """Read a track CSV; a centerline whose spline tangent vanishes at a
+    knot, where it has no normal, is rejected here."""
     arr, _ = read_table(path, TRACK_COLUMNS, TrackFormatError)
     try:
-        return Track(arr[:, :2], arr[:, 2], arr[:, 3], closed,
-                     vehicle_half_width)
+        track = Track(arr[:, :2], arr[:, 2], arr[:, 3], closed,
+                      vehicle_half_width)
+        normals(track)
+        return track
     except ValueError as exc:
         raise TrackFormatError(f"{path}: {exc}") from None
 

@@ -18,7 +18,10 @@ the bicycle oracle runs RK4 on numpy state vectors. The body-frame oracle
 is the numpy transform that the controller's Python-float lateral offset
 replaced, and the raceline oracles are the L-BFGS-B solve that the
 projected Gauss-Newton solver replaced and the dense n x n linearization
-that its banded one replaced, both on derivative operators of their own.
+that its banded one replaced, both on derivative operators of their own;
+the projected Gauss-Newton loop itself is also kept as it was before its
+pinned offsets went unscaled, scaling every epsilon-active offset by its
+column norm.
 The CAN codec oracles are the plain codec that the package's inlined one
 replaced: a rounding-and-clamping helper, `Mode(bits)` and a dict merge,
 each frame laid out with `struct` format strings of its own.
@@ -33,7 +36,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from gokart.drivebus import (BRAKE_SCALE, CanFrame, COMMAND_FRAME_ID,
                              DriveCommand, EBS_FEEDBACK_ID, FrameDecodeError,
@@ -583,6 +586,59 @@ def minimize_dense_oracle(track: Track, reg: float = 1e-6,
     return gn_minimize(kappa, np.zeros(len(track)),
                        lambda alpha: DenseJacobian(jacobian(alpha)), lo, hi,
                        reg=reg, max_iters=max_iters)
+
+
+def minimize_full_scaling_oracle(fun, x0, jac, lo, hi, reg: float = 0.0,
+                                 max_iters: int = 5000) -> OptimizeResult:
+    """`gokart.track.minimize` as it was before offsets pinned on a bound
+    went unscaled: every epsilon-active offset's step is -g over its
+    column's squared norm plus reg, all taken in one `column_norms2` call
+    per step. Same arguments and result."""
+    armijo, max_halvings, active_width, rel_tol = 1e-4, 60, 1e-3, 1e-8
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    nfev = 1
+    f = float(r @ r + reg * (x @ x))
+    nit = 0
+
+    def result(success, message):
+        return OptimizeResult(x=x, fun=f, success=success, nit=nit,
+                              nfev=nfev, message=message)
+
+    for nit in range(1, max_iters + 1):
+        j = jac(x)
+        g = j.rmatvec(r) + reg * x
+        projected = x - np.clip(x - g, lo, hi)
+        if not projected.any():
+            return result(True, "zero projected gradient")
+        width = min(active_width, float(np.linalg.norm(projected)))
+        active = (((x <= lo + width) & (g > 0.0))
+                  | ((x >= hi - width) & (g < 0.0)))
+        free = ~active
+        d = np.zeros_like(x)
+        d[free] = j.solve(free, -g[free], reg)
+        diag = j.column_norms2(active) + reg
+        d[active] = -g[active] / np.where(diag > 0.0, diag, 1.0)
+        slope = float(g[free] @ d[free])
+        step = 1.0
+        for _ in range(max_halvings):
+            trial = np.clip(x + step * d, lo, hi)
+            r_trial = fun(trial)
+            nfev += 1
+            f_trial = float(r_trial @ r_trial + reg * (trial @ trial))
+            decrease = -step * slope + float(g[active] @ (x - trial)[active])
+            if f_trial < f - 2.0 * armijo * decrease:
+                break
+            step *= 0.5
+        else:
+            if -2.0 * float(g @ d) <= rel_tol * max(abs(f), 1.0):
+                return result(True, "no decrease above the tolerance possible")
+            return result(False, "no decrease along the projected arc")
+        drop = f - f_trial
+        x, r, f = trial, r_trial, f_trial
+        if drop <= rel_tol * max(abs(f + drop), abs(f), 1.0):
+            return result(True, "relative objective drop below the tolerance")
+    return result(False, f"iteration budget of {max_iters} steps spent")
 
 
 def optimize_min_curvature_lbfgsb_oracle(track: Track, reg: float = 1e-6,

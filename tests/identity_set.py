@@ -137,6 +137,9 @@ def main_set() -> None:
                         straight_track(n=20, spacing=2.0, width=3.0))
         write_track_csv(root / "wiggly.csv", wiggly_track())
         write_track_csv(root / "hairpin_open.csv", hairpin_track(closed=False))
+        # 0.6 m each side of a 0.4 m spaced line: through the solve, about
+        # half the epsilon-active offsets sit on their bounds
+        write_track_csv(root / "wiggly_480.csv", wiggly_track(n=480, width=1.0))
         write_replay_log(root / "replay.csv")
         write_scene(root)
         write_noisy_scene(root)
@@ -153,6 +156,10 @@ def main_set() -> None:
         entries["optimize_open_hairpin"] = ["optimize-raceline",
                                             str(root / "hairpin_open.csv"),
                                             "--set", "track.closed=false"]
+        # the batch's largest size
+        entries["optimize_wiggly_480"] = ["optimize-raceline",
+                                          str(root / "wiggly_480.csv"),
+                                          "--set", "track.closed=true"]
         # the README's pursuit on the raceline optimize_oval writes
         (root / "raceline_pursuit.txt").write_text(
             README + "raceline = out/optimize_oval/raceline.csv\n")

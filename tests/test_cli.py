@@ -563,6 +563,38 @@ class TestSimulate:
         assert report["duration_s"] == 2.0
 
 
+class TestDegenerateCenterline:
+    """A closed out-and-back centerline: the periodic spline's tangent
+    vanishes where it turns back, so no knot there has a normal. Every
+    command rejects it at load, naming the file."""
+
+    @staticmethod
+    def write(path):
+        x = [0, 1, 2, 3, 4, 3, 2, 1]
+        path.write_text("x_m,y_m,w_left_m,w_right_m\n"
+                        + "".join(f"{v},0,2,2\n" for v in x))
+
+    def test_optimize_raceline_exits_2(self, tmp_path, capsys):
+        self.write(tmp_path / "back.csv")
+        assert_exit_2_naming(capsys, ["optimize-raceline",
+                                      str(tmp_path / "back.csv"),
+                                      "--set", "track.closed=true",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "back.csv", "degenerate tangent")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["pursuit", "ftg"])
+    def test_simulate_exits_2(self, tmp_path, capsys, mode):
+        self.write(tmp_path / "back.csv")
+        (tmp_path / "s.txt").write_text(
+            f"mode = {mode}\ntrack = back.csv\ntrack.closed = true\n"
+            "duration_s = 1\nseed = 3\n")
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--out-dir", str(tmp_path / "out")],
+                             "back.csv", "degenerate tangent")
+        assert not (tmp_path / "out").exists()
+
+
 def spoil_cell(path, lineno, column, cell):
     """Replace one cell of a CSV file; lineno counts the header as 1."""
     lines = path.read_text().splitlines()

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gokart.track import (OptimizationError, Raceline, Track,
                           velocity_profile, write_raceline_csv)
 from helpers import (DenseJacobian, circle_track, dense_curvature_residual,
                      hairpin_track, min_curvature_objective_oracle,
-                     minimize_dense_oracle,
+                     minimize_dense_oracle, minimize_full_scaling_oracle,
                      optimize_min_curvature_lbfgsb_oracle, oval_track,
                      straight_track, velocity_profile_oracle, wiggly_track,
                      write_track_csv)
@@ -292,6 +293,108 @@ class TestOptimizer:
             offset_curvature_cost(tr, np.zeros(len(tr)))
 
 
+def both_bounds_start():
+    """The wiggly track from offsets a third on each bound, a third at 0."""
+    tr = wiggly_track()
+    lo, hi = alpha_bounds(tr)
+    x0 = np.zeros(len(tr))
+    x0[::3], x0[1::3] = lo[::3], hi[1::3]
+    return tr, x0
+
+
+class TestPinnedOffsets:
+    """Offsets on a bound whose gradient points out of the box take -g as
+    their step, without a column norm: the projection puts them back on the
+    bound at any scale, so every iterate is the one the full scaling gave."""
+
+    STARTS = {
+        "oval": lambda: (oval_track(), None),
+        "wiggly_3": lambda: (wiggly_track(), None),
+        "wiggly_11": lambda: (wiggly_seed_11(), None),
+        "open_hairpin": lambda: (open_hairpin(), None),
+        "open_straight": lambda: (straight_track(), None),
+        "both_bounds": both_bounds_start,
+    }
+
+    @staticmethod
+    def assert_same_result(got, want):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun
+        assert (got.nit, got.nfev, got.message) == \
+            (want.nit, want.nfev, want.message)
+
+    @pytest.mark.parametrize("name", STARTS)
+    def test_bitwise_equal_to_full_scaling(self, name):
+        tr, x0 = self.STARTS[name]()
+        x0 = np.zeros(len(tr)) if x0 is None else x0
+        kappa, linearize = _curvature_residual(tr)
+        lo, hi = alpha_bounds(tr)
+        got = minimize(kappa, x0, linearize, lo, hi, reg=1e-6)
+        want = minimize_full_scaling_oracle(kappa, x0, linearize, lo, hi,
+                                            reg=1e-6)
+        assert got.success
+        self.assert_same_result(got, want)
+
+    @pytest.mark.parametrize("start", [[0.5, -0.25], [1.0, -0.25]])
+    def test_no_decrease_bitwise_equal_to_full_scaling(self, start):
+        # the wrong-sign Jacobian of test_solver_fails_where_no_step_lowers_
+        # the_objective; from [1, -0.25] the first offset is pinned on hi
+        args = (lambda x: x, np.array(start),
+                lambda x: DenseJacobian(-np.eye(2)), -np.ones(2), np.ones(2))
+        got = minimize(*args)
+        assert not got.success and "no decrease" in got.message
+        self.assert_same_result(got, minimize_full_scaling_oracle(*args))
+
+    @staticmethod
+    def counted(linearize, lo, hi, reg, calls):
+        """`linearize` with each column_norms2 call logged in `calls` as
+        (mask, pinned) from the gradient the step read."""
+        def jac(x):
+            op = linearize(x)
+            seen = {}
+
+            def rmatvec(r):
+                g = op.rmatvec(r)
+                full = g + reg * x
+                seen["pinned"] = (((x == lo) & (full > 0.0))
+                                  | ((x == hi) & (full < 0.0)))
+                return g
+
+            def column_norms2(mask):
+                calls.append((mask.copy(), seen["pinned"]))
+                return op.column_norms2(mask)
+
+            return SimpleNamespace(rmatvec=rmatvec, solve=op.solve,
+                                   column_norms2=column_norms2)
+        return jac
+
+    @pytest.mark.parametrize("fixture", [
+        oval_track, lambda: wiggly_track(n=480, width=1.0)])
+    def test_stepping_asks_no_pinned_column_norm(self, fixture):
+        tr = fixture()
+        kappa, linearize = _curvature_residual(tr)
+        lo, hi = alpha_bounds(tr)
+        calls = []
+        result = minimize(kappa, np.zeros(len(tr)),
+                          self.counted(linearize, lo, hi, 1e-6, calls),
+                          lo, hi, reg=1e-6)
+        assert result.success and "no decrease" not in result.message
+        assert len(calls) == result.nit
+        assert not any(np.any(mask & pinned) for mask, pinned in calls)
+        assert sum(np.count_nonzero(pinned) for _, pinned in calls) > 100
+
+    def test_no_decrease_stop_reads_the_pinned_diagonal(self):
+        calls = []
+        lo, hi = -np.ones(2), np.ones(2)
+        minimize(lambda x: x, np.array([1.0, -0.25]),
+                 self.counted(lambda x: DenseJacobian(-np.eye(2)), lo, hi,
+                              0.0, calls), lo, hi)
+        (stepping, _), (stop, pinned) = calls
+        assert not stepping.any()
+        np.testing.assert_array_equal(stop, pinned)
+        np.testing.assert_array_equal(pinned, [True, False])
+
+
 class TestVelocityProfile:
     def test_straight_gives_v_max(self):
         from gokart.track import velocity_profile
@@ -397,6 +500,15 @@ class TestCsv:
         path.write_text("x_m,y_m,w_left_m,w_right_m\n0,0,1,1\n0,oops,1,1\n")
         with pytest.raises(TrackFormatError, match="line 3"):
             read_track_csv(path, closed=False)
+
+    def test_centerline_without_a_tangent_rejected(self, tmp_path):
+        # closed out and back: the tangent vanishes at both turning points
+        path = tmp_path / "back.csv"
+        path.write_text("x_m,y_m,w_left_m,w_right_m\n" + "".join(
+            f"{x},0,2,2\n" for x in (0, 1, 2, 3, 4, 3, 2, 1)))
+        with pytest.raises(TrackFormatError,
+                           match="back.csv: degenerate tangent"):
+            read_track_csv(path, closed=True)
 
     def test_raceline_roundtrip(self, tmp_path):
         tr = circle_track()
