@@ -110,27 +110,28 @@ class EkfParams:
             require(value > 0.0, f"ekf.{key}", "be > 0", value)
 
 
+_IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 @dataclass
 class EkfState:
-    """Filter state: mean [x, y, psi] and 3x3 covariance.
+    """Filter state: mean (x, y, psi) and the covariance's three rows, all
+    Python floats. The filter reads both by tuple unpacking, so a 3-vector
+    and a 3x3 array work as well.
 
     `nis` is the normalized innovation squared e^T S^-1 e of the update that
     produced the state, None for a state that no update produced. Treated as
     a value: operations return new instances and never mutate their inputs.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
+    mean: tuple[float, float, float]
+    cov: tuple[tuple[float, float, float], ...]
     nis: float | None = None
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(3)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
 
     @classmethod
     def initial(cls, x: float, y: float, psi: float) -> "EkfState":
         """State anchored at a first fix with identity covariance."""
-        return cls(np.array([x, y, normalize_angle(psi)]), np.eye(3))
+        return cls((x, y, normalize_angle(psi)), _IDENTITY_ROWS)
 
 
 def project_to_local(fix: GeoFix, origin: GeoFix,
@@ -170,28 +171,24 @@ def ekf_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
     ])
 
 
-# The filter's algebra runs on Python floats: the mean as [x, y, psi] and
-# every 3x3 matrix as its nine entries in row-major order.
-
-def _unpack(state: EkfState) -> tuple[list, list]:
-    """The state as Python floats; ValueError unless every one is finite."""
-    mean, cov = state.mean.tolist(), state.cov.ravel().tolist()
+def _require_finite(state: EkfState) -> None:
+    """ValueError unless every number of the state is finite."""
+    (r0, r1, r2), mean = state.cov, state.mean
     # a non-finite term makes the sum non-finite; only then is each tested
-    if not (math.isfinite(sum(mean) + sum(cov))
-            or all(map(math.isfinite, mean + cov))):
+    if not (math.isfinite(sum(mean) + sum(r0) + sum(r1) + sum(r2))
+            or all(map(math.isfinite, (*mean, *r0, *r1, *r2)))):
         raise ValueError("non-finite filter state")
-    return mean, cov
 
 
-def _predict(mean, cov, u: MotionInput, q: float):
-    """Motion model on the mean, J P J^T + q I on the covariance, in floats.
-
-    J is the identity but for J[0][2] = a and J[1][2] = b (ekf_jacobian).
-    """
+def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
+    """Prediction step: the motion model on the mean, J P J^T + q I on the
+    covariance. J is the identity but for J[0][2] = a and J[1][2] = b
+    (ekf_jacobian)."""
+    _require_finite(state)
     if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
         raise ValueError("non-finite motion input")
-    x, y, psi = mean
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = cov
+    (x, y, psi), q = state.mean, params.process_noise_scale
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.cov
     step = u.v * u.dt
     a, b = -(step * math.sin(psi)), step * math.cos(psi)
     # rows 0 and 1 of J P, last column, then (J P) J^T
@@ -201,23 +198,27 @@ def _predict(mean, cov, u: MotionInput, q: float):
     c01 = 0.5 * (p01 + a * p21 + b * r02 + (p10 + b * p20 + a * r12))
     c02 = 0.5 * (r02 + (p20 + a * p22))
     c12 = 0.5 * (r12 + (p21 + b * p22))
-    return ([x + b, y - a, normalize_angle(psi + u.dt * u.omega)],
-            [c00, c01, c02, c01, c11, c12, c02, c12, p22 + q])
+    return EkfState((x + b, y - a, normalize_angle(psi + u.dt * u.omega)),
+                    ((c00, c01, c02), (c01, c11, c12), (c02, c12, p22 + q)))
 
 
-def _update(mean, cov, obs, obs_cov):
-    """The update in floats: with S = P + M, K = P S^-1 moves the mean by
-    K e and the covariance to (I - K) P; also returns the NIS e^T S^-1 e
-    of the innovation e.
+def ekf_update(state: EkfState, obs, obs_cov) -> EkfState:
+    """Measurement update with identity observation Jacobian: with S = P + M
+    (M is `obs_cov`, three rows), K = P S^-1 moves the mean by K e and the
+    covariance to (I - K) P; the state carries the NIS e^T S^-1 e. The
+    heading residual e[2] is taken on the circle, so an observation across
+    the +-pi seam pulls the mean the short way around.
 
     S^-1 is applied by Gaussian elimination with partial pivoting, as
     LAPACK's gesv does: the first row of largest magnitude leads each
-    column. Raises numpy.linalg.LinAlgError when a pivot is exactly 0.
+    column. Raises numpy.linalg.LinAlgError when a pivot is exactly 0;
+    callers may inflate M and retry.
     """
-    x, y, psi = mean
-    e0, e1, e2 = obs[0] - x, obs[1] - y, normalize_angle(obs[2] - psi)
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = cov
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = obs_cov
+    x, y, psi = state.mean
+    ox, oy, opsi = obs
+    e0, e1, e2 = ox - x, oy - y, normalize_angle(opsi - psi)
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.cov
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = obs_cov
     # [S | P | e]; S X = P gives X = K^T, as S and P are symmetric
     r0 = (p00 + m00, p01 + m01, p02 + m02, p00, p01, p02, e0)
     r1 = (p10 + m10, p11 + m11, p12 + m12, p10, p11, p12, e1)
@@ -255,9 +256,9 @@ def _update(mean, cov, obs, obs_cov):
                          (b01 - u02 * k12 - u01 * k11) / u00,
                          (b02 - u02 * k22 - u01 * k21) / u00,
                          (b03 - u02 * w2 - u01 * w1) / u00)
-    mean = [x + (k00 * e0 + k01 * e1 + k02 * e2),
+    mean = (x + (k00 * e0 + k01 * e1 + k02 * e2),
             y + (k10 * e0 + k11 * e1 + k12 * e2),
-            normalize_angle(psi + (k20 * e0 + k21 * e1 + k22 * e2))]
+            normalize_angle(psi + (k20 * e0 + k21 * e1 + k22 * e2)))
     # (I - K) P, then symmetrized
     n00, n11, n22 = 1.0 - k00, 1.0 - k11, 1.0 - k22
     c00 = n00 * p00 - k01 * p10 - k02 * p20
@@ -269,30 +270,8 @@ def _update(mean, cov, obs, obs_cov):
                  + (n22 * p20 - k20 * p00 - k21 * p10))
     c12 = 0.5 * (n11 * p12 - k10 * p02 - k12 * p22
                  + (n22 * p21 - k20 * p01 - k21 * p11))
-    return (mean, [c00, c01, c02, c01, c11, c12, c02, c12, c22],
-            e0 * w0 + e1 * w1 + e2 * w2)
-
-
-def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
-    """Prediction step: advance the mean by the motion model and the
-    covariance by J P J^T + R."""
-    mean, cov = _predict(*_unpack(state), u, params.process_noise_scale)
-    return EkfState(mean, cov)
-
-
-def ekf_update(state: EkfState, obs: np.ndarray, obs_cov: np.ndarray) -> EkfState:
-    """Measurement update with identity observation Jacobian.
-
-    K = P (P + M)^-1; the heading residual is computed on the circle so an
-    observation across the +-pi seam pulls the mean the short way around.
-    The returned state carries the update's NIS. Raises
-    numpy.linalg.LinAlgError when (P + M) is singular; callers may inflate M
-    and retry.
-    """
-    obs = np.asarray(obs, dtype=float).reshape(3).tolist()
-    m = np.asarray(obs_cov, dtype=float).reshape(9).tolist()
-    return EkfState(*_update(state.mean.tolist(), state.cov.ravel().tolist(),
-                             obs, m))
+    return EkfState(mean, ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22)),
+                    e0 * w0 + e1 * w1 + e2 * w2)
 
 
 def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
@@ -304,16 +283,16 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
     the predicted mean with near-infinite variance, which keeps the position
     dead reckoning exactly while still absorbing the IMU heading.
     """
-    mean, cov = _predict(*_unpack(state), u, params.process_noise_scale)
+    pred = ekf_predict(state, u, params)
     if gnss is not None and gnss.valid:
         p = project_to_local(gnss, origin, params.earth_radius)
         obs = (p.x, p.y, imu.yaw)
         var = gnss.pos_variance
     else:
-        obs = (mean[0], mean[1], imu.yaw)
+        obs = (pred.mean[0], pred.mean[1], imu.yaw)
         var = GNSS_DROPOUT_VARIANCE
-    m = (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, 0.0, imu.yaw_variance)
-    return EkfState(*_update(mean, cov, obs, m))
+    m = ((var, 0.0, 0.0), (0.0, var, 0.0), (0.0, 0.0, imu.yaw_variance))
+    return ekf_update(pred, obs, m)
 
 
 # The chi-square(3) 95% point: a consistent filter's NIS exceeds it on 5% of
@@ -411,12 +390,13 @@ def run_replay(rows, params: EkfParams | None = None):
             state = localizer.step(t, v, t - t_prev, fix,
                                    ImuReading(imu_yaw, omega, imu_yaw_var))
             if state is not None:
-                _unpack(state)  # ValueError unless every number is finite
+                _require_finite(state)
         except ValueError as exc:
             raise ReplayFormatError(f"replay row at t_s {t!r}: {exc}") from None
         t_prev = t
         if state is not None:
-            out.append((t, *state.mean.tolist(), *state.cov.diagonal().tolist()))
+            cov = state.cov
+            out.append((t, *state.mean, cov[0][0], cov[1][1], cov[2][2]))
     return out
 
 

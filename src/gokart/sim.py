@@ -30,9 +30,8 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
 from .fileio import ScenarioError, parse_bool, parse_float, require
 from .geometry import (Polyline, body_to_world, normalize_angle,
                        polyline_distance)
-from .localization import (CHI2_3_95, EkfParams, EkfState, GeoFix,
-                           ImuReading, LocalPoint, Localizer, fuse_step,
-                           local_to_geo)
+from .localization import (EkfParams, EkfState, GeoFix, ImuReading,
+                           LocalPoint, Localizer, fuse_step, local_to_geo)
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
                          TRACK_RGB, detect_boundaries, homography_from_points,
                          pixel_map, scan_angles)
@@ -761,7 +760,7 @@ class _PursuitPlanner:
     def plan(self, t, estimate: EkfState, measured_speed, truth):
         if self.ended:
             return None
-        x, y, psi = estimate.mean.tolist()
+        x, y, psi = estimate.mean
         pose = VehicleState(x=x, y=y, psi=psi, v=measured_speed)
         try:
             cmd = pursuit_step(self.reference, pose, self.state, self.params,
@@ -911,7 +910,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
 
         positions.append((truth.x, truth.y))
         est = ("nan,nan,nan" if localizer.state is None else
-               ",".join(map(repr, localizer.state.mean.tolist())))
+               ",".join(map(repr, localizer.state.mean)))
         pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
                          f"{truth.v!r},{est}")
 

@@ -255,12 +255,19 @@ def reference_linear_kalman(mean, cov, f, r, steps):
 FUSE_RTOL = 1e-9
 
 
+def _as_state(mean, cov, nis=None):
+    """An EkfState of numpy arrays in the package's representation: the
+    mean and the covariance's rows as tuples of Python floats."""
+    return EkfState(tuple(mean.tolist()), tuple(map(tuple, cov.tolist())), nis)
+
+
 def _oracle_predict(state, u, params):
-    if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.cov))):
+    mean, cov = np.array(state.mean, dtype=float), np.array(state.cov, dtype=float)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError("non-finite filter state")
     if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
         raise ValueError("non-finite motion input")
-    x, y, psi = state.mean
+    x, y, psi = mean
     mean = np.array([
         x + u.v * u.dt * math.cos(psi),
         y + u.v * u.dt * math.sin(psi),
@@ -271,9 +278,9 @@ def _oracle_predict(state, u, params):
         [0.0, 1.0, u.dt * u.v * math.cos(psi)],
         [0.0, 0.0, 1.0],
     ])
-    cov = j @ state.cov @ j.T + params.process_noise_scale * np.eye(3)
+    cov = j @ cov @ j.T + params.process_noise_scale * np.eye(3)
     cov = 0.5 * (cov + cov.T)
-    return EkfState(mean, cov)
+    return _as_state(mean, cov)
 
 
 def _oracle_observation(pred, gnss, imu, origin, params):
@@ -290,28 +297,28 @@ def _oracle_observation(pred, gnss, imu, origin, params):
 
 
 def _innovation(state, obs):
-    innovation = obs - state.mean
+    innovation = obs - np.array(state.mean)
     innovation[2] = normalize_angle(obs[2] - state.mean[2])
     return innovation
 
 
 def fuse_step_oracle(state, u, gnss, imu, origin, params):
     """The numpy EKF cycle: `np.eye(3)` and `np.diag` built per call,
-    `np.all` finite checks, BLAS `@`, `np.linalg.solve`, and every state
-    through the public `EkfState` constructor. Takes and returns what the
-    package's `fuse_step` does, NIS included."""
+    `np.all` finite checks, BLAS `@` and `np.linalg.solve` on arrays.
+    Takes and returns what the package's `fuse_step` does, NIS included:
+    states of Python-float tuples, converted at the boundary."""
     pred = _oracle_predict(state, u, params)
     obs, m = _oracle_observation(pred, gnss, imu, origin, params)
-    p = pred.cov
+    p = np.array(pred.cov)
     s = p + m
     k = np.linalg.solve(s, p).T
     innovation = _innovation(pred, obs)
-    mean = pred.mean + k @ innovation
+    mean = np.array(pred.mean) + k @ innovation
     mean[2] = normalize_angle(mean[2])
     cov = (np.eye(3) - k) @ p
     cov = 0.5 * (cov + cov.T)
     nis = float(innovation @ np.linalg.solve(s, innovation))
-    return EkfState(mean, cov, nis)
+    return _as_state(mean, cov, nis)
 
 
 def mean_gap(got, want):
@@ -329,13 +336,13 @@ def assert_matches_oracle(out, state, u, gnss, imu, origin, params):
     want = fuse_step_oracle(state, u, gnss, imu, origin, params)
     pred = _oracle_predict(state, u, params)
     obs, m = _oracle_observation(pred, gnss, imu, origin, params)
-    s = pred.cov + m
+    s = np.add(pred.cov, m)
     d = 1.0 / np.sqrt(np.abs(np.diag(s)))
     bound = FUSE_RTOL * np.linalg.cond(s * np.outer(d, d))
     e_max = np.abs(_innovation(pred, obs)).max()
     assert np.all(mean_gap(out.mean, want.mean)
                   <= bound * (1.0 + np.abs(want.mean) + e_max))
-    assert np.all(np.abs(out.cov - want.cov)
+    assert np.all(np.abs(np.subtract(out.cov, want.cov))
                   <= bound * (1.0 + np.abs(pred.cov).max()))
     assert abs(out.nis - want.nis) <= bound * (1.0 + abs(want.nis))
 
@@ -345,7 +352,7 @@ def assert_state_close(got, want):
     difference taken on the circle."""
     assert np.all(mean_gap(got.mean, want.mean)
                   <= FUSE_RTOL * (1.0 + np.abs(want.mean)))
-    assert np.all(np.abs(got.cov - want.cov)
+    assert np.all(np.abs(np.subtract(got.cov, want.cov))
                   <= FUSE_RTOL * (1.0 + np.abs(want.cov)))
 
 

@@ -221,7 +221,8 @@ class TestUpdate:
         state = EkfState(rng.normal(size=3), cov)
         out = ekf_update(state, rng.normal(size=3),
                          np.diag(rng.uniform(0.01, 2.0, 3)))
-        np.testing.assert_allclose(out.cov, out.cov.T, atol=1e-9)
+        cov = np.asarray(out.cov)
+        np.testing.assert_allclose(cov, cov.T, atol=1e-9)
 
 
 class TestFuseStep:
@@ -316,12 +317,14 @@ variance = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
 @st.composite
 def ekf_states(draw):
-    """Means anywhere near the origin; covariances A A^T + eps I, SPD."""
+    """Means anywhere near the origin; covariances A A^T + eps I, SPD; as
+    the filter holds them, tuples of Python floats."""
     a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=9,
                                max_size=9))).reshape(3, 3)
     eps = draw(st.floats(min_value=1e-6, max_value=1.0))
-    return EkfState(np.array([draw(finite), draw(finite), draw(heading)]),
-                    a @ a.T + eps * np.eye(3))
+    cov = a @ a.T + eps * np.eye(3)
+    return EkfState((draw(finite), draw(finite), draw(heading)),
+                    tuple(map(tuple, cov.tolist())))
 
 
 ORIGIN = GeoFix(0.7, -1.3)
@@ -356,16 +359,14 @@ class TestFuseStepOracle:
         u = MotionInput(v, omega, dt)
         imu = ImuReading(yaw, omega, yaw_var)
         params = EkfParams(process_noise_scale=q)
-        mean_in, cov_in = state.mean.tobytes(), state.cov.tobytes()
+        mean_in, cov_in = state.mean, state.cov
         out = fuse_step(state, u, gnss, imu, ORIGIN, params)
         assert_matches_oracle(out, state, u, gnss, imu, ORIGIN, params)
-        assert out.mean.dtype == float and out.mean.shape == (3,)
-        assert out.cov.dtype == float and out.cov.shape == (3, 3)
-        assert out.mean.flags.writeable and out.cov.flags.writeable
-        assert isinstance(out.nis, float)
-        # the inputs are values: never written to
-        assert state.mean.tobytes() == mean_in
-        assert state.cov.tobytes() == cov_in
+        assert len(out.mean) == 3 and [len(row) for row in out.cov] == [3] * 3
+        assert all(type(v) is float
+                   for v in (*out.mean, *sum(out.cov, ()), out.nis))
+        # the inputs are values: never rebound
+        assert state.mean is mean_in and state.cov is cov_in
 
     def test_chain_matches_oracle_bitwise(self):
         # a long closed chain with dropouts, so any drift would compound
@@ -392,6 +393,30 @@ class TestFuseStepOracle:
         with pytest.raises(ValueError, match="non-finite filter state"):
             fuse_step(state, MotionInput(1.0, 0.0, 0.01), None, imu, ORIGIN,
                       default_params())
+
+    def test_finite_state_whose_sum_overflows(self):
+        # the finite check sums the twelve numbers and tests each on its own
+        # only when the sum is not finite, so 1e308 + 1e308 is no reason to
+        # reject the state
+        state = EkfState((1e308, 1e308, 0.0), EkfState.initial(0, 0, 0).cov)
+        out = fuse_step(state, MotionInput(0.0, 0.0, 0.01), None,
+                        ImuReading(0.0, 0.0, 1e-4), ORIGIN, default_params())
+        assert list(out.mean[:2]) == [1e308, 1e308]
+        assert np.all(np.isfinite(out.cov)) and math.isfinite(out.nis)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("index", range(12))
+    def test_one_nonfinite_number_raises(self, index, bad):
+        # each of the twelve, beside two numbers whose sum overflows
+        numbers = [1e308, 1e308, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                   1.0]
+        numbers[index] = bad
+        state = EkfState(tuple(numbers[:3]), (tuple(numbers[3:6]),
+                                              tuple(numbers[6:9]),
+                                              tuple(numbers[9:])))
+        with pytest.raises(ValueError, match="non-finite filter state"):
+            fuse_step(state, MotionInput(0.0, 0.0, 0.01), None,
+                      ImuReading(0.0, 0.0, 1e-4), ORIGIN, default_params())
 
     def test_singular_innovation_covariance_raises(self):
         # P = -q I predicts to 0 at v = 0; with exact observations S = 0
@@ -424,7 +449,7 @@ class TestCovarianceHealth:
                              yaw_rate=rng.uniform(-2, 2),
                              yaw_variance=rng.uniform(1e-6, 1.0))
             state = fuse_step(state, u, fix, imu, origin, params)
-            cov = state.cov
+            cov = np.asarray(state.cov)
             assert np.allclose(cov, cov.T, atol=1e-9)
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
@@ -563,8 +588,8 @@ class TestLocalizer:
         state = loc.step(0.02, 2.0, 0.01, fix, self.IMU)
         assert loc.first_fix_s == 0.02 and state is loc.state
         p = project_to_local(fix, self.ORIGIN)
-        assert state.mean.tolist() == [p.x, p.y, 0.3]
-        assert state.cov.tolist() == np.eye(3).tolist()
+        assert state.mean == (p.x, p.y, 0.3)
+        assert state.cov == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
         assert loc.nis == []  # the anchoring fix is not an update
 
     def test_records_nis_only_for_updates_with_a_fix(self):
@@ -578,7 +603,7 @@ class TestLocalizer:
             state = fuse_step(state, u, gnss, self.IMU, self.ORIGIN,
                               EkfParams())
             got = loc.step(0.01 * k, 2.0, 0.01, gnss, self.IMU)
-            assert got.mean.tolist() == state.mean.tolist()
+            assert got.mean == state.mean
             if gnss is not None and gnss.valid:
                 expected.append(state.nis)
         assert loc.first_fix_s == 0.0

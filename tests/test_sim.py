@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gokart.geometry import Polyline, body_to_world, normalize_angle
-from gokart.localization import (GeoFix, LocalPoint, fuse_step, local_to_geo,
-                                 project_to_local)
+from gokart.localization import (CHI2_3_95, GeoFix, LocalPoint, fuse_step,
+                                 local_to_geo, project_to_local)
 from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
     scan_angles
-from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, CHI2_3_95, GnssSimulator,
+from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, GnssSimulator,
                         ImuSimulator, ScenarioError, SensorConfig, TrackSampler,
                         VehicleParams, VehicleState, _bev_body_points,
                         bev_grass_mask, bicycle_step, build_scenario,
