@@ -740,8 +740,8 @@ def prepare_raceline(track: Track, scenario: ScenarioConfig) -> Raceline:
 # A planner runs every `period` ticks once the filter has a fix; `plan`
 # returns (command, gap or None, safety stop) or None, `rows` its own logs.
 # Its `reference` (a Raceline or a TrackSampler) is the path the run's
-# cross-track error and progress are measured against: `polyline`, arc
-# positions `s`, `length` and `closed`.
+# cross-track error and progress are measured against: its `polyline`
+# and whether it is `closed`.
 
 class _PursuitPlanner:
     """Pure pursuit of the raceline from the filter's estimate; plans
@@ -920,11 +920,12 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     outside = sampler.lateral_margin(positions) < 0.0
     # the ticks that leave the track, from inside before the first one
     entered = outside & ~np.append(False, outside[:-1])
-    ds = np.diff(ref.s[near])
+    # progress in whole waypoints: the tick k >= 1 is cumsum(steps)[k - 1]
+    # past the start, and a lap is n steps around (n - 1 to the open end)
+    n, steps = len(polyline.x), np.diff(near)
     if ref.closed:
-        ds = (ds + 0.5 * ref.length) % ref.length - 0.5 * ref.length
-    # the progress at tick k >= 1 is cumsum(ds)[k - 1]; at tick 0 it is 0
-    lapped = np.flatnonzero(np.cumsum(ds) >= ref.length)
+        steps = (steps + n // 2) % n - n // 2
+    lapped = np.flatnonzero(np.cumsum(steps) >= (n if ref.closed else n - 1))
     poses = ["t_s,x_m,y_m,psi_rad,v_mps,est_x_m,est_y_m,est_psi_rad,"
              "cross_track_m"]
     poses += map("{},{!r}".format, pose_rows, cross.tolist())

@@ -847,7 +847,7 @@ class TestClosedLoop:
         # each tick scored on its own from the run's poses.csv: the
         # cross-track error and nearest vertex by the brute-force oracle,
         # the boundary test one point at a time, and progress as the sum
-        # of nearest-vertex steps
+        # of nearest-vertex index steps, a lap every vertex once
         write_track_csv(tmp_path / "oval.csv", oval_track())
         write_track_csv(tmp_path / "straight.csv",
                         straight_track(n=20, spacing=2.0, width=3.0))
@@ -862,13 +862,13 @@ class TestClosedLoop:
         else:
             ref = prepare_raceline(track, scenario)
             xy = ref.xy
-        s = ref.s.tolist()
+        n = len(xy)
         rows = [row.split(",")
                 for row in report.logs["poses.csv"].splitlines()[1:]]
         assert len(rows) == report.ticks
         cross = [float(row[-1]) for row in rows]
         violations, was_outside = 0, False
-        progress, lap_time, prev = 0.0, None, None
+        progress, lap_time, prev = 0, None, None
         for row, got in zip(rows, cross):
             x, y = float(row[1]), float(row[2])
             want, near = polyline_distance_oracle(xy, (x, y), ref.closed)
@@ -877,12 +877,11 @@ class TestClosedLoop:
             violations += outside and not was_outside
             was_outside = outside
             if prev is not None:
-                ds = s[near] - s[prev]
-                if ref.closed:
-                    ds = (ds + 0.5 * ref.length) % ref.length \
-                        - 0.5 * ref.length
-                progress += ds
-            if lap_time is None and progress >= ref.length:
+                step = near - prev
+                if ref.closed:  # the shorter way around
+                    step = (step + n // 2) % n - n // 2
+                progress += step
+            if lap_time is None and progress >= (n if ref.closed else n - 1):
                 lap_time = float(row[0])
             prev = near
         assert (violations, lap_time is not None) == expected
