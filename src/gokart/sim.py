@@ -200,8 +200,6 @@ class TrackSampler:
         self.w_left = np.interp(t, knots, w_left)
         self.w_right = np.interp(t, knots, w_right)
         self.closed = track.closed
-        self.s = t
-        self.length = sp.t_max
         self._tree = cKDTree(self.points)
         # inside() decides points by world cells of 5 steps a side over the
         # samples' bounding box, padded by the widest half-width plus half

@@ -255,7 +255,6 @@ class TestTrackSampler:
         assert polyline.closed and sampler.closed
         np.testing.assert_array_equal(polyline.x, sampler.points[:, 0])
         np.testing.assert_array_equal(polyline.y, sampler.points[:, 1])
-        assert len(sampler.s) == len(sampler.points)
 
 
 class TestRenderScene:
