@@ -86,16 +86,25 @@ def _index_below(value, stop: int) -> bool:
         return False
 
 
+# The per-tick records below check their arguments in their own __init__
+# and store them through this, so no __post_init__ runs on the tick path.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class CanFrame:
     can_id: int
     payload: bytes
 
-    def __post_init__(self):
-        if not 0 <= self.can_id < 0x800:
+    def __init__(self, can_id: int, payload: bytes):
+        if not 0 <= can_id < 0x800:
             raise ValueError("CAN id must fit in 11 bits")
-        if len(self.payload) != 8:
+        if payload.__class__ is not bytes:
+            raise ValueError(f"payload must be bytes, not {payload!r}")
+        if len(payload) != 8:
             raise ValueError("payload must be exactly 8 bytes")
+        _set(self, "can_id", can_id)
+        _set(self, "payload", payload)
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,12 @@ class SubsystemFeedback:
     measured_speed: float = 0.0
     measured_steering: float = 0.0
     brake_pressure: float = 0.0
+
+    def __init__(self, measured_speed: float = 0.0,
+                 measured_steering: float = 0.0, brake_pressure: float = 0.0):
+        _set(self, "measured_speed", measured_speed)
+        _set(self, "measured_steering", measured_steering)
+        _set(self, "brake_pressure", brake_pressure)
 
 
 # Each encoder rounds half to even first, so nan and inf raise there
@@ -165,10 +180,12 @@ def apply_feedback(fb: SubsystemFeedback, frame: CanFrame) -> SubsystemFeedback:
     if spec is None:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
     index, scale, payload, _, _ = spec
-    raw, _seq = payload.unpack(frame.payload)
-    values = [fb.measured_speed, fb.measured_steering, fb.brake_pressure]
-    values[index] = raw / scale
-    return SubsystemFeedback(*values)
+    value = payload.unpack(frame.payload)[0] / scale
+    if index == 0:
+        return SubsystemFeedback(value, fb.measured_steering, fb.brake_pressure)
+    if index == 1:
+        return SubsystemFeedback(fb.measured_speed, value, fb.brake_pressure)
+    return SubsystemFeedback(fb.measured_speed, fb.measured_steering, value)
 
 
 class ModeArbiter:

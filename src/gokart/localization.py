@@ -33,6 +33,10 @@ EARTH_RADIUS_M = 6_371_000.0
 # to zero the position gain without making (P + M) singular.
 GNSS_DROPOUT_VARIANCE = 1e12
 
+# ImuReading and MotionInput, built once per IMU sample, check their
+# arguments in their own __init__ and store them through this.
+_set = object.__setattr__
+
 
 class GnssRejected(ValueError):
     """An operation received an invalid (dropout) GNSS fix."""
@@ -80,10 +84,12 @@ class ImuReading:
     yaw_rate: float
     yaw_variance: float = 0.0
 
-    def __post_init__(self):
-        if self.yaw_variance < 0.0:
+    def __init__(self, yaw: float, yaw_rate: float, yaw_variance: float = 0.0):
+        if yaw_variance < 0.0:
             raise ValueError("yaw_variance must be >= 0")
-        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        _set(self, "yaw", normalize_angle(yaw))
+        _set(self, "yaw_rate", yaw_rate)
+        _set(self, "yaw_variance", yaw_variance)
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,12 @@ class MotionInput:
     omega: float
     dt: float
 
-    def __post_init__(self):
-        if not self.dt > 0.0:
+    def __init__(self, v: float, omega: float, dt: float):
+        if not dt > 0.0:
             raise ValueError("dt must be > 0")
+        _set(self, "v", v)
+        _set(self, "omega", omega)
+        _set(self, "dt", dt)
 
 
 @dataclass(frozen=True)

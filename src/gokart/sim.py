@@ -92,22 +92,27 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
     v_target *= 1.0 - min(max(brake, 0.0), 1.0)
     tan_d = math.tan(steering)
     wheelbase, tau = params.wheelbase, params.v_time_constant
-
-    def deriv(psi, v):
-        return (v * math.cos(psi), v * math.sin(psi), v / wheelbase * tan_d,
-                (v_target - v) / tau)
-
-    psi, v = state.psi, state.v
+    cos, sin = math.cos, math.sin
+    # RK4 unrolled: stage i evaluates (v cos psi, v sin psi, psi', v') at
+    # (psi_i, v_i), in the operation order of a four-tuple derivative
     half = 0.5 * dt
-    k1 = deriv(psi, v)
-    k2 = deriv(psi + half * k1[2], v + half * k1[3])
-    k3 = deriv(psi + half * k2[2], v + half * k2[3])
-    k4 = deriv(psi + dt * k3[2], v + dt * k3[3])
-    s1 = [s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-          for s, a, b, c, d in zip((state.x, state.y, psi, v), k1, k2, k3, k4)]
-    return VehicleState(x=float(s1[0]), y=float(s1[1]),
-                        psi=normalize_angle(float(s1[2])),
-                        v=float(min(max(s1[3], 0.0), params.max_speed)))
+    psi1, v1 = state.psi, state.v
+    w1, a1 = v1 / wheelbase * tan_d, (v_target - v1) / tau
+    psi2, v2 = psi1 + half * w1, v1 + half * a1
+    w2, a2 = v2 / wheelbase * tan_d, (v_target - v2) / tau
+    psi3, v3 = psi1 + half * w2, v1 + half * a2
+    w3, a3 = v3 / wheelbase * tan_d, (v_target - v3) / tau
+    psi4, v4 = psi1 + dt * w3, v1 + dt * a3
+    w4, a4 = v4 / wheelbase * tan_d, (v_target - v4) / tau
+    sixth = dt / 6.0
+    x = state.x + sixth * (v1 * cos(psi1) + 2.0 * (v2 * cos(psi2))
+                           + 2.0 * (v3 * cos(psi3)) + v4 * cos(psi4))
+    y = state.y + sixth * (v1 * sin(psi1) + 2.0 * (v2 * sin(psi2))
+                           + 2.0 * (v3 * sin(psi3)) + v4 * sin(psi4))
+    psi = psi1 + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+    v = v1 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return VehicleState(x=float(x), y=float(y), psi=normalize_angle(float(psi)),
+                        v=float(min(max(v, 0.0), params.max_speed)))
 
 
 # sensor noise pairs drawn per generator call
@@ -857,6 +862,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     wheelbase, max_speed = vehicle.wheelbase, vehicle.max_speed
     kill_at = math.inf if scenario.kill_at_s is None else scenario.kill_at_s
     imu_dt = imu_every * dt
+    send, add_frame, join = bus.send, frame_rows.append, ",".join
 
     for k in range(ticks):
         t = k * dt
@@ -883,8 +889,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                                       autonomous=pending_cmd, kill=kill_active)
             pending_cmd = None
             frame = encode_command(arbitrated, k // mcs_every)
-            bus.send(frame)
-            frame_rows.append(",".join(format_trace_row(t, frame)))
+            send(frame)
+            add_frame(join(format_trace_row(t, frame)))
             for delivered in bus.deliver():
                 if delivered.can_id == COMMAND_FRAME_ID:
                     active = decode_command(delivered)
@@ -899,16 +905,22 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         truth = bicycle_step(truth, delta_act, duty * max_speed, pressure,
                              vehicle, dt)
 
-        for can_id, value in ((TBWS_FEEDBACK_ID, truth.v),
-                              (SBWS_FEEDBACK_ID, delta_act),
-                              (EBS_FEEDBACK_ID, pressure)):
-            fb_frame = encode_feedback(can_id, value, k)
-            bus.send(fb_frame)
-            frame_rows.append(",".join(format_trace_row(t, fb_frame)))
+        frame = encode_feedback(TBWS_FEEDBACK_ID, truth.v, k)
+        send(frame)
+        add_frame(join(format_trace_row(t, frame)))
+        frame = encode_feedback(SBWS_FEEDBACK_ID, delta_act, k)
+        send(frame)
+        add_frame(join(format_trace_row(t, frame)))
+        frame = encode_feedback(EBS_FEEDBACK_ID, pressure, k)
+        send(frame)
+        add_frame(join(format_trace_row(t, frame)))
 
         positions.append((truth.x, truth.y))
-        est = ("nan,nan,nan" if localizer.state is None else
-               ",".join(map(repr, localizer.state.mean)))
+        if localizer.state is None:
+            est = "nan,nan,nan"
+        else:
+            ex, ey, epsi = localizer.state.mean
+            est = f"{ex!r},{ey!r},{epsi!r}"
         pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
                          f"{truth.v!r},{est}")
 

@@ -29,10 +29,12 @@ each frame laid out with `struct` format strings of its own.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
 import numpy as np
+import pytest
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
@@ -145,6 +147,22 @@ def alternating(cases):
     for case in cases[1:]:
         yield cases[0]
         yield case
+
+
+def assert_frozen_value(record, name, value):
+    """A frozen dataclass record: assignment raises, a rebuild from its
+    fields (by position and by keyword) is equal and hashes equal, and
+    dataclasses.replace sets `name` to `value` and keeps the other fields."""
+    cls, names = type(record), [f.name for f in dataclasses.fields(record)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, value)
+    values = [getattr(record, n) for n in names]
+    for rebuilt in (cls(*values), cls(**dict(zip(names, values)))):
+        assert rebuilt == record and hash(rebuilt) == hash(record)
+    changed = dataclasses.replace(record, **{name: value})
+    assert getattr(changed, name) == value and changed != record
+    assert [getattr(changed, n) for n in names if n != name] == [
+        getattr(record, n) for n in names if n != name]
 
 
 # --- oracles -----------------------------------------------------------------

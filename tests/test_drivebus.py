@@ -16,8 +16,9 @@ from gokart.drivebus import (BRAKE_SCALE, CanBus, CanFrame, COMMAND_FRAME_ID,
                              TBWS_FEEDBACK_ID, ThrottleEcu, apply_feedback,
                              decode_command, ebs_step, encode_command,
                              encode_feedback, format_trace_row, sbws_step)
-from helpers import (apply_feedback_oracle, decode_command_oracle,
-                     encode_command_oracle, encode_feedback_oracle)
+from helpers import (apply_feedback_oracle, assert_frozen_value,
+                     decode_command_oracle, encode_command_oracle,
+                     encode_feedback_oracle)
 
 command_strategy = st.builds(
     DriveCommand,
@@ -87,6 +88,11 @@ class TestCodec:
             CanFrame(0x900, bytes(8))
         with pytest.raises(ValueError):
             CanFrame(0x100, bytes(5))
+        # eight items that are not bytes: they would fail later, in the
+        # trace row, the feedback fold or hash()
+        for payload in ("01234567", list(range(8)), bytearray(8)):
+            with pytest.raises(ValueError, match="payload must be bytes"):
+                CanFrame(0x100, payload)
 
 
 class TestSequenceCounters:
@@ -96,7 +102,32 @@ class TestSequenceCounters:
         assert seqs[255] == 255 and seqs[256] == 0
 
 
+# (record, a field to replace, its new value)
+BY_WIRE_RECORDS = [
+    (CanFrame(SBWS_FEEDBACK_ID, bytes(range(8))), "can_id", EBS_FEEDBACK_ID),
+    (SubsystemFeedback(1.5, -0.25, 0.5), "brake_pressure", 0.75),
+]
+
+
 class TestFeedbackFrames:
+    @pytest.mark.parametrize("record, name, value", BY_WIRE_RECORDS)
+    def test_record_is_a_frozen_value(self, record, name, value):
+        assert_frozen_value(record, name, value)
+
+    def test_replace_checks_the_frame(self):
+        frame = CanFrame(TBWS_FEEDBACK_ID, bytes(8))
+        with pytest.raises(ValueError, match="11 bits"):
+            dataclasses.replace(frame, can_id=0x900)
+        with pytest.raises(ValueError, match="payload must be bytes"):
+            dataclasses.replace(frame, payload=bytearray(8))
+
+    def test_feedback_defaults_and_keywords(self):
+        assert SubsystemFeedback() == SubsystemFeedback(0.0, 0.0, 0.0)
+        assert [f.default for f in dataclasses.fields(SubsystemFeedback)] == [
+            0.0, 0.0, 0.0]
+        assert SubsystemFeedback(brake_pressure=0.5, measured_speed=2.0) == \
+            SubsystemFeedback(2.0, 0.0, 0.5)
+
     def test_gather_roundtrip(self):
         fb = SubsystemFeedback()
         fb = apply_feedback(fb, encode_feedback(TBWS_FEEDBACK_ID, 3.217, 1))

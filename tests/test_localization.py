@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  ekf_jacobian, ekf_predict, ekf_update,
                                  fuse_step, local_to_geo, project_to_local,
                                  read_replay_log, run_replay)
-from helpers import (assert_matches_oracle, assert_state_close,
-                     fuse_step_oracle, haversine_m, reference_linear_kalman)
+from helpers import (assert_frozen_value, assert_matches_oracle,
+                     assert_state_close, fuse_step_oracle, haversine_m,
+                     reference_linear_kalman)
 
 
 def default_params():
@@ -225,7 +227,34 @@ class TestUpdate:
         np.testing.assert_allclose(cov, cov.T, atol=1e-9)
 
 
+# (record, a field to replace, its new value)
+FILTER_INPUT_RECORDS = [
+    (ImuReading(0.3, -0.05, 1e-4), "yaw_rate", 0.125),
+    (MotionInput(2.5, 0.1, 0.01), "dt", 0.02),
+]
+
+
 class TestFuseStep:
+    @pytest.mark.parametrize("record, name, value", FILTER_INPUT_RECORDS)
+    def test_input_record_is_a_frozen_value(self, record, name, value):
+        assert_frozen_value(record, name, value)
+
+    def test_imu_reading_defaults_and_normalizes(self):
+        assert ImuReading(0.5, 0.25) == ImuReading(0.5, 0.25, 0.0)
+        assert ImuReading(yaw_rate=0.25, yaw=0.5).yaw_variance == 0.0
+        assert ImuReading(3 * math.pi, 0.0).yaw == normalize_angle(3 * math.pi)
+        assert dataclasses.replace(ImuReading(0.5, 0.0), yaw=-4.0).yaw == \
+            normalize_angle(-4.0)
+        with pytest.raises(ValueError, match="yaw_variance must be >= 0"):
+            ImuReading(0.0, 0.0, -1e-9)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_motion_input_rejects_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            MotionInput(1.0, 0.0, dt)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            dataclasses.replace(MotionInput(1.0, 0.0, 0.01), dt=dt)
+
     def test_dropout_equals_dead_reckoning(self):
         params = default_params()
         origin = GeoFix(0.7, -1.3)
