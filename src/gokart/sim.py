@@ -94,7 +94,8 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
     wheelbase, tau = params.wheelbase, params.v_time_constant
     cos, sin = math.cos, math.sin
     # RK4 unrolled: stage i evaluates (v cos psi, v sin psi, psi', v') at
-    # (psi_i, v_i), in the operation order of a four-tuple derivative
+    # (psi_i, v_i), and every sum keeps the vector form's operation order,
+    # so the result equals it bit for bit
     half = 0.5 * dt
     psi1, v1 = state.psi, state.v
     w1, a1 = v1 / wheelbase * tan_d, (v_target - v1) / tau
