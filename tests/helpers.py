@@ -152,6 +152,9 @@ def assert_frozen_value(record, name, value):
     """A frozen dataclass record: assignment raises, a rebuild from its
     fields (by position and by keyword) is equal and hashes equal, and
     dataclasses.replace sets `name` to `value` and keeps the other fields."""
+    # no pytest.raises: perfbench/workloads.py imports this module in the
+    # benchmark runner, and an import of pytest there shows up in the
+    # raceline worker's peak RSS
     cls, names = type(record), [f.name for f in dataclasses.fields(record)]
     try:
         setattr(record, name, value)
