@@ -69,21 +69,11 @@ class DriveCommand:
                              "speed must be finite")
         if not 0.0 <= self.brake <= 1.0:
             raise ValueError("brake must be in [0, 1]")
-        # the codec reads both bitwise, so only exact flag values pass
-        if self.mode.__class__ is not Mode and not _index_below(self.mode, 3):
-            raise ValueError(f"mode must be 0, 1 or 2, not {self.mode!r}")
-        if self.kill.__class__ is not bool and not _index_below(self.kill, 2):
-            raise ValueError(
-                f"kill must be True, False, 0 or 1, not {self.kill!r}")
-
-
-def _index_below(value, stop: int) -> bool:
-    """Whether value is an integer (a bool counts, a float does not) in
-    range(stop)."""
-    try:
-        return 0 <= operator.index(value) < stop
-    except TypeError:
-        return False
+        # the codec reads both bitwise, so only a Mode and a bool pass
+        if self.mode.__class__ is not Mode:
+            raise ValueError(f"mode must be a Mode, not {self.mode!r}")
+        if self.kill.__class__ is not bool:
+            raise ValueError(f"kill must be True or False, not {self.kill!r}")
 
 
 # The per-tick records below check their arguments in their own __init__
@@ -97,6 +87,8 @@ class CanFrame:
     payload: bytes
 
     def __init__(self, can_id: int, payload: bytes):
+        if can_id.__class__ is not int:
+            raise ValueError(f"CAN id must be an int, not {can_id!r}")
         if not 0 <= can_id < 0x800:
             raise ValueError("CAN id must fit in 11 bits")
         if payload.__class__ is not bytes:

@@ -11,10 +11,10 @@ handled by inflating the position observation variance so the update keeps a
 single code path.
 
 A Localizer holds the filter's life cycle for both the replay tool and the
-closed loop: no estimate until the first valid GNSS fix, a state anchored
+closed loop: no estimate until the first GNSS fix, a state anchored
 there (identity covariance, heading from the IMU), then one fuse_step per
-IMU sample. It records the time of that first fix and the NIS of every later
-update that had a fix.
+IMU sample. A missing fix (a dropout) is None. It records the time of that
+first fix and the NIS of every later update that had a fix.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ GNSS_DROPOUT_VARIANCE = 1e12
 _set = object.__setattr__
 
 
-class GnssRejected(ValueError):
-    """An operation received an invalid (dropout) GNSS fix."""
-
-
 class ReplayFormatError(ValueError):
     """A sensor replay log could not be parsed."""
 
@@ -53,7 +49,6 @@ class GeoFix:
     lat: float
     lon: float
     pos_variance: float = 0.0
-    valid: bool = True
 
     def __post_init__(self):
         if not -math.pi / 2 <= self.lat <= math.pi / 2:
@@ -151,10 +146,6 @@ def project_to_local(fix: GeoFix, origin: GeoFix,
     and exactly invertible; the distortion is negligible over a track-sized
     field. Longitude differences wrap across the antimeridian.
     """
-    if not fix.valid:
-        raise GnssRejected("invalid GNSS fix (dropout)")
-    if not origin.valid:
-        raise GnssRejected("invalid origin fix")
     x = (earth_radius * math.cos(origin.lat)
          * normalize_angle(fix.lon - origin.lon))
     y = earth_radius * (fix.lat - origin.lat)
@@ -168,7 +159,7 @@ def local_to_geo(point: LocalPoint, origin: GeoFix,
     lat = origin.lat + point.y / earth_radius
     lon = normalize_angle(origin.lon
                           + point.x / (earth_radius * math.cos(origin.lat)))
-    return GeoFix(lat=lat, lon=lon, pos_variance=pos_variance, valid=True)
+    return GeoFix(lat=lat, lon=lon, pos_variance=pos_variance)
 
 
 def ekf_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
@@ -293,7 +284,7 @@ def fuse_step(state: EkfState, u: MotionInput, gnss: GeoFix | None,
     dead reckoning exactly while still absorbing the IMU heading.
     """
     pred = ekf_predict(state, u, params)
-    if gnss is not None and gnss.valid:
+    if gnss is not None:
         p = project_to_local(gnss, origin, params.earth_radius)
         obs = (p.x, p.y, imu.yaw)
         var = gnss.pos_variance
@@ -320,13 +311,12 @@ class Localizer:
 
     def step(self, t, v, dt, gnss: GeoFix | None, imu: ImuReading):
         """The estimate after the IMU sample at time t; None before a fix."""
-        fix = gnss is not None and gnss.valid
         if self.state is not None:
             self.state = self.fuse(self.state, MotionInput(v, imu.yaw_rate, dt),
                                    gnss, imu, self.origin, self.params)
-            if fix:
+            if gnss is not None:
                 self.nis.append(self.state.nis)
-        elif fix:
+        elif gnss is not None:
             p = project_to_local(gnss, self.origin, self.params.earth_radius)
             self.state = EkfState.initial(p.x, p.y, imu.yaw)
             self.first_fix_s = t

@@ -59,17 +59,13 @@ class PerceptionConfig:
 
 @dataclass(frozen=True)
 class BevConfig:
-    """Geometry of the bird's-eye-view frame.
-
-    `vehicle_px` is the (col, row) pixel the rays originate from; it defaults
-    to bottom-center.
-    """
+    """Geometry of the bird's-eye-view frame; the vehicle sits at its
+    bottom-centre pixel (origin_px), where the rays start."""
 
     width: int = 160
     height: int = 200
     meters_per_px: float = 0.1
     max_range: float = 20.0
-    vehicle_px: tuple[float, float] | None = None
 
     def __post_init__(self):
         require(self.width >= 2, "bev.width", "be >= 2", self.width)
@@ -78,13 +74,9 @@ class BevConfig:
             value = getattr(self, key)
             require(math.isfinite(value) and value > 0.0, f"bev.{key}",
                     "be finite and > 0", value)
-        vx, vy = self.origin_px()
-        require(0 <= vx <= self.width - 1 and 0 <= vy <= self.height - 1,
-                "bev.vehicle_px", "lie inside the frame", self.vehicle_px)
 
     def origin_px(self) -> tuple[float, float]:
-        if self.vehicle_px is not None:
-            return self.vehicle_px
+        """The (col, row) pixel of the vehicle."""
         return (self.width / 2.0, self.height - 1.0)
 
 

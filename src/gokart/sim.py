@@ -541,8 +541,7 @@ def _optional(parse):
     return parse_optional
 
 
-# field annotation -> parser of its scenario text; fields whose annotation
-# is not listed (bev.vehicle_px) cannot be set from a scenario
+# field annotation -> parser of its scenario text
 _PARSERS = {
     str: str,
     int: int,
@@ -583,8 +582,6 @@ def _scenario_keys() -> dict:
         else:
             entries = [(None, f.name, hint)]
         for section, attr, attr_hint in entries:
-            if attr_hint not in _PARSERS:
-                continue
             key = attr if section is None else f"{section}.{attr}"
             keys[_RENAMED_KEYS.get(key, key)] = (section, attr,
                                                  _PARSERS[attr_hint])

@@ -114,17 +114,16 @@ class Spline2D:
             raise ValueError("coincident consecutive points")
         t = np.concatenate([[0.0], np.cumsum(seg)])
         bc = "periodic" if closed else "natural"
-        self._sx = CubicSpline(t, data[:, 0], bc_type=bc)
-        self._sy = CubicSpline(t, data[:, 1], bc_type=bc)
+        self._curve = CubicSpline(t, data, bc_type=bc)
         self.closed = closed
         self.t_knots = t[:-1] if closed else t
         self.t_max = float(t[-1])
 
     def point(self, t):
-        return np.stack([self._sx(t), self._sy(t)], axis=-1)
+        return self._curve(t)
 
     def derivative(self, t, order: int = 1):
-        return np.stack([self._sx(t, order), self._sy(t, order)], axis=-1)
+        return self._curve(t, order)
 
 
 def fit_spline(points, closed: bool = False) -> Spline2D:

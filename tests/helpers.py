@@ -309,7 +309,7 @@ def _oracle_predict(state, u, params):
 
 def _oracle_observation(pred, gnss, imu, origin, params):
     """The observation and its covariance M that `pred` is updated with."""
-    if gnss is not None and gnss.valid:
+    if gnss is not None:
         x = params.earth_radius * math.cos(origin.lat) * (gnss.lon - origin.lon)
         y = params.earth_radius * (gnss.lat - origin.lat)
         return (np.array([x, y, imu.yaw]),

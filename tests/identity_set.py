@@ -3,18 +3,23 @@ output byte-identical.
 
 Runs `gokart.cli.main` in process on each entry of the set below and prints,
 per entry, its exit code, its stdout and stderr with the output directory
-masked, and one sha256 per output file. Run it on the parent commit and on
-the change, then compare the two files:
+masked, and one sha256 per output file. Save the digests of the parent
+commit, then check the change against them:
 
-    PYTHONPATH=src python tests/identity_set.py > digests.txt
-    diff parent-digests.txt digests.txt
+    PYTHONPATH=src python tests/identity_set.py > parent-digests.txt
+    PYTHONPATH=src python tests/identity_set.py --compare parent-digests.txt
+
+With `--compare FILE` it prints, under each entry's `==` header, the lines
+that differ from FILE (`-` saved, `+` now) and exits 1 if any do, 0 if none.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import math
@@ -129,7 +134,8 @@ def run(argv, out: Path) -> list[str]:
     return lines
 
 
-def main_set() -> None:
+def main_set() -> list[str]:
+    """Every entry's `== name` header and run lines, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_track_csv(root / "oval.csv", oval_track())
@@ -172,11 +178,50 @@ def main_set() -> None:
                                      "--set", "perception.blur_sigma=1.3",
                                      "--set", "perception.morph_radius=3",
                                      "--debug"]
+        lines = []
         for name, argv in entries.items():
-            print(f"== {name}")
-            for line in run(argv, root / "out" / name):
-                print(line)
+            lines.append(f"== {name}")
+            lines.extend(run(argv, root / "out" / name))
+        return lines
+
+
+def by_entry(lines: list[str]) -> dict[str, list[str]]:
+    """Header -> the lines under it; "" holds any before the first."""
+    entries = {"": []}
+    body = entries[""]
+    for line in lines:
+        if line.startswith("== "):
+            body = entries.setdefault(line, [])
+        else:
+            body.append(line)
+    return entries
+
+
+def compare(lines: list[str], path: str) -> int:
+    """Print the lines that differ from the digest file at path, under
+    their entry's header; 1 if any do, else 0."""
+    saved, now = by_entry(Path(path).read_text().splitlines()), by_entry(lines)
+    differ = 0
+    for header in {**saved, **now}:
+        old, new = saved.get(header, []), now.get(header, [])
+        if old != new:
+            differ = 1
+            print(header)
+            for line in difflib.unified_diff(old, new, n=0, lineterm=""):
+                if not line.startswith(("---", "+++", "@@")):
+                    print(line)
+    if not differ:
+        print(f"identical to {path}: {len(lines)} lines")
+    return differ
 
 
 if __name__ == "__main__":
-    main_set()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="print the lines that differ from FILE; "
+                             "exit 1 if any do")
+    args = parser.parse_args()
+    lines = main_set()
+    if args.compare:
+        sys.exit(compare(lines, args.compare))
+    print("\n".join(lines))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gokart.geometry import normalize_angle
 from gokart.localization import (EkfParams, EkfState, GeoFix,
-                                 GnssRejected, ImuReading, LocalPoint,
+                                 ImuReading, LocalPoint,
                                  Localizer, MotionInput, ReplayFormatError,
                                  ekf_jacobian, ekf_predict, ekf_update,
                                  fuse_step, local_to_geo, project_to_local,
@@ -52,12 +52,6 @@ class TestProjection:
             p = project_to_local(fix, origin)
             assert p.x == pytest.approx(x, abs=1e-6)
             assert p.y == pytest.approx(5.0, abs=1e-9)
-
-    def test_invalid_fix_rejected(self):
-        origin = GeoFix(0.0, 0.0)
-        bad = GeoFix(0.0, 1e-5, valid=False)
-        with pytest.raises(GnssRejected):
-            project_to_local(bad, origin)
 
     def test_inverse_roundtrip(self):
         origin = GeoFix(0.7, -1.3)
@@ -361,14 +355,11 @@ ORIGIN = GeoFix(0.7, -1.3)
 
 @st.composite
 def gnss_fixes(draw):
-    """A valid fix within a kilometre of ORIGIN, an invalid one, or none."""
-    kind = draw(st.sampled_from(["valid", "invalid", "none"]))
-    if kind == "none":
+    """A fix within a kilometre of ORIGIN, or None (a dropout)."""
+    if draw(st.booleans()):
         return None
-    fix = local_to_geo(LocalPoint(draw(finite), draw(finite)), ORIGIN,
-                       pos_variance=draw(variance))
-    return fix if kind == "valid" else GeoFix(fix.lat, fix.lon,
-                                              fix.pos_variance, valid=False)
+    return local_to_geo(LocalPoint(draw(finite), draw(finite)), ORIGIN,
+                        pos_variance=draw(variance))
 
 
 class TestFuseStepOracle:
@@ -587,15 +578,14 @@ class TestLocalizer:
     ORIGIN = GeoFix(0.7, -1.3)
     IMU = ImuReading(0.3, 0.05, 1e-4)
 
-    def _fix(self, x, y, valid=True):
-        fix = local_to_geo(LocalPoint(x, y), self.ORIGIN, pos_variance=1e-4)
-        return GeoFix(fix.lat, fix.lon, fix.pos_variance, valid)
+    def _fix(self, x, y):
+        return local_to_geo(LocalPoint(x, y), self.ORIGIN, pos_variance=1e-4)
 
     def test_no_state_before_a_valid_fix(self):
         loc = Localizer(self.ORIGIN, EkfParams())
-        for t, gnss in ((0.0, None), (0.01, self._fix(1.0, 2.0, valid=False))):
+        for t in (0.0, 0.01):
             # dt = 0 too: no motion input is built before the anchor
-            assert loc.step(t, 2.0, 0.0, gnss, self.IMU) is None
+            assert loc.step(t, 2.0, 0.0, None, self.IMU) is None
         assert loc.state is None and loc.first_fix_s is None
         assert loc.nis == [] and loc.nis_mean() is None
         assert loc.nis_over_chi2_95() is None
@@ -615,15 +605,14 @@ class TestLocalizer:
         loc = Localizer(self.ORIGIN, EkfParams())
         loc.step(0.0, 2.0, 0.01, self._fix(0.0, 0.0), self.IMU)
         expected, state = [], loc.state
-        for k, gnss in enumerate([self._fix(0.02, 0.0), None,
-                                  self._fix(0.06, 0.0, valid=False),
+        for k, gnss in enumerate([self._fix(0.02, 0.0), None, None,
                                   self._fix(0.08, 0.01)], start=1):
             u = MotionInput(2.0, self.IMU.yaw_rate, 0.01)
             state = fuse_step(state, u, gnss, self.IMU, self.ORIGIN,
                               EkfParams())
             got = loc.step(0.01 * k, 2.0, 0.01, gnss, self.IMU)
             assert got.mean == state.mean
-            if gnss is not None and gnss.valid:
+            if gnss is not None:
                 expected.append(state.nis)
         assert loc.first_fix_s == 0.0
         assert loc.nis == expected and len(expected) == 2

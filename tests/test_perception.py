@@ -271,8 +271,7 @@ class TestWarp:
         # keyed on every one
         rng = np.random.default_rng(14)
         bev = BevConfig()
-        small = BevConfig(width=120, height=90, meters_per_px=0.15,
-                          vehicle_px=(30.0, 80.0))
+        small = BevConfig(width=120, height=90, meters_per_px=0.15)
         camera = default_camera_homography(bev)
         cases = [(camera, (240, 320), bev),
                  (np.eye(3), (240, 320), bev),
@@ -330,9 +329,6 @@ class TestDepthScan:
         assert np.all(scan.distances <= 6.0)
 
     def test_vehicle_pixel_must_be_inside(self):
-        # outside the configured frame: rejected when the config is built
-        with pytest.raises(ValueError, match="bev.vehicle_px"):
-            BevConfig(width=10, height=10, vehicle_px=(50.0, 5.0))
         # outside a mask smaller than the configured frame: rejected per call
         bev = BevConfig(width=10, height=10)
         with pytest.raises(ValueError):
@@ -341,16 +337,17 @@ class TestDepthScan:
     def test_matches_oracle_alternating_configs(self):
         # variants change the mask shape, the vehicle pixel, the range and
         # the scale; interleaved with the base so a map keyed on too little
-        # would be reused where it does not apply
+        # would be reused where it does not apply. The vehicle pixel is the
+        # config frame's bottom centre, so a mask of another shape puts it
+        # off centre, here at (40, 150), or in a corner, at (119, 0).
         rng = np.random.default_rng(15)
         base = BevConfig()
         cases = [((200, 160), base),
                  ((220, 170), base),
-                 ((200, 160), BevConfig(vehicle_px=(40.0, 150.0))),
+                 ((200, 160), BevConfig(width=80, height=151)),
                  ((200, 160), BevConfig(max_range=9.0)),
                  ((200, 160), BevConfig(meters_per_px=0.07)),
-                 ((90, 120), BevConfig(width=120, height=90,
-                                       vehicle_px=(119.0, 0.0)))]
+                 ((90, 120), BevConfig(width=238, height=1))]
         for shape, bev in alternating(cases):
             mask = random_mask(rng, shape, dense=rng.uniform(0.0, 0.05))
             scan = mask_to_depth(mask, bev)
@@ -439,8 +436,6 @@ class TestConfigValidation:
         ({"meters_per_px": math.inf}, "bev.meters_per_px"),
         ({"max_range": -2.0}, "bev.max_range"),
         ({"max_range": math.nan}, "bev.max_range"),
-        ({"vehicle_px": (-1.0, 5.0)}, "bev.vehicle_px"),
-        ({"vehicle_px": (5.0, 200.0)}, "bev.vehicle_px"),
     ])
     def test_bev_rejects(self, kwargs, key):
         with pytest.raises(ValueError, match=key):
@@ -449,8 +444,6 @@ class TestConfigValidation:
     def test_smallest_frames_accepted(self):
         bev = BevConfig(width=2, height=1)
         assert bev.origin_px() == (1.0, 0.0)
-        BevConfig(vehicle_px=(0.0, 0.0))
-        BevConfig(vehicle_px=(159.0, 199.0))
 
 
 class TestImageFiles:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from gokart.track import (OptimizationError, Raceline, Track,
                           TrackFormatError, VehicleLimits,
@@ -69,6 +70,45 @@ class TestSpline:
         assert np.all(k_cw < 0.0)
         np.testing.assert_allclose(k_ccw, 0.2, rtol=0.01)
         np.testing.assert_allclose(k_cw, -0.2, rtol=0.01)
+
+
+def per_axis_spline(xy, closed):
+    """The x and y splines of a curve fitted one axis at a time, on the
+    chord lengths, as Spline2D did before it fitted both in one spline."""
+    data = np.vstack([xy, xy[:1]]) if closed else xy
+    t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(data, axis=0),
+                                                        axis=1))])
+    bc = "periodic" if closed else "natural"
+    return (CubicSpline(t, data[:, 0], bc_type=bc),
+            CubicSpline(t, data[:, 1], bc_type=bc))
+
+
+class TestSplineAgainstPerAxisFits:
+    """One vector-valued spline equals two per-axis splines bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 2000), closed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), scalar=st.floats(-0.2, 1.2))
+    def test_point_and_derivatives(self, n, closed, seed, scalar):
+        # a random walk with steps of 0.01-5 m, so no two neighbours coincide
+        rng = np.random.default_rng(seed)
+        step = rng.uniform(0.01, 5.0, n)[:, None]
+        heading = rng.uniform(-math.pi, math.pi, n)
+        xy = np.cumsum(step * np.column_stack([np.cos(heading),
+                                               np.sin(heading)]), axis=0)
+        sp = fit_spline(xy, closed)
+        sx, sy = per_axis_spline(xy, closed)
+        assert sp.t_max == sx.x[-1]
+        # knots, both ends, random points and points beyond either end
+        t = np.concatenate([sx.x, rng.uniform(-0.2, 1.2, 64) * sp.t_max])
+        for arg in (t, scalar * sp.t_max):
+            np.testing.assert_array_equal(
+                sp.point(arg), np.stack([sx(arg), sy(arg)], axis=-1))
+            for order in (1, 2):
+                got = sp.derivative(arg, order)
+                np.testing.assert_array_equal(
+                    got, np.stack([sx(arg, order), sy(arg, order)], axis=-1))
+                assert got.shape == np.shape(arg) + (2,)
 
 
 class TestNormals:
