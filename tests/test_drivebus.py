@@ -265,9 +265,20 @@ class TestDriveCommandValidation:
         with pytest.raises(ValueError, match="mode must be a Mode, not"):
             DriveCommand(mode=mode)
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("kill", [False, True])
+    @pytest.mark.parametrize("mode", [*Mode, 0, 1, 2])
+    @pytest.mark.parametrize("kill", [False, True, 0, 1])
     def test_every_mode_and_kill_round_trips(self, mode, kill):
+        # a Mode and a bool round-trip; the int spellings are rejected, not
+        # coerced, so no second form of either value can be built
+        if mode.__class__ is not Mode:
+            with pytest.raises(ValueError, match="mode must be a Mode, not"):
+                DriveCommand(speed=2.0, mode=mode, kill=kill)
+            return
+        if kill.__class__ is not bool:
+            with pytest.raises(ValueError, match="kill must be True or "
+                                                 "False, not"):
+                DriveCommand(speed=2.0, mode=mode, kill=kill)
+            return
         cmd = DriveCommand(steering=-0.25, speed=2.0, brake=0.5, mode=mode,
                            kill=kill)
         got = decode_command(encode_command(cmd, 7))
