@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +51,19 @@ class PerceptionConfig:
                 self.morph_radius)
 
     def require_fits(self, width: int, height: int, frame: str) -> None:
-        """Reject, naming perception.morph_radius, a morphology window
-        2 radius + 1 wider or taller than the frame: its opening would empty
-        every mask (see morph_open_close)."""
+        """Reject, naming its key, a parameter the frame cannot hold:
+        a morphology window 2 radius + 1 wider or taller than the frame,
+        whose opening would empty every mask (see morph_open_close), and a
+        blur kernel radius ceil(3 sigma) longer than the frame's longer side,
+        whose kernel would not fit in memory for a huge sigma."""
         require(2 * self.morph_radius + 1 <= min(width, height),
                 "perception.morph_radius",
                 f"keep its window 2 r + 1 within {frame}", self.morph_radius)
+        # ceil(3 sigma) <= n exactly when 3 sigma <= n, for an integer n
+        require(3.0 * self.blur_sigma <= max(width, height),
+                "perception.blur_sigma",
+                f"keep its kernel radius ceil(3 sigma) within the longer side "
+                f"of {frame}", self.blur_sigma)
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,17 @@ class DepthScan:
             raise ValueError("distances must lie in (0, max_range]")
 
 
+@functools.cache
+def _plane_pool() -> ThreadPoolExecutor:
+    """The one worker thread that gaussian_blur hands its planes after the
+    first to, started on the first blur of a multi-plane image."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gokart-blur")
+
+
+# A forked child inherits the pool but not its thread: it builds its own.
+os.register_at_fork(after_in_child=_plane_pool.cache_clear)
+
+
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel radius ceil(3 sigma), edges clamped.
 
@@ -110,29 +130,47 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     those of filtering `img.astype(float)`), then along the rows, then
     rounded and clipped back to uint8. Takes (H, W) or (H, W, C) images,
     strided views included.
+
+    Plane 0 is filtered on the calling thread while one worker thread
+    (shared by every caller) filters the others; both only run numpy and
+    ndimage, which release the interpreter lock, each in its own float
+    buffers. Every plane's arithmetic is the same on either thread.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     radius = math.ceil(3.0 * sigma)
     planes = img[..., None] if img.ndim == 2 else img
     out = np.empty(planes.shape, dtype=np.uint8)
-    cols = np.empty(planes.shape[:2])
-    rows = np.empty(planes.shape[:2])
-    for c in range(planes.shape[2]):
-        ndimage.gaussian_filter1d(planes[..., c], sigma, axis=0, output=cols,
-                                  mode="nearest", radius=radius)
-        ndimage.gaussian_filter1d(cols, sigma, axis=1, output=rows,
-                                  mode="nearest", radius=radius)
-        np.clip(np.rint(rows, out=rows), 0, 255, out=rows)
-        out[..., c] = rows
+    # a (cols, rows) pair of float buffers for each thread; the worker's
+    # pages are never touched for a 1-plane image
+    mine, theirs = np.empty((2, 2) + planes.shape[:2])
+
+    def blur(channels, cols, rows):
+        for c in channels:
+            ndimage.gaussian_filter1d(planes[..., c], sigma, axis=0,
+                                      output=cols, mode="nearest",
+                                      radius=radius)
+            ndimage.gaussian_filter1d(cols, sigma, axis=1, output=rows,
+                                      mode="nearest", radius=radius)
+            np.clip(np.rint(rows, out=rows), 0, 255, out=rows)
+            out[..., c] = rows
+
+    channels = range(planes.shape[2])
+    rest = (_plane_pool().submit(blur, channels[1:], *theirs)
+            if len(channels) > 1 else None)
+    try:
+        blur(channels[:1], *mine)
+    finally:
+        if rest is not None:
+            rest.result()
     return out.reshape(img.shape)
 
 
 def grass_mask(img: np.ndarray, tau: float) -> np.ndarray:
     """Per-pixel grass test: 1 where 0.6 g - b >= tau."""
-    g = img[:, :, 1].astype(float)
-    b = img[:, :, 2].astype(float)
-    return (0.6 * g - b >= tau).astype(np.uint8)
+    score = img[:, :, 1] * 0.6
+    score -= img[:, :, 2]
+    return (score >= tau).view(np.uint8)
 
 
 def _runs(work: np.ndarray, size: int, axis: int, op) -> np.ndarray:
@@ -317,9 +355,13 @@ def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
     Returns (scan, grass mask, BEV mask); the masks are the Fig-style debug
     stages.
     """
-    # grass_mask reads only green and blue, so red stays zero
+    # grass_mask reads only green and blue, so red stays zero; one copy per
+    # channel, since copying both at once runs a two-byte inner loop per
+    # pixel, several times slower
     blurred = np.zeros_like(img)
-    blurred[..., 1:] = gaussian_blur(img[..., 1:], cfg.blur_sigma)
+    planes = gaussian_blur(img[..., 1:], cfg.blur_sigma)
+    blurred[..., 1] = planes[..., 0]
+    blurred[..., 2] = planes[..., 1]
     mask = grass_mask(blurred, cfg.tau)
     mask = morph_open_close(mask, cfg.morph_radius)
     bev_mask = warp_to_bev(mask, h, bev)

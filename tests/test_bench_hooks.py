@@ -69,6 +69,14 @@ def test_traced_ftg_run_records_every_frame_span(tmp_path):
                                        "planning.ftg_step"))}
     assert len(frame_spans) == 9
     assert frame_spans <= called
+    # one blur span per frame, under that frame's span: the blur's worker
+    # thread calls no traced name, or the tracer's one stack would nest it
+    # elsewhere
+    frames = [i for i, span in enumerate(tracer.spans)
+              if span[0] == "perception.detect_boundaries"]
+    blur_parents = [span[3] for span in tracer.spans
+                    if span[0] == "perception.gaussian_blur"]
+    assert frames and blur_parents == frames
 
 
 def test_traced_raceline_solve_records_one_solver_span():

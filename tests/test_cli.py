@@ -323,6 +323,30 @@ class TestPerceive:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
 
+    @pytest.mark.parametrize("sigma", [repr(math.nextafter(3.0, 4.0)), "1e9",
+                                       "1e300"])
+    def test_blur_kernel_past_the_longer_side_exits_2(self, tmp_path, capsys,
+                                                      sigma):
+        # the 9x5 image holds a kernel radius ceil(3 sigma) of at most 9; a
+        # huge sigma used to fail mid-run building its kernel
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((5, 9, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--set", f"perception.blur_sigma={sigma}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.blur_sigma", "9x5")
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    def test_blur_kernel_as_long_as_the_longer_side_runs(self, tmp_path):
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((5, 9, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        rc = main(["perceive", str(tmp_path / "scene.ppm"),
+                   str(tmp_path / "h.txt"),
+                   "--set", "perception.blur_sigma=3.0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
     def test_bad_homography_file_exits_2(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         write_netpbm(tmp_path / "scene.ppm", img)
@@ -395,6 +419,34 @@ class TestSimulate:
                                       "--out-dir", str(tmp_path / "out")],
                              "perception.morph_radius", "320x240")
         assert not (tmp_path / "out").exists()
+
+    def _write_small_camera_ftg(self, tmp_path):
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 0.2\nseed = 3\nfront.width = 12\n"
+            "front.height = 9\n")
+
+    @pytest.mark.parametrize("sigma", [repr(math.nextafter(4.0, 5.0)), "1e9",
+                                       "1e300"])
+    def test_ftg_blur_kernel_past_the_longer_side_exits_2(self, tmp_path,
+                                                          capsys, sigma):
+        # the 12x9 camera frame holds a kernel radius ceil(3 sigma) of at
+        # most 12
+        self._write_small_camera_ftg(tmp_path)
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--set", f"perception.blur_sigma={sigma}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.blur_sigma", "12x9")
+        assert not (tmp_path / "out").exists()
+
+    def test_ftg_blur_kernel_as_long_as_the_longer_side_runs(self, tmp_path):
+        self._write_small_camera_ftg(tmp_path)
+        rc = main(["simulate", str(tmp_path / "s.txt"),
+                   "--set", "perception.blur_sigma=4.0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "scans.csv").exists()
 
     def test_morph_window_rule_holds_only_in_ftg_mode(self):
         raw = {"track": "oval.csv", "front.width": "9", "front.height": "12"}

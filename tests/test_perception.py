@@ -1,9 +1,16 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import gokart
 from gokart.fileio import read_netpbm, write_netpbm
 from gokart.perception import _ray_index
 from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
@@ -22,6 +29,27 @@ from helpers import (alternating, detect_boundaries_oracle,
 def random_mask(rng, shape, dense=None):
     p = rng.uniform(0.05, 0.9) if dense is None else dense
     return (rng.random(shape) < p).astype(np.uint8)
+
+
+def thread_counts(code: str) -> list[int]:
+    """Run `code` in a fresh interpreter that imports the same gokart
+    package as this one, with `count()` printing
+    `threading.active_count()`; the printed counts."""
+    src = str(Path(gokart.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import threading\n"
+         "def count():\n    print(threading.active_count())\n" + code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return [int(line) for line in proc.stdout.split()]
+
+
+def blur_in_child(img, sigma, expected):
+    """A forked child's work: raises, so exits 1, unless the blur matches."""
+    np.testing.assert_array_equal(gaussian_blur(img, sigma), expected)
 
 
 class TestGaussianBlur:
@@ -73,6 +101,86 @@ class TestGaussianBlur:
                                           gaussian_blur_oracle(view, sigma))
 
 
+class TestBlurThread:
+    """gaussian_blur hands every plane after the first to one worker
+    thread."""
+
+    def test_import_starts_no_thread(self):
+        before, after = thread_counts("count()\nimport gokart.perception\n"
+                                      "count()\n")
+        assert after == before
+
+    def test_one_plane_blurs_start_no_thread(self):
+        counts = thread_counts(
+            "import numpy as np\n"
+            "from gokart.perception import gaussian_blur\n"
+            "img = np.arange(600, dtype=np.uint8).reshape(20, 30)\n"
+            "count()\n"
+            "gaussian_blur(img, 2.0)\n"
+            "gaussian_blur(img[..., None], 2.0)\n"
+            "gaussian_blur(np.dstack([img, img])[..., 1:], 2.0)\n"
+            "count()\n"
+            "gaussian_blur(np.dstack([img, img]), 2.0)\n"
+            "count()\n")
+        # the last count shows that the test sees the worker when it runs
+        assert counts == [counts[0]] * 2 + [counts[0] + 1]
+
+    def test_concurrent_callers_match_the_oracle(self):
+        # more callers than cores, switching often, all sharing one worker:
+        # a plane written into another caller's output would show
+        rng = np.random.default_rng(24)
+        sigmas = (0.7, 1.5, 2.0, 3.7)
+        images = [rng.integers(0, 256, size=(37 + k, 45, 2 + k % 2),
+                               dtype=np.uint8) for k in range(len(sigmas))]
+        expected = [gaussian_blur_oracle(img, sigma)
+                    for img, sigma in zip(images, sigmas)]
+        results = [[] for _ in images]
+        start = threading.Barrier(len(images))
+
+        def caller(k):
+            start.wait(timeout=60)
+            for _ in range(25):
+                results[k].append(gaussian_blur(images[k], sigmas[k]))
+
+        threads = [threading.Thread(target=caller, args=(k,))
+                   for k in range(len(images))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, outs in enumerate(results):
+            assert len(outs) == 25
+            for out in outs:
+                np.testing.assert_array_equal(out, expected[k])
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_child_forked_after_a_blur_blurs(self):
+        # the child inherits the parent's pool but not its thread; without
+        # its own pool its first multi-plane blur would wait forever
+        rng = np.random.default_rng(25)
+        img = rng.integers(0, 256, size=(30, 40, 3), dtype=np.uint8)
+        expected = gaussian_blur_oracle(img, 2.0)
+        np.testing.assert_array_equal(gaussian_blur(img, 2.0), expected)
+        child = multiprocessing.get_context("fork").Process(
+            target=blur_in_child, args=(img, 2.0, expected))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive(), "the forked child hung"
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert child.exitcode == 0
+
+
 class TestGrassMask:
     def test_green_pixel_passes(self):
         img = np.zeros((2, 2, 3), dtype=np.uint8)
@@ -90,6 +198,17 @@ class TestGrassMask:
         img[0, 0] = (0, 200, 100)
         tau = 0.6 * 200.0 - 100.0
         assert grass_mask(img, tau)[0, 0] == 1
+
+    def test_matches_the_float_formula(self):
+        rng = np.random.default_rng(24)
+        img = rng.integers(0, 256, size=(33, 47, 3), dtype=np.uint8)
+        g = img[:, :, 1].astype(float)
+        b = img[:, :, 2].astype(float)
+        for tau in [-255.0, -0.5, 0.0, 20.0, 33.3, 153.0]:
+            out = grass_mask(img, tau)
+            assert out.dtype == np.uint8
+            np.testing.assert_array_equal(
+                out, (0.6 * g - b >= tau).astype(np.uint8))
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(1)
