@@ -167,9 +167,11 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def grass_mask(img: np.ndarray, tau: float) -> np.ndarray:
-    """Per-pixel grass test: 1 where 0.6 g - b >= tau."""
-    score = img[:, :, 1] * 0.6
-    score -= img[:, :, 2]
+    """Per-pixel grass test: 1 where 0.6 g - b >= tau, green and blue being
+    the last two channels (of an RGB image, or of its green and blue
+    planes alone)."""
+    score = img[..., -2] * 0.6
+    score -= img[..., -1]
     return (score >= tau).view(np.uint8)
 
 
@@ -180,14 +182,14 @@ def _runs(work: np.ndarray, size: int, axis: int, op) -> np.ndarray:
     Runs of 1, 2, 4, ... lines are built by doubling, and the last run is two
     overlapping power-of-two runs, so this takes O(log size) array passes.
     """
-    work = np.moveaxis(work, axis, 0)
+    work = work.swapaxes(0, axis)
     width = 1
     while 2 * width <= size:
         work = op(work[:-width], work[width:])
         width *= 2
     if width < size:
         work = op(work[:width - size], work[size - width:])
-    return np.moveaxis(work, 0, axis)
+    return work.swapaxes(0, axis)
 
 
 def morph_open_close(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -215,10 +217,15 @@ def morph_open_close(mask: np.ndarray, radius: int) -> np.ndarray:
         work = _runs(work, size, axis, np.logical_and)
     # dilation by 4r + 1, out to r beyond the frame: each axis reads the
     # core with 4r zeros on either side
+    margin = 4 * radius
     for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (4 * radius, 4 * radius)
-        work = _runs(np.pad(work, pad), 2 * size - 1, axis, np.logical_or)
+        shape = list(work.shape)
+        shape[axis] += 2 * margin
+        padded = np.empty(shape, dtype=bool)
+        lines = padded.swapaxes(0, axis)
+        lines[:margin] = lines[-margin:] = False
+        lines[margin:-margin] = work.swapaxes(0, axis)
+        work = _runs(padded, 2 * size - 1, axis, np.logical_or)
     # erosion back to the (H, W) frame
     for axis in (0, 1):
         work = _runs(work, size, axis, np.logical_and)
@@ -355,14 +362,9 @@ def detect_boundaries(img: np.ndarray, h: np.ndarray, cfg: PerceptionConfig,
     Returns (scan, grass mask, BEV mask); the masks are the Fig-style debug
     stages.
     """
-    # grass_mask reads only green and blue, so red stays zero; one copy per
-    # channel, since copying both at once runs a two-byte inner loop per
-    # pixel, several times slower
-    blurred = np.zeros_like(img)
-    planes = gaussian_blur(img[..., 1:], cfg.blur_sigma)
-    blurred[..., 1] = planes[..., 0]
-    blurred[..., 2] = planes[..., 1]
-    mask = grass_mask(blurred, cfg.tau)
+    # grass_mask reads only green and blue, the last two channels of both
+    # the image and its blurred green and blue planes
+    mask = grass_mask(gaussian_blur(img[..., 1:], cfg.blur_sigma), cfg.tau)
     mask = morph_open_close(mask, cfg.morph_radius)
     bev_mask = warp_to_bev(mask, h, bev)
     return mask_to_depth(bev_mask, bev), mask, bev_mask

@@ -28,8 +28,7 @@ from .drivebus import (CanBus, DriveCommand, EBS_FEEDBACK_ID, Mode,
                        encode_command, encode_feedback, format_trace_row,
                        sbws_step, SPEED_SCALE)
 from .fileio import ScenarioError, parse_bool, parse_float, require
-from .geometry import (Polyline, body_to_world, normalize_angle,
-                       polyline_distance)
+from .geometry import Polyline, normalize_angle, polyline_distance
 from .localization import (EkfParams, EkfState, GeoFix, ImuReading,
                            LocalPoint, Localizer, fuse_step, local_to_geo)
 from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
@@ -75,6 +74,8 @@ class SensorConfig:
 MAX_DT = 0.05
 # Most physics steps a scenario may ask for (duration_s / dt).
 MAX_TICKS = 10**7
+# Most pixels of an FTG run's camera or BEV frame (3840x2160 is 8,294,400).
+MAX_FRAME_PIXELS = 2**24
 
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
@@ -237,7 +238,7 @@ class TrackSampler:
         each point of an (N, 2) array."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _, idx = self._tree.query(pts)
-        d = pts - self.points[idx]
+        d = pts - self.points.take(idx, axis=0)
         tx, ty = self.tangents[idx, 0], self.tangents[idx, 1]
         lat = tx * d[:, 1] - ty * d[:, 0]
         lon = tx * d[:, 0] + ty * d[:, 1]
@@ -250,19 +251,25 @@ class TrackSampler:
                               np.minimum(margin, -lon), margin)
         return margin
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        """`lateral_margin(pts) >= 0.0` for an (N, 2) array. Points in world
-        cells, or sub-cells of mixed cells, certified all track or all grass
-        take that verdict; the rest, in mixed sub-cells or off the grid, go
-        through lateral_margin."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gx = (pts[:, 0] - self._grid_origin[0]) / self._cell
-        gy = (pts[:, 1] - self._grid_origin[1]) / self._cell
+    def inside(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """`lateral_margin(pts) >= 0.0` for the points pts = (x, y) given as
+        two 1-D arrays. Points in world cells, or sub-cells of mixed cells,
+        certified all track or all grass take that verdict; the rest, in
+        mixed sub-cells or off the grid, go through lateral_margin."""
+        gx = x - self._grid_origin[0]
+        gx /= self._cell
+        gy = y - self._grid_origin[1]
+        gy /= self._cell
         ny, nx = self._verdicts.shape
-        on_grid = (gx >= 0.0) & (gx < nx) & (gy >= 0.0) & (gy < ny)
-        verdict = np.full(len(pts), _UNKNOWN, dtype=np.int8)  # off the grid
-        if on_grid.any():
-            ix, iy = gx[on_grid].astype(np.intp), gy[on_grid].astype(np.intp)
+        verdict = np.full(len(gx), _UNKNOWN, dtype=np.int8)  # off the grid
+        # a camera frame's box rarely leaves the grid: only then are the
+        # points tested one by one
+        on_grid = slice(None)
+        if len(gx) and not (gx.min() >= 0.0 and gx.max() < nx
+                            and gy.min() >= 0.0 and gy.max() < ny):
+            on_grid = (gx >= 0.0) & (gx < nx) & (gy >= 0.0) & (gy < ny)
+        ix, iy = gx[on_grid].astype(np.intp), gy[on_grid].astype(np.intp)
+        if len(ix):
             x0, y0 = ix.min(), iy.min()
             block = self._verdicts[y0:iy.max() + 1, x0:ix.max() + 1]
             by, bx = np.nonzero(block == _UNKNOWN)
@@ -270,7 +277,9 @@ class TrackSampler:
                 cx = bx[a:a + _CELLS_PER_PASS] + x0
                 cy = by[a:a + _CELLS_PER_PASS] + y0
                 self._verdicts[cy, cx] = self._classify(cx, cy)
-            verdict[on_grid] = self._verdicts.reshape(-1).take(iy * nx + ix)
+            iy *= nx
+            iy += ix
+            verdict[on_grid] = self._verdicts.reshape(-1).take(iy)
         split = np.flatnonzero(verdict == _MIXED)
         if len(split):  # points in mixed cells take their sub-cell's verdict
             gx, gy = gx[split], gy[split]
@@ -283,8 +292,8 @@ class TrackSampler:
         inside = verdict == _TRACK
         exact = (verdict == _MIXED) | (verdict == _UNKNOWN)
         if exact.any():
-            margin = self.lateral_margin(pts.compress(exact, axis=0))
-            inside[exact] = margin >= 0.0
+            pts = np.column_stack([x[exact], y[exact]])
+            inside[exact] = self.lateral_margin(pts) >= 0.0
         return inside
 
     def _classify(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -304,7 +313,7 @@ class TrackSampler:
         # pixel a rounding error outside its cell and cKDTree's rounding,
         # so the ball also holds whichever sample the query returns.
         _, near = self._tree.query(centre)
-        corner = np.abs(self.points[near] - centre) + h
+        corner = np.abs(self.points.take(near, axis=0) - centre) + h
         radius = np.hypot(corner[:, 0], corner[:, 1]) + math.sqrt(2.0) * h \
             + 4.0 * self._eps
         balls = self._tree.query_ball_point(centre, radius,
@@ -316,7 +325,7 @@ class TrackSampler:
         # that the sub-cells' pass adds nothing to the peak memory
         del balls
         cell = np.repeat(np.arange(len(counts)), counts)
-        d = centre[cell] - self.points[cand]
+        d = centre.take(cell, axis=0) - self.points.take(cand, axis=0)
         track, grass = self._certify(cand, d[:, 0], d[:, 1], h)
         verdict = _verdicts(cell, track, grass, len(counts))
         del cell, d, track, grass
@@ -417,23 +426,27 @@ def _verdicts(group: np.ndarray, track: np.ndarray, grass: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _bev_body_points(bev: BevConfig) -> np.ndarray:
-    """Body-frame (forward, left) meters of every BEV pixel, row-major."""
+def _bev_body_points(bev: BevConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Body-frame forward and left meters of every BEV pixel, row-major, as
+    two contiguous columns."""
     vx, vy = bev.origin_px()
     cols, rows = np.meshgrid(np.arange(bev.width), np.arange(bev.height))
-    forward = (vy - rows) * bev.meters_per_px
-    left = (vx - cols) * bev.meters_per_px
-    body = np.stack([forward, left], axis=-1).reshape(-1, 2)
-    body.flags.writeable = False
-    return body
+    forward = ((vy - rows) * bev.meters_per_px).reshape(-1)
+    left = ((vx - cols) * bev.meters_per_px).reshape(-1)
+    forward.flags.writeable = left.flags.writeable = False
+    return forward, left
 
 
 def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
                    bev: BevConfig) -> np.ndarray:
     """Ground-truth top-down grass mask (1 = grass) in the vehicle frame."""
-    world = body_to_world(pose.x, pose.y, pose.psi, _bev_body_points(bev))
-    inside = sampler.inside(world).reshape(bev.height, bev.width)
-    return (~inside).astype(np.uint8)
+    forward, left = _bev_body_points(bev)
+    c, s = math.cos(pose.psi), math.sin(pose.psi)
+    # body_to_world's arithmetic, one coordinate at a time
+    grass = sampler.inside(pose.x + c * forward - s * left,
+                           pose.y + s * forward + c * left)
+    return np.logical_not(grass, out=grass).view(np.uint8).reshape(
+        bev.height, bev.width)
 
 
 # render_scene colors by label: 0 track, 1 grass, 2 sky
@@ -451,8 +464,9 @@ def render_scene(sampler: TrackSampler, pose: VehicleState, h: np.ndarray,
     the grass threshold rejects.
     """
     grass = bev_grass_mask(sampler, pose, bev)
-    labels = np.full(grass.size + 1, 2, dtype=np.uint8)
-    labels[:-1] = grass.reshape(-1) != 0
+    labels = np.empty(grass.size + 1, dtype=np.uint8)
+    labels[:-1] = grass.reshape(-1)
+    labels[-1] = 2
     index = pixel_map(np.asarray(h, dtype=float).tobytes(),
                       (front_height, front_width), (bev.height, bev.width))
     return np.take(_SCENE_PALETTE, labels[index], axis=0)
@@ -656,6 +670,15 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
                            ("front.height", cfg.front_height),
                            ("bev.height", cfg.bev.height)):
             require(value >= 2, key, "be >= 2 in ftg mode", value)
+        # each frame's arrays are allocated afresh every frame
+        for frame, width, height in (("front", cfg.front_width,
+                                      cfg.front_height),
+                                     ("bev", cfg.bev.width, cfg.bev.height)):
+            require(width * height <= MAX_FRAME_PIXELS,
+                    f"{frame}.width" if width >= height else f"{frame}.height",
+                    f"keep the {width}x{height} frame ({frame}.width x "
+                    f"{frame}.height) within {MAX_FRAME_PIXELS} pixels in "
+                    "ftg mode", max(width, height))
         cfg.perception.require_fits(
             cfg.front_width, cfg.front_height,
             f"the {cfg.front_width}x{cfg.front_height} camera frame "

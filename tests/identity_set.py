@@ -61,6 +61,8 @@ SIMULATE = {
     "ftg_oval": (README, ["mode=ftg", "seed=3", "duration_s=10"]),
     "bench_pursuit_90210": (BENCH.format(mode="pursuit", duration=45.0,
                                          seed=90210), []),
+    # the benchmark's ftg_oval run
+    "bench_ftg_7": (BENCH.format(mode="ftg", duration=10.0, seed=7), []),
     "ftg_wiggly": ("mode = ftg\ntrack = wiggly.csv\ntrack.closed = true\n"
                    "duration_s = 5\nseed = 7\n", ["rates.perception_hz=7"]),
     "never_localized": (README, ["sensors.gnss_dropout=0:100",

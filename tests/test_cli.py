@@ -17,7 +17,8 @@ from gokart.cli import main
 from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
-from gokart.sim import (_SCENARIO_KEYS, MAX_TICKS, ScenarioError,
+from gokart.sim import (_SCENARIO_KEYS, MAX_FRAME_PIXELS, MAX_TICKS,
+                        ScenarioError,
                         TrackSampler, VehicleState, build_scenario,
                         default_camera_homography, render_scene)
 from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
@@ -458,6 +459,36 @@ class TestSimulate:
         # pursuit renders no camera frame
         build_scenario({**raw, "mode": "pursuit",
                         "perception.morph_radius": "5"})
+
+    @pytest.mark.parametrize("frame", ["front", "bev"])
+    def test_largest_ftg_frame_loads(self, frame):
+        # 65536 x 256 pixels, the bound; pursuit renders no frame at all
+        assert 65536 * 256 == MAX_FRAME_PIXELS
+        raw = {"track": "oval.csv", f"{frame}.width": "65536",
+               f"{frame}.height": "256"}
+        build_scenario({**raw, "mode": "ftg"})
+        build_scenario({**raw, f"{frame}.width": "65537", "mode": "pursuit"})
+
+    @pytest.mark.parametrize("sets, key", [
+        (["front.width=65537", "front.height=256"], "front.width"),
+        (["bev.width=256", "bev.height=65537"], "bev.height"),
+        (["bev.width=1000000000"], "bev.width"),
+        (["bev.height=100000000"], "bev.height"),
+        (["front.width=100000000"], "front.width"),
+    ])
+    def test_ftg_frame_past_the_pixel_bound_exits_2(self, tmp_path, capsys,
+                                                   sets, key):
+        # one pixel past the bound, and frames whose per-frame arrays
+        # would not fit in memory
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 1\nseed = 3\n")
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      *[a for s in sets for a in ("--set", s)],
+                                      "--out-dir", str(tmp_path / "out")],
+                             key, str(MAX_FRAME_PIXELS))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_track_exits_2(self, tmp_path):
         (tmp_path / "s.txt").write_text(

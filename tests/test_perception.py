@@ -210,6 +210,25 @@ class TestGrassMask:
             np.testing.assert_array_equal(
                 out, (0.6 * g - b >= tau).astype(np.uint8))
 
+    def test_green_and_blue_planes_alone(self):
+        # detect_boundaries thresholds the blur's (H, W, 2) green and blue
+        # planes: the mask must be the RGB image's, bit for bit, on strided
+        # views too and on scores exactly at tau
+        rng = np.random.default_rng(31)
+        img = rng.integers(0, 256, size=(40, 60, 3), dtype=np.uint8)
+        img[::7, ::5, 1:] = (200, 100)
+        at_tau = 0.6 * 200.0 - 100.0
+        for view in (img, img[::2, ::3], img[:, ::-1], img.transpose(1, 0, 2)):
+            for tau in (-255.0, 0.0, at_tau, 33.3, 153.0):
+                full = grass_mask(view, tau)
+                np.testing.assert_array_equal(grass_mask(view[..., 1:], tau),
+                                              full)
+                np.testing.assert_array_equal(
+                    grass_mask(np.ascontiguousarray(view[..., 1:]), tau), full)
+        assert grass_mask(img[..., 1:], at_tau)[::7, ::5].all()
+        assert not grass_mask(img[..., 1:], np.nextafter(at_tau, 255.0))[
+            ::7, ::5].any()
+
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)

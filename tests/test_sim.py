@@ -233,13 +233,14 @@ class TestTrackSampler:
         sampler = TrackSampler(straight_track(width=2.0))
         pts = np.array([[5.0, 0.0], [5.0, 1.5], [5.0, -1.5], [5.0, 2.5],
                         [5.0, -2.5]])
-        np.testing.assert_array_equal(sampler.inside(pts),
+        np.testing.assert_array_equal(sampler.inside(*pts.T),
                                       [True, True, True, False, False])
+        assert sampler.inside(np.empty(0), np.empty(0)).shape == (0,)
 
     def test_beyond_open_ends_is_outside(self):
         sampler = TrackSampler(straight_track(n=12, spacing=2.0, width=2.0))
-        assert not sampler.inside(np.array([[-3.0, 0.0]]))[0]
-        assert not sampler.inside(np.array([[25.0, 0.0]]))[0]
+        assert not sampler.inside(np.array([-3.0]), np.array([0.0]))[0]
+        assert not sampler.inside(np.array([25.0]), np.array([0.0]))[0]
 
     def test_margin_sign(self):
         sampler = TrackSampler(circle_track(width=1.9))
@@ -413,6 +414,30 @@ class TestTruthMaskCells:
                 bev_grass_mask(sampler, pose, bev),
                 bev_grass_mask_oracle(sampler, pose, bev))
 
+    def test_frames_wholly_off_the_grid(self, monkeypatch):
+        # some 300 m from the oval: every pixel lies off the cell grid, so
+        # no cell is classified and the margin decides every pixel
+        sampler = TrackSampler(oval_track())
+        bev = BevConfig()
+        poses = [VehicleState(x=300.0, y=10.0, psi=2.0),
+                 VehicleState(x=-150.0, y=-260.0, psi=-0.5)]
+        margin = sampler.lateral_margin
+        exact = []
+
+        def count(pts):
+            exact.append(len(pts))
+            return margin(pts)
+
+        monkeypatch.setattr(sampler, "lateral_margin", count)
+        masks = [bev_grass_mask(sampler, pose, bev) for pose in poses]
+        monkeypatch.undo()
+        assert exact == [bev.width * bev.height] * len(poses)
+        assert not sampler._verdicts.any()
+        for pose, got in zip(poses, masks):
+            assert got.all()
+            np.testing.assert_array_equal(
+                got, bev_grass_mask_oracle(sampler, pose, bev))
+
     @pytest.mark.parametrize("track", [wiggly_track(), circle_track(),
                                        hairpin_track(), straight_track(),
                                        straight_track(spacing=2.05,
@@ -476,7 +501,7 @@ class TestTruthMaskCells:
             return margin(pts)
 
         monkeypatch.setattr(sampler, "lateral_margin", count)
-        got = sampler.inside(pts)
+        got = sampler.inside(*pts.T)
         monkeypatch.undo()
         np.testing.assert_array_equal(got, margin(pts) >= 0.0)
         # only mixed cells have sub-cells, and each sub-cell's own ball of
@@ -494,7 +519,8 @@ class TestTruthMaskCells:
         sampler = TrackSampler(straight_track(n=30, width=2.0))
         bev = BevConfig()
         pose = VehicleState(x=30.0, y=0.0, psi=0.0)
-        world = body_to_world(30.0, 0.0, 0.0, _bev_body_points(bev))
+        world = body_to_world(30.0, 0.0, 0.0,
+                              np.column_stack(_bev_body_points(bev)))
         on_line = sampler.lateral_margin(world) == 0.0
         assert on_line.sum() == 2 * bev.height
         got = bev_grass_mask(sampler, pose, bev)
