@@ -401,9 +401,3 @@ def run_replay(rows, params: EkfParams | None = None):
 
 def write_pose_log(path, rows) -> None:
     write_table(path, POSE_LOG_COLUMNS, rows)
-
-
-def read_pose_log(path):
-    """Read back a pose log written by write_pose_log (lossless)."""
-    arr, _ = read_table(path, POSE_LOG_COLUMNS, ReplayFormatError)
-    return [tuple(row) for row in arr.tolist()]

@@ -11,13 +11,14 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .fileio import read_table, require, write_table
+from .fileio import require, write_table
 
 SCAN_SIZE = 361
 # Ray-march step of mask_to_depth, in BEV pixels.
@@ -28,6 +29,19 @@ RAY_STEP_PX = 0.5
 GRASS_RGB = (0, 200, 0)
 TRACK_RGB = (120, 120, 120)
 SKY_RGB = (90, 140, 235)
+
+
+def _min_blur_sigma() -> float:
+    """The smallest sigma whose Gaussian exponent -0.5 / sigma^2, as
+    scipy's kernel computes it, is finite; every larger sigma's is too."""
+    sigma = math.sqrt(0.5 / sys.float_info.max)
+    while not math.isfinite(-0.5 / (sigma * sigma)):
+        sigma = math.nextafter(sigma, 1.0)
+    return sigma
+
+
+# below it the blur kernel is NaN, or its sigma^2 is 0
+MIN_BLUR_SIGMA = _min_blur_sigma()
 
 
 class ImageFormatError(ValueError):
@@ -45,8 +59,9 @@ class PerceptionConfig:
     def __post_init__(self):
         require(math.isfinite(self.tau), "perception.tau", "be finite",
                 self.tau)
-        require(self.blur_sigma > 0.0, "perception.blur_sigma", "be > 0",
-                self.blur_sigma)
+        require(self.blur_sigma >= MIN_BLUR_SIGMA, "perception.blur_sigma",
+                f"be >= {MIN_BLUR_SIGMA!r}, where the kernel's exponent "
+                "-0.5 / sigma^2 is finite", self.blur_sigma)
         require(self.morph_radius >= 1, "perception.morph_radius", "be >= 1",
                 self.morph_radius)
 
@@ -377,17 +392,3 @@ SCAN_COLUMNS = ["angle_rad", "distance_m"]
 
 def write_scan_csv(path, scan: DepthScan) -> None:
     write_table(path, SCAN_COLUMNS, zip(scan.angles, scan.distances))
-
-
-def read_scan_csv(path, max_range: float | None = None) -> DepthScan:
-    """Read a depth-scan CSV; max_range defaults to the largest distance."""
-    arr, _ = read_table(path, SCAN_COLUMNS, ImageFormatError)
-    if len(arr) != SCAN_SIZE:
-        raise ImageFormatError(f"{path}: expected {SCAN_SIZE} rays, got {len(arr)}")
-    if max_range is None:
-        max_range = float(arr[:, 1].max())
-    try:
-        return DepthScan(distances=arr[:, 1], angles=arr[:, 0],
-                         max_range=max_range)
-    except ValueError as exc:
-        raise ImageFormatError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -227,6 +228,24 @@ class TrackSampler:
         # its margin and in the corner bounds, all near 1e-16 of this scale
         far = float(np.abs(np.concatenate([lo - pad, hi + pad])).max())
         self._eps = 1e-9 * (1.0 + far + widest)
+        # _bounds' constants: the narrowest and widest half-widths, and over
+        # every chord c between neighbouring samples the longest |c| and,
+        # against the tangents at both its ends, the largest angle's sine
+        # and smallest angle's cosine
+        self._w_min = float(min(self.w_left.min(), self.w_right.min()))
+        self._w_max = widest
+        p, t = self.points, self.tangents
+        if track.closed:
+            chord, ends = np.roll(p, -1, axis=0) - p, (t, np.roll(t, -1, 0))
+        else:
+            chord, ends = np.diff(p, axis=0), (t[:-1], t[1:])
+        length = np.hypot(chord[:, 0], chord[:, 1])
+        self._step = float(length.max())
+        self._cos = min(float(((u * chord).sum(1) / length).min())
+                        for u in ends)
+        self._sin = max(float((np.abs(u[:, 0] * chord[:, 1]
+                                      - u[:, 1] * chord[:, 0]) / length).max())
+                        for u in ends)
 
     @functools.cached_property
     def polyline(self) -> Polyline:
@@ -299,7 +318,9 @@ class TrackSampler:
     def _classify(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """The verdict of each cell (cx, cy): _TRACK if every point of it has
         a margin > 0 in lateral_margin's arithmetic, _GRASS if every point
-        has a margin < 0 there, else _MIXED. A mixed cell's sub-cells are
+        has a margin < 0 there, else _MIXED. Most cells are decided by
+        _bounds from the sample nearest their centre; only the rest query
+        the ball of candidates below. A mixed cell's sub-cells are
         classified too, from its candidates."""
         h = 0.5 * self._cell
         centre = self._grid_origin + (np.column_stack([cx, cy]) + 0.5) \
@@ -312,10 +333,78 @@ class TrackSampler:
         # the nearest sample of every point in the cell. The 4 eps cover a
         # pixel a rounding error outside its cell and cKDTree's rounding,
         # so the ball also holds whichever sample the query returns.
-        _, near = self._tree.query(centre)
+        dist, near = self._tree.query(centre)
         corner = np.abs(self.points.take(near, axis=0) - centre) + h
-        radius = np.hypot(corner[:, 0], corner[:, 1]) + math.sqrt(2.0) * h \
-            + 4.0 * self._eps
+        reach = np.hypot(corner[:, 0], corner[:, 1])
+        radius = reach + math.sqrt(2.0) * h + 4.0 * self._eps
+        verdict = self._bounds(centre, dist, reach, radius)
+        ball = np.flatnonzero(verdict == _UNKNOWN)
+        if len(ball):
+            verdict[ball] = self._ball_verdicts(
+                centre.take(ball, axis=0), near[ball], radius[ball],
+                cx[ball], cy[ball])
+        return verdict
+
+    def _bounds(self, centre: np.ndarray, dist: np.ndarray,
+                reach: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """_TRACK or _GRASS for each cell that its centre's distance dist
+        to the nearest sample, that sample's farthest-corner distance
+        reach and the candidates' ball radius decide, else _UNKNOWN.
+
+        Let p be a point of the cell, s the sample lateral_margin finds for
+        it, and d = p - s, of length r, with lat and lon its components
+        across and along the unit tangent at s. As in _classify,
+        r <= |p - a| <= reach, and |lat| <= r.
+        - TRACK: the margin is at least min(w_left, w_right) - |lat| >=
+          w_min - reach, so reach < w_min - 4 eps leaves every margin over
+          eps.
+        - GRASS: s is nearer to p than its neighbours s +- 1, so
+          |d|^2 <= |d - c|^2 for the chord c to either one, and d.c <=
+          |c|^2 / 2. With c's angle phi to the tangent (to its negative,
+          for the chord back), d.c / |c| = lon cos(phi) +- lat sin(phi),
+          hence |lon| <= L(r) = (step / 2 + r sin) / cos for the longest
+          chord step and the largest angle's sin and cos (cos > 0).
+          lat^2 = r^2 - lon^2 >= (r - L(r)) (r + L(r)); once r - L(r) > 0
+          with r > 0, both factors grow with r (so sin < cos). Every r is
+          at least r0 = dist - half diagonal - 4 eps, since p lies within
+          the half diagonal of the centre, so (r0 - L(r0)) (r0 + L(r0)) >
+          (w_max + 4 eps)^2 gives |lat| > w_max + 4 eps: one of the margin's
+          terms w_left - lat, w_right + lat is below -4 eps.
+        As in _certify, the 4 eps cover a pixel a rounding error outside
+        its cell, and the rounding in dist and in lateral_margin. The eps
+        added to L covers a query returning a sample only nearest to
+        rounding: cKDTree's squared distances err by a few ulps of r^2,
+        which moves L by a few ulps of r^2 / step, far below eps here.
+        The bounds leave a cell to the ball when dist is not finite, when
+        cos <= 0 (for GRASS), and on an open track when an end sample lies
+        in the cell's ball: it has one neighbour, and its cap decides by
+        lon < 0."""
+        eps4 = 4.0 * self._eps
+        finite = np.isfinite(dist)
+        track = finite & (reach < self._w_min - eps4)
+        grass = np.zeros(len(dist), dtype=bool)
+        if self._cos > 0.0:
+            r = np.where(finite, dist, 0.0) - math.sqrt(2.0) * 0.5 \
+                * self._cell - eps4
+            lon = (0.5 * self._step + r * self._sin) / self._cos + self._eps
+            low, high = r - lon, r + lon
+            grass = (r > 0.0) & (low > 0.0) \
+                & (low * high > (self._w_max + eps4) ** 2)
+        if not self.closed:  # the end caps
+            for end in self.points[[0, -1]]:
+                far = np.hypot(centre[:, 0] - end[0], centre[:, 1] - end[1])
+                track &= far > radius
+                grass &= far > radius
+        return np.where(track, _TRACK, np.where(grass, _GRASS, _UNKNOWN)) \
+            .astype(np.int8)
+
+    def _ball_verdicts(self, centre: np.ndarray, near: np.ndarray,
+                       radius: np.ndarray, cx: np.ndarray,
+                       cy: np.ndarray) -> np.ndarray:
+        """_classify's verdicts of the cells (cx, cy) from the candidates in
+        each one's ball (centre, radius) around the sample near to it; the
+        mixed cells' sub-cells go into the table."""
+        h = 0.5 * self._cell
         balls = self._tree.query_ball_point(centre, radius,
                                             return_sorted=False)
         counts = np.fromiter(map(len, balls), np.intp, len(balls))
@@ -679,6 +768,18 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
                     f"keep the {width}x{height} frame ({frame}.width x "
                     f"{frame}.height) within {MAX_FRAME_PIXELS} pixels in "
                     "ftg mode", max(width, height))
+        # The truth mask's nearest-sample query squares each BEV pixel's
+        # distance to the track. The kart starts on the track and drives
+        # at most max_speed * duration_s (1.6e7 m) from it, far below this
+        # bound's rounding, so pixels within sqrt(max float) / 2 of the
+        # kart keep that square below a quarter of the largest float.
+        width, height = cfg.bev.width, cfg.bev.height
+        far_px = math.hypot(width / 2.0, height - 1.0)  # from origin_px
+        bound = math.sqrt(sys.float_info.max) / 2.0 / far_px
+        require(cfg.bev.meters_per_px <= bound, "bev.meters_per_px",
+                f"be <= {bound!r} in ftg mode, so that the {width}x{height} "
+                "BEV frame's farthest pixel lies within sqrt(max float) / 2 "
+                "m of the kart", cfg.bev.meters_per_px)
         cfg.perception.require_fits(
             cfg.front_width, cfg.front_height,
             f"the {cfg.front_width}x{cfg.front_height} camera frame "

@@ -25,6 +25,7 @@ column norm.
 The CAN codec oracles are the plain codec that the package's inlined one
 replaced: a rounding-and-clamping helper, `Mode(bits)` and a dict merge,
 each frame laid out with `struct` format strings of its own.
+The pose-log and scan readers read back files that no command reads.
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ from gokart.drivebus import (BRAKE_SCALE, CanFrame, COMMAND_FRAME_ID,
                              Mode, SBWS_FEEDBACK_ID, SPEED_SCALE,
                              STEERING_SCALE, SubsystemFeedback,
                              TBWS_FEEDBACK_ID)
+from gokart.fileio import read_table
 from gokart.geometry import body_to_world, normalize_angle
-from gokart.localization import GNSS_DROPOUT_VARIANCE, EkfState
-from gokart.perception import (DepthScan, GRASS_RGB, SKY_RGB, TRACK_RGB,
+from gokart.localization import (GNSS_DROPOUT_VARIANCE, POSE_LOG_COLUMNS,
+                                 EkfState, ReplayFormatError)
+from gokart.perception import (DepthScan, GRASS_RGB, ImageFormatError,
+                               SCAN_COLUMNS, SCAN_SIZE, SKY_RGB, TRACK_RGB,
                                apply_homography, grass_mask, scan_angles)
 from gokart.sim import MAX_DT, VehicleState
 from gokart.track import Track, VehicleLimits, alpha_bounds, normals
@@ -133,11 +137,42 @@ def hairpin_track(length=30.0, gap=4.0, wide=2.5, narrow=0.8, heading=0.4,
                              vehicle_half_width=0.4)
 
 
+def varying_width_track(seed=3, n=60, closed=True) -> Track:
+    """The wiggly loop with half-widths that vary along it and differ
+    between its sides: 2.0-4.0 m on the left, 1.2-2.4 m on the right."""
+    xy = wiggly_track(seed, n, closed=closed).xy
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return Track.from_arrays(xy, 3.0 + np.sin(2.0 * th),
+                             1.8 + 0.6 * np.cos(3.0 * th), closed=closed,
+                             vehicle_half_width=0.4)
+
+
 def write_track_csv(path, track: Track) -> None:
     with open(path, "w") as fh:
         fh.write("x_m,y_m,w_left_m,w_right_m\n")
         for (x, y), wl, wr in zip(track.xy, track.w_left, track.w_right):
             fh.write(f"{float(x)!r},{float(y)!r},{float(wl)!r},{float(wr)!r}\n")
+
+
+def read_pose_log(path):
+    """Read back a pose log written by `localization.write_pose_log`."""
+    arr, _ = read_table(path, POSE_LOG_COLUMNS, ReplayFormatError)
+    return [tuple(row) for row in arr.tolist()]
+
+
+def read_scan_csv(path, max_range: float | None = None) -> DepthScan:
+    """Read a depth-scan CSV written by `perception.write_scan_csv`;
+    max_range defaults to the largest distance."""
+    arr, _ = read_table(path, SCAN_COLUMNS, ImageFormatError)
+    if len(arr) != SCAN_SIZE:
+        raise ImageFormatError(f"{path}: expected {SCAN_SIZE} rays, got {len(arr)}")
+    if max_range is None:
+        max_range = float(arr[:, 1].max())
+    try:
+        return DepthScan(distances=arr[:, 1], angles=arr[:, 0],
+                         max_range=max_range)
+    except ValueError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from None
 
 
 def alternating(cases):

@@ -38,7 +38,7 @@ from gokart.perception import BevConfig  # noqa: E402
 from gokart.sim import (TrackSampler, VehicleState,  # noqa: E402
                         default_camera_homography, render_scene)
 from helpers import (hairpin_track, oval_track, straight_track,  # noqa: E402
-                     wiggly_track, write_track_csv)
+                     varying_width_track, wiggly_track, write_track_csv)
 
 # the README's pursuit scenario on the 45 s oval
 README = ("mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
@@ -65,6 +65,10 @@ SIMULATE = {
     "bench_ftg_7": (BENCH.format(mode="ftg", duration=10.0, seed=7), []),
     "ftg_wiggly": ("mode = ftg\ntrack = wiggly.csv\ntrack.closed = true\n"
                    "duration_s = 5\nseed = 7\n", ["rates.perception_hz=7"]),
+    # FTG where the half-widths vary along the track and differ by side
+    "ftg_varying_width": ("mode = ftg\ntrack = varying.csv\n"
+                          "track.closed = true\nduration_s = 10\n"
+                          "seed = 7\n", []),
     "never_localized": (README, ["sensors.gnss_dropout=0:100",
                                  "duration_s=3"]),
     # FTG on an open track, past its end: the truth mask's end caps
@@ -144,6 +148,7 @@ def main_set() -> list[str]:
         write_track_csv(root / "straight.csv",
                         straight_track(n=20, spacing=2.0, width=3.0))
         write_track_csv(root / "wiggly.csv", wiggly_track())
+        write_track_csv(root / "varying.csv", varying_width_track())
         write_track_csv(root / "hairpin_open.csv", hairpin_track(closed=False))
         # 0.6 m each side of a 0.4 m spaced line: through the solve, about
         # half the epsilon-active offsets sit on their bounds

@@ -16,14 +16,15 @@ import gokart
 from gokart.cli import main
 from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
-from gokart.perception import BevConfig, ImageFormatError, read_scan_csv
+from gokart.perception import MIN_BLUR_SIGMA, BevConfig, ImageFormatError
 from gokart.sim import (_SCENARIO_KEYS, MAX_FRAME_PIXELS, MAX_TICKS,
                         ScenarioError,
                         TrackSampler, VehicleState, build_scenario,
                         default_camera_homography, render_scene)
 from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
                           read_raceline_csv, write_raceline_csv)
-from helpers import circle_track, oval_track, straight_track, write_track_csv
+from helpers import (circle_track, oval_track, read_scan_csv, straight_track,
+                     write_track_csv)
 
 
 def run_cli(*argv):
@@ -348,6 +349,35 @@ class TestPerceive:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
 
+    @pytest.mark.parametrize("sigma", [
+        repr(math.nextafter(MIN_BLUR_SIGMA, 0.0)), "1e-156", "1e-160",
+        "1e-170", "1e-200"])
+    def test_blur_kernel_exponent_past_the_float_range_exits_2(
+            self, tmp_path, capsys, sigma):
+        # -0.5 / sigma^2 overflows to -inf (a NaN kernel), and below about
+        # 1.5e-162 sigma^2 is 0 (ZeroDivisionError)
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((5, 9, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        assert_exit_2_naming(capsys, ["perceive", str(tmp_path / "scene.ppm"),
+                                      str(tmp_path / "h.txt"),
+                                      "--set", f"perception.blur_sigma={sigma}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.blur_sigma", repr(MIN_BLUR_SIGMA),
+                             repr(float(sigma)))
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    def test_smallest_blur_sigma_runs(self, tmp_path):
+        assert math.isfinite(-0.5 / (MIN_BLUR_SIGMA * MIN_BLUR_SIGMA))
+        write_netpbm(tmp_path / "scene.ppm", np.zeros((5, 9, 3), np.uint8))
+        write_homography(tmp_path / "h.txt", np.eye(3))
+        rc = main(["perceive", str(tmp_path / "scene.ppm"),
+                   str(tmp_path / "h.txt"),
+                   "--set", f"perception.blur_sigma={MIN_BLUR_SIGMA!r}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        scan = read_scan_csv(tmp_path / "out" / "scan.csv")
+        assert np.isfinite(scan.distances).all()
+
     def test_bad_homography_file_exits_2(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         write_netpbm(tmp_path / "scene.ppm", img)
@@ -448,6 +478,59 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "scans.csv").exists()
+
+    @pytest.mark.parametrize("sigma", [
+        repr(math.nextafter(MIN_BLUR_SIGMA, 0.0)), "1e-156", "1e-200"])
+    def test_ftg_blur_kernel_exponent_past_the_float_range_exits_2(
+            self, tmp_path, capsys, sigma):
+        self._write_small_camera_ftg(tmp_path)
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--set", f"perception.blur_sigma={sigma}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "perception.blur_sigma", repr(MIN_BLUR_SIGMA),
+                             repr(float(sigma)))
+        assert not (tmp_path / "out").exists()
+
+    def test_ftg_smallest_blur_sigma_runs(self, tmp_path):
+        self._write_small_camera_ftg(tmp_path)
+        rc = main(["simulate", str(tmp_path / "s.txt"),
+                   "--set", f"perception.blur_sigma={MIN_BLUR_SIGMA!r}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
+    # the default 160x200 BEV frame's farthest pixel is hypot(80, 199) px
+    # from the kart's pixel; past this scale its squared distance to the
+    # track overflows in the truth mask's nearest-sample query
+    BEV_SCALE_BOUND = math.sqrt(sys.float_info.max) / 2.0 \
+        / math.hypot(80.0, 199.0)
+
+    @pytest.mark.parametrize("scale", [
+        repr(math.nextafter(BEV_SCALE_BOUND, math.inf)), "1e153", "1e200"])
+    def test_ftg_bev_scale_past_the_float_range_exits_2(self, tmp_path,
+                                                        capsys, scale):
+        self._write_small_camera_ftg(tmp_path)
+        assert_exit_2_naming(capsys, ["simulate", str(tmp_path / "s.txt"),
+                                      "--set", f"bev.meters_per_px={scale}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "bev.meters_per_px", repr(self.BEV_SCALE_BOUND),
+                             "160x200", repr(float(scale)))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [repr(BEV_SCALE_BOUND), "1e150"])
+    def test_ftg_largest_bev_scale_runs(self, tmp_path, scale):
+        self._write_small_camera_ftg(tmp_path)
+        rc = main(["simulate", str(tmp_path / "s.txt"),
+                   "--set", f"bev.meters_per_px={scale}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["ticks"] == 20
+
+    def test_bev_scale_rule_holds_only_in_ftg_mode(self):
+        raw = {"track": "oval.csv", "bev.meters_per_px": "1e200"}
+        with pytest.raises(ScenarioError, match="bev.meters_per_px"):
+            build_scenario({**raw, "mode": "ftg"})
+        build_scenario({**raw, "mode": "pursuit"})
 
     def test_morph_window_rule_holds_only_in_ftg_mode(self):
         raw = {"track": "oval.csv", "front.width": "9", "front.height": "12"}

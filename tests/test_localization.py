@@ -15,7 +15,7 @@ from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  read_replay_log, run_replay)
 from helpers import (assert_frozen_value, assert_matches_oracle,
                      assert_state_close, fuse_step_oracle, haversine_m,
-                     reference_linear_kalman)
+                     read_pose_log, reference_linear_kalman)
 
 
 def default_params():
@@ -565,7 +565,7 @@ class TestReplay:
         assert out == expected
 
     def test_pose_log_roundtrip_lossless(self, tmp_path):
-        from gokart.localization import read_pose_log, write_pose_log
+        from gokart.localization import write_pose_log
         rng = np.random.default_rng(17)
         rows = [tuple(rng.normal(size=7)) for _ in range(25)]
         path = tmp_path / "poses.csv"

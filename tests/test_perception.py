@@ -18,12 +18,13 @@ from gokart.perception import (BevConfig, DepthScan, GRASS_RGB,
                                TRACK_RGB, apply_homography, detect_boundaries,
                                gaussian_blur, grass_mask,
                                homography_from_points, mask_to_depth,
-                               morph_open_close, read_scan_csv, scan_angles,
-                               warp_to_bev, write_scan_csv)
+                               morph_open_close, scan_angles, warp_to_bev,
+                               write_scan_csv)
 from gokart.sim import default_camera_homography
 from helpers import (alternating, detect_boundaries_oracle,
                      gaussian_blur_oracle, mask_to_depth_oracle,
-                     morph_open_close_oracle, warp_to_bev_oracle)
+                     morph_open_close_oracle, read_scan_csv,
+                     warp_to_bev_oracle)
 
 
 def random_mask(rng, shape, dense=None):

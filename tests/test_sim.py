@@ -25,8 +25,8 @@ from helpers import (FUSE_RTOL, alternating, bev_grass_mask_oracle,
                      detect_boundaries_oracle, fuse_step_oracle,
                      geometric_scan_oracle, hairpin_track, mean_gap,
                      oval_track, polyline_distance_oracle,
-                     render_scene_oracle, straight_track, wiggly_track,
-                     write_track_csv)
+                     render_scene_oracle, straight_track,
+                     varying_width_track, wiggly_track, write_track_csv)
 
 
 def float_bits(state: VehicleState) -> list[str]:
@@ -544,6 +544,178 @@ class TestTruthMaskCells:
             fresh = bev_grass_mask(TrackSampler(track), pose, bev)
             np.testing.assert_array_equal(forward[i], fresh)
             np.testing.assert_array_equal(reverse[-1 - i], fresh)
+
+
+def bound_inputs(sampler, centre):
+    """The distance from each cell centre to its nearest sample, that
+    sample's farthest-corner distance and the ball radius, computed as
+    `TrackSampler._classify` computes them for its cells."""
+    h = 0.5 * sampler._cell
+    dist, near = sampler._tree.query(centre)
+    corner = np.abs(sampler.points[near] - centre) + h
+    reach = np.hypot(corner[:, 0], corner[:, 1])
+    return dist, reach, reach + math.sqrt(2.0) * h + 4.0 * sampler._eps
+
+
+def cells_near_the_track(sampler, rng, count):
+    """Centres of cells off the grid: half with a corner within 2 mm of a
+    boundary between two samples and the cell on any side of it, half
+    anywhere up to 10 m past the widest boundary, and on an open track
+    some past either end."""
+    n, h = len(sampler.points), 0.5 * sampler._cell
+    i = rng.integers(n if sampler.closed else n - 1, size=count)
+    base = sampler.points[i] + rng.random((count, 1)) * (
+        sampler.points[(i + 1) % n] - sampler.points[i])
+    tx, ty = sampler.tangents[i].T
+    left = rng.random(count) < 0.5
+    edge = np.where(left, sampler.w_left[i], -sampler.w_right[i])
+    half = count // 2
+    offset = np.concatenate([
+        edge[:half] + rng.uniform(-2e-3, 2e-3, half),
+        rng.uniform(-1.0, 1.0, count - half) * (sampler._w_max + 10.0)])
+    corner = base + offset[:, None] * np.column_stack([-ty, tx])
+    centres = [corner + h * rng.choice([-1.0, 1.0], size=(count, 2))]
+    if not sampler.closed:
+        for end, ahead in ((0, -1.0), (n - 1, 1.0)):
+            along = ahead * rng.uniform(0.0, 6.0, 200)
+            across = rng.uniform(-1.0, 1.0, 200) * (sampler._w_max + 2.0)
+            (x, y), (tx, ty) = sampler.points[end], sampler.tangents[end]
+            centres.append(np.column_stack([x + along * tx - across * ty,
+                                            y + along * ty + across * tx]))
+    return np.concatenate(centres)
+
+
+def cell_points(sampler, centre, k=9):
+    """A k x k lattice over each cell, its edges and corners included,
+    plus each corner one float outward and inward: (cells, points, 2)."""
+    h = 0.5 * sampler._cell
+    u = np.linspace(-h, h, k)
+    grid = np.stack(np.meshgrid(u, u), axis=-1).reshape(-1, 2)
+    lattice = centre[:, None] + grid
+    corners = lattice[:, [0, k - 1, -k, -1]]
+    return np.concatenate([lattice, np.nextafter(corners, np.inf),
+                           np.nextafter(corners, -np.inf)], axis=1)
+
+
+BOUND_TRACKS = [oval_track(), wiggly_track(), hairpin_track(),
+                hairpin_track(closed=False), straight_track(),
+                straight_track(heading=math.pi / 4), varying_width_track()]
+BOUND_IDS = ["oval", "wiggly", "hairpin", "open hairpin", "open straight",
+             "diagonal open straight", "varying width"]
+
+
+class TestNearestSampleBounds:
+    """`TrackSampler._bounds` certifies a cell from the sample nearest its
+    centre alone; `lateral_margin` must agree with every verdict it gives,
+    at every point of the cell."""
+
+    @pytest.mark.parametrize("track", BOUND_TRACKS, ids=BOUND_IDS)
+    def test_certified_cells_take_the_margin_sign(self, track):
+        sampler = TrackSampler(track)
+        centre = cells_near_the_track(sampler, np.random.default_rng(21),
+                                      3000)
+        verdict = sampler._bounds(centre, *bound_inputs(sampler, centre))
+        certified = verdict != gokart.sim._UNKNOWN
+        pts = cell_points(sampler, centre[certified])
+        margin = sampler.lateral_margin(pts.reshape(-1, 2)).reshape(
+            pts.shape[:2])
+        track_cell = verdict[certified] == gokart.sim._TRACK
+        assert (margin[track_cell] > 0.0).all()
+        assert (margin[~track_cell] < 0.0).all()
+        # both bounds fire, and near the boundary cells go to the ball
+        assert track_cell.sum() >= 50 and (~track_cell).sum() >= 100
+        assert (~certified[:1500]).sum() >= 500
+
+    @pytest.mark.parametrize("track", BOUND_TRACKS, ids=BOUND_IDS)
+    def test_ball_verdicts_still_certify(self, track, monkeypatch):
+        # grid cells around the track: a cell the ball alone certifies
+        # takes the same verdict, and one it leaves mixed may be certified
+        # by the bounds
+        sampler = TrackSampler(track)
+        centre = cells_near_the_track(sampler, np.random.default_rng(22),
+                                      2000)
+        nx = sampler._verdicts.shape[1]
+        ix, iy = ((centre - sampler._grid_origin) // sampler._cell).T \
+            .astype(np.intp)
+        keys = np.unique(iy * nx + ix)
+        cx, cy = keys % nx, keys // nx
+        got = sampler._classify(cx, cy)
+        ball = TrackSampler(track)
+        monkeypatch.setattr(ball, "_bounds", lambda centre, *_: np.zeros(
+            len(centre), dtype=np.int8))
+        want = ball._classify(cx, cy)
+        decided = want != gokart.sim._MIXED
+        np.testing.assert_array_equal(got[decided], want[decided])
+        assert (got[~decided] != gokart.sim._UNKNOWN).all()
+
+    def test_non_finite_distance_never_certifies(self):
+        for track in (oval_track(), straight_track()):
+            sampler = TrackSampler(track)
+            centre = sampler.points[[3, 5, 7]]
+            for dist in (np.inf, -np.inf, np.nan):
+                # a reach that would certify track, and a distance that
+                # would certify grass, were the distance finite
+                verdict = sampler._bounds(centre, np.full(3, dist),
+                                          np.zeros(3), np.full(3, np.inf))
+                assert (verdict == gokart.sim._UNKNOWN).all()
+            far = sampler._bounds(centre[:1], np.array([1e6]), np.array([1e6]),
+                                  np.array([1e6]))
+            assert far[0] == (gokart.sim._GRASS if track.closed
+                              else gokart.sim._UNKNOWN)
+
+    def test_no_grass_bound_without_a_positive_cosine(self):
+        sampler = TrackSampler(oval_track())
+        centre = np.zeros((1, 2))
+        args = (np.array([100.0]), np.array([100.0]), np.array([100.0]))
+        assert sampler._bounds(centre, *args)[0] == gokart.sim._GRASS
+        sampler._cos = 0.0
+        assert sampler._bounds(centre, *args)[0] == gokart.sim._UNKNOWN
+
+    @pytest.mark.parametrize("track", [oval_track(), varying_width_track()],
+                             ids=["oval", "varying width"])
+    def test_thresholds_keep_their_slack(self, track):
+        # a few eps past each bound's exact threshold certifies nothing
+        sampler = TrackSampler(track)
+        eps, centre = sampler._eps, np.zeros((1, 2))
+        far = np.array([np.inf])
+
+        def verdict(dist, reach):
+            return sampler._bounds(centre, np.array([dist]),
+                                   np.array([reach]), far)[0]
+
+        w_min, w_max = sampler._w_min, sampler._w_max
+        assert verdict(0.0, w_min - 2.0 * eps) == gokart.sim._UNKNOWN
+        assert verdict(0.0, w_min - 8.0 * eps) == gokart.sim._TRACK
+        # r^2 - L(r)^2 = (w_max + 2 eps)^2, L(r) = a + b r: |lat| would
+        # exceed w_max at the distance r plus the half diagonal
+        a = 0.5 * sampler._step / sampler._cos
+        b = sampler._sin / sampler._cos
+        target = (w_max + 2.0 * eps) ** 2
+        r = (a * b + math.sqrt((a * b) ** 2 + (1.0 - b * b) * (a * a + target))) \
+            / (1.0 - b * b)
+        diagonal = math.sqrt(2.0) * 0.5 * sampler._cell
+        assert verdict(r + diagonal, 1e6) == gokart.sim._UNKNOWN
+        assert verdict(r + diagonal + 20.0 * eps, 1e6) == gokart.sim._GRASS
+
+    def test_most_benchmark_cells_skip_the_ball(self, tmp_path, monkeypatch):
+        # the benchmark's 10 s FTG run on the oval: at least 85% of the
+        # cells it classifies are certified without a ball query
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 10.0\nseed = 7\nsensors.gnss_sigma = 0.02\n"
+            "sensors.gnss_dropout = 10.0:12.0\n")
+        bounds, verdicts = TrackSampler._bounds, []
+
+        def record(sampler, *args):
+            verdicts.append(bounds(sampler, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(TrackSampler, "_bounds", record)
+        run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        verdict = np.concatenate(verdicts)
+        assert len(verdict) > 5000
+        assert (verdict != gokart.sim._UNKNOWN).mean() >= 0.85
 
 
 class TestScenarioConfig:
