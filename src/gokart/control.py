@@ -9,6 +9,7 @@ the physical steering limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .fileio import require
@@ -33,6 +34,11 @@ class PursuitParams:
         require(self.l_min > 0.0, "pursuit.l_min", "be > 0", self.l_min)
         require(self.l_min < self.l_max, "pursuit.l_min",
                 f"be < pursuit.l_max = {self.l_max!r}", self.l_min)
+        # pursuit_curvature squares the lookahead, at most l_max
+        bound = math.sqrt(sys.float_info.max)
+        require(self.l_max <= bound, "pursuit.l_max",
+                f"be <= sqrt(max float) = {bound!r}, so that the squared "
+                "lookahead stays finite", self.l_max)
         for key in ("v_max", "delta_max"):
             value = getattr(self, key)
             require(value > 0.0, f"pursuit.{key}", "be > 0", value)

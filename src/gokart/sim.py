@@ -77,6 +77,10 @@ MAX_DT = 0.05
 MAX_TICKS = 10**7
 # Most pixels of an FTG run's camera or BEV frame (3840x2160 is 8,294,400).
 MAX_FRAME_PIXELS = 2**24
+# RK4's real-axis stability limit: its amplification R(z) = 1 + z + z^2 / 2
+# + z^3 / 6 + z^4 / 24 has |R(z)| = 1 at z = -RK4_REAL_LIMIT, and the plant's
+# speed lag dv/dt = (v_target - v) / tau steps with z = -dt / tau
+RK4_REAL_LIMIT = 2.785293563405282
 
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
@@ -179,6 +183,9 @@ class ImuSimulator:
 _UNKNOWN, _TRACK, _GRASS, _MIXED = 0, 1, 2, 3
 # cells classified per vectorized pass, bounding its temporaries
 _CELLS_PER_PASS = 512
+# cells a side of the grid-aligned tiles that TrackSampler.inside classifies
+# whole (4 m)
+_TILE = 8
 # sub-cells a side of a mixed cell
 _SPLIT = 5
 # (candidate, sub-cell) pairs per vectorized pass, bounding its temporaries
@@ -212,7 +219,8 @@ class TrackSampler:
         # inside() decides points by world cells of 5 steps a side over the
         # samples' bounding box, padded by the widest half-width plus half
         # the box's longer side so that a camera frame seen from the track
-        # rarely leaves the grid; cells are classified on first use
+        # rarely leaves the grid; cells are classified a tile of _TILE x
+        # _TILE at a time, when a frame first reaches an unknown one
         self._cell = 5.0 * _SAMPLE_STEP
         widest = float(max(self.w_left.max(), self.w_right.max()))
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
@@ -290,12 +298,19 @@ class TrackSampler:
         ix, iy = gx[on_grid].astype(np.intp), gy[on_grid].astype(np.intp)
         if len(ix):
             x0, y0 = ix.min(), iy.min()
-            block = self._verdicts[y0:iy.max() + 1, x0:ix.max() + 1]
-            by, bx = np.nonzero(block == _UNKNOWN)
-            for a in range(0, len(bx), _CELLS_PER_PASS):
-                cx = bx[a:a + _CELLS_PER_PASS] + x0
-                cy = by[a:a + _CELLS_PER_PASS] + y0
-                self._verdicts[cy, cx] = self._classify(cx, cy)
+            x1, y1 = ix.max() + 1, iy.max() + 1
+            if (self._verdicts[y0:y1, x0:x1] == _UNKNOWN).any():
+                # the unknown cells of every tile the block touches, so
+                # that the calls follow the tiles the kart enters, not the
+                # frames; np.nonzero walks row by row, so keys ascend
+                x0, y0 = x0 - x0 % _TILE, y0 - y0 % _TILE
+                x1, y1 = -(-x1 // _TILE) * _TILE, -(-y1 // _TILE) * _TILE
+                block = self._verdicts[y0:y1, x0:x1]
+                by, bx = np.nonzero(block == _UNKNOWN)
+                for a in range(0, len(bx), _CELLS_PER_PASS):
+                    cx = bx[a:a + _CELLS_PER_PASS] + x0
+                    cy = by[a:a + _CELLS_PER_PASS] + y0
+                    self._verdicts[cy, cx] = self._classify(cx, cy)
             iy *= nx
             iy += ix
             verdict[on_grid] = self._verdicts.reshape(-1).take(iy)
@@ -538,8 +553,11 @@ def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
         bev.height, bev.width)
 
 
-# render_scene colors by label: 0 track, 1 grass, 2 sky
-_SCENE_PALETTE = np.array([TRACK_RGB, GRASS_RGB, SKY_RGB], dtype=np.uint8)
+# render_scene colors by label: 0 track, 1 grass, 2 sky; each color's RGB
+# bytes and a zero byte as one word, so that one gather moves a pixel
+_SCENE_PALETTE = np.pad(np.array([TRACK_RGB, GRASS_RGB, SKY_RGB],
+                                 dtype=np.uint8), ((0, 0), (0, 1))) \
+    .view(np.uint32).reshape(-1)
 
 
 def render_scene(sampler: TrackSampler, pose: VehicleState, h: np.ndarray,
@@ -550,7 +568,8 @@ def render_scene(sampler: TrackSampler, pose: VehicleState, h: np.ndarray,
     Builds the ground-truth BEV (grass vs track surface) at the pose, then
     inverse-warps it through the camera homography `h` (front px -> BEV px).
     Front pixels that look above the mapped ground plane get a sky color that
-    the grass threshold rejects.
+    the grass threshold rejects. The image is the (H, W, 3) view of an
+    (H, W, 4) byte buffer, each pixel's color gathered as one 4-byte word.
     """
     grass = bev_grass_mask(sampler, pose, bev)
     labels = np.empty(grass.size + 1, dtype=np.uint8)
@@ -558,7 +577,8 @@ def render_scene(sampler: TrackSampler, pose: VehicleState, h: np.ndarray,
     labels[-1] = 2
     index = pixel_map(np.asarray(h, dtype=float).tobytes(),
                       (front_height, front_width), (bev.height, bev.width))
-    return np.take(_SCENE_PALETTE, labels[index], axis=0)
+    words = _SCENE_PALETTE.take(labels[index])
+    return words.view(np.uint8).reshape(front_height, front_width, 4)[..., :3]
 
 
 def default_camera_homography(bev: BevConfig, front_width: int = 320,
@@ -749,6 +769,12 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
     require(steps <= MAX_TICKS and round(steps) >= 1, "duration_s",
             f"cover from 1 to {MAX_TICKS} dt steps", cfg.duration_s)
     require(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
+    # below this the speed error grows every step, and bicycle_step's
+    # inner stages carry the unclamped speed into x and y
+    tau_min = cfg.dt / RK4_REAL_LIMIT
+    require(cfg.vehicle.v_time_constant >= tau_min, "vehicle.v_time_constant",
+            f"be >= dt / {RK4_REAL_LIMIT!r} = {tau_min!r} s, RK4's real-axis "
+            "stability limit", cfg.vehicle.v_time_constant)
     for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
                        ("opt.reg", cfg.opt_reg)):
         require(value >= 0, key, "be >= 0", value)
@@ -897,6 +923,14 @@ class _PursuitPlanner:
                             mode=Mode.AUTONOMOUS), None, False
 
 
+class _ReprCache(dict):
+    """repr of each float key, computed on the first lookup."""
+
+    def __missing__(self, value: float) -> str:
+        cell = self[value] = repr(value)
+        return cell
+
+
 class _FtgPlanner:
     """Follow-the-gap on the scan perceived in a camera frame rendered at
     the true pose; runs on ticks shared by the controller and perception."""
@@ -911,6 +945,10 @@ class _FtgPlanner:
         self.rows = {"scans.csv": ["t_s,angle_rad,distance_m"]}
         # every scan comes from mask_to_depth, along scan_angles()
         self._angle_cells = [f",{a!r}," for a in scan_angles().tolist()]
+        # each distance's cell, keyed by its value: a scan's distances lie
+        # in (0, max_range], so no -0.0 shares 0.0's key, and mask_to_depth's
+        # ray steps give few distinct values
+        self._distance_cells = _ReprCache()
 
     def plan(self, t, estimate, measured_speed, truth: VehicleState):
         sc = self.scenario
@@ -919,9 +957,9 @@ class _FtgPlanner:
         scan, _, _ = detect_boundaries(img, self.camera_h, sc.perception,
                                        sc.bev)
         stamp = repr(t)
+        cells = map(self._distance_cells.__getitem__, scan.distances.tolist())
         self.rows["scans.csv"].extend(
-            f"{stamp}{a}{d!r}"
-            for a, d in zip(self._angle_cells, scan.distances.tolist()))
+            f"{stamp}{a}{d}" for a, d in zip(self._angle_cells, cells))
         cmd = ftg_step(scan, sc.ftg)  # a safety stop commands 0 rad, 0 m/s
         return (DriveCommand(steering=cmd.steering, speed=cmd.speed,
                              mode=Mode.AUTONOMOUS),

@@ -427,7 +427,8 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
     projected gradient is zero, or when no step lowers the objective in
     floating point and the full step's first-order drop is within that
     tolerance; otherwise fails, with the last iterate, when `max_iters`
-    steps are spent or no step lowers it.
+    steps are spent, when no step lowers it, or when `solve` raises
+    LinAlgError (no damping makes the step's system regular).
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
@@ -458,7 +459,10 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
         pinned = ((x == lo) & (g > 0.0)) | ((x == hi) & (g < 0.0))
         scaled = active & ~pinned
         d = -g
-        d[free] = j.solve(free, -g[free], reg)
+        try:
+            d[free] = j.solve(free, -g[free], reg)
+        except np.linalg.LinAlgError as exc:
+            return result(False, str(exc))
         d[scaled] /= scaled_diag(j, scaled)
         slope = float(g[free] @ d[free])  # <= 0
         step = 1.0
@@ -499,7 +503,8 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
     full circuits of thousands of points solve in seconds. Converges when
     the relative objective drop falls below _REL_TOL; raises
     OptimizationError (carrying the best iterate) if the iteration budget
-    runs out first or no step lowers the objective.
+    runs out first, no step lowers the objective or a step's system is
+    singular under every damping.
     """
     if reg < 0.0:
         raise ValueError("reg must be >= 0")

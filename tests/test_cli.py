@@ -18,7 +18,7 @@ from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import MIN_BLUR_SIGMA, BevConfig, ImageFormatError
 from gokart.sim import (_SCENARIO_KEYS, MAX_FRAME_PIXELS, MAX_TICKS,
-                        ScenarioError,
+                        RK4_REAL_LIMIT, ScenarioError,
                         TrackSampler, VehicleState, build_scenario,
                         default_camera_homography, render_scene)
 from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
@@ -103,6 +103,18 @@ class TestOptimizeRaceline:
         assert rc == 2
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+
+    def test_reg_no_damping_regularizes_exits_1(self, tmp_path, capsys):
+        # the step's system is singular under every damping: a failed
+        # solve with an error line, not a traceback
+        write_track_csv(tmp_path / "circle.csv", circle_track())
+        rc = main(["optimize-raceline", str(tmp_path / "circle.csv"),
+                   "--set", "opt.reg=1e100", "--set", "track.closed=true",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "regular" in err
         assert "Traceback" not in err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -526,6 +538,87 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["ticks"] == 20
 
+    # RK4's real-axis stability limit on the plant's speed lag at dt = 0.01
+    TAU_BOUND = 0.01 / RK4_REAL_LIMIT
+
+    @pytest.mark.parametrize("mode", ["pursuit", "ftg"])
+    @pytest.mark.parametrize("tau", [
+        repr(math.nextafter(TAU_BOUND, 0.0)), "0.003", "1e-10", "1e-300"])
+    def test_speed_lag_past_rk4_stability_exits_2(self, tmp_path, capsys,
+                                                  mode, tau):
+        self._write_oval(tmp_path)
+        assert_exit_2_naming(capsys, ["simulate",
+                                      str(tmp_path / "scenario.txt"),
+                                      "--set", f"mode={mode}",
+                                      "--set", f"vehicle.v_time_constant={tau}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "vehicle.v_time_constant", repr(self.TAU_BOUND),
+                             repr(float(tau)))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["pursuit", "ftg"])
+    def test_speed_lag_at_rk4_stability_runs(self, tmp_path, capsys, mode):
+        # at the bound |R(z)| = 1: the speed error neither grows nor decays,
+        # and the run goes to its end
+        self._write_oval(tmp_path)
+        rc = main(["simulate", str(tmp_path / "scenario.txt"),
+                   "--set", f"mode={mode}", "--set", "duration_s=2",
+                   "--set", f"vehicle.v_time_constant={self.TAU_BOUND!r}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        assert "error" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["ticks"] == 200
+
+    def test_speed_lag_bound_follows_dt(self):
+        # dt = 0.005 halves the bound, so 0.003 loads there
+        raw = {"dt": "0.005", "vehicle.v_time_constant": "0.003"}
+        assert build_scenario(raw).vehicle.v_time_constant == 0.003
+        bound = 0.005 / RK4_REAL_LIMIT
+        raw["vehicle.v_time_constant"] = repr(math.nextafter(bound, 0.0))
+        with pytest.raises(ScenarioError, match=repr(bound)):
+            build_scenario(raw)
+
+    # pursuit_curvature squares the lookahead, which reaches l_max
+    L_MAX_BOUND = math.sqrt(sys.float_info.max)
+
+    @pytest.mark.parametrize("l_max", [
+        repr(math.nextafter(L_MAX_BOUND, math.inf)), "1e160", "1e300"])
+    def test_lookahead_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                    l_max):
+        self._write_oval(tmp_path)
+        assert_exit_2_naming(capsys, ["simulate",
+                                      str(tmp_path / "scenario.txt"),
+                                      "--set", f"pursuit.l_max={l_max}",
+                                      "--out-dir", str(tmp_path / "out")],
+                             "pursuit.l_max", repr(self.L_MAX_BOUND),
+                             repr(float(l_max)))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("l_max", [repr(L_MAX_BOUND), "1e153"])
+    def test_longest_lookahead_runs(self, tmp_path, capsys, l_max):
+        # the lookahead outreaches the whole loop once the kart moves, so
+        # it aims at its nearest waypoint and drifts off the track: a run
+        # that ends with a boundary violation, not a traceback
+        self._write_oval(tmp_path)
+        rc = main(["simulate", str(tmp_path / "scenario.txt"),
+                   "--set", f"pursuit.l_max={l_max}", "--set", "duration_s=2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["ticks"] == 200 and report["distance_m"] > 0.0
+
+    def test_reg_no_damping_regularizes_exits_1(self, tmp_path, capsys):
+        self._write_oval(tmp_path)
+        rc = main(["simulate", str(tmp_path / "scenario.txt"),
+                   "--set", "opt.reg=1e100",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "regular" in err
+        assert "Traceback" not in err
+
     def test_bev_scale_rule_holds_only_in_ftg_mode(self):
         raw = {"track": "oval.csv", "bev.meters_per_px": "1e200"}
         with pytest.raises(ScenarioError, match="bev.meters_per_px"):
@@ -891,7 +984,7 @@ LIMIT_VALUES = {
     "front.width": ["2", "1"],
     "front.height": ["2", "1"],
     "pursuit.l_min": ["0", "5", "-1"],
-    "pursuit.l_max": ["2", "0"],
+    "pursuit.l_max": ["2", "0", "1e160"],
     "pursuit.delta_max": ["1.0", "1.0000001", "0"],
     "ftg.v_min": ["0", "5", "5.0000001"],
     "ftg.v_max": ["2", "1.9999"],
@@ -921,6 +1014,8 @@ for _key in ("pursuit.kp", "pursuit.kd", "perception.tau"):
 for _key in ("rates.controller_hz", "rates.perception_hz", "rates.command_hz",
              "sensors.gnss_rate", "sensors.imu_rate"):
     LIMIT_VALUES[_key] = LIMIT_VALUES[_key] + ["5e-324", "1e-310"]
+# below RK4's stability limit on the speed lag (dt / 2.785...)
+LIMIT_VALUES["vehicle.v_time_constant"] += ["0.003", "1e-10", "1e-300"]
 # the speed feedback frame reports at most 32.767 m/s
 LIMIT_VALUES["vehicle.max_speed"] += ["32.767", "32.768", "1e300"]
 for _key, (_, _, _parse) in _SCENARIO_KEYS.items():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from gokart.geometry import Polyline, body_to_world, normalize_angle
 from gokart.localization import (CHI2_3_95, GeoFix, LocalPoint, fuse_step,
                                  local_to_geo, project_to_local)
-from gokart.perception import BevConfig, PerceptionConfig, detect_boundaries, \
-    scan_angles
+from gokart.perception import BevConfig, DepthScan, PerceptionConfig, \
+    detect_boundaries, scan_angles
 from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, GnssSimulator,
                         ImuSimulator, ScenarioError, SensorConfig, TrackSampler,
                         VehicleParams, VehicleState, _bev_body_points,
@@ -346,6 +346,16 @@ class TestRenderScene:
                 assert img.dtype == np.uint8 and img.shape == (fh, fw, 3)
                 np.testing.assert_array_equal(
                     img, render_scene_oracle(sampler, pose, h, fw, fh, cfg))
+                # the (H, W, 3) view of an (H, W, 4) word buffer, which the
+                # pipeline reads as it reads a contiguous copy
+                assert img.strides == (4 * fw, 4, 1)
+                got = detect_boundaries(img, h, PerceptionConfig(), cfg)
+                want = detect_boundaries(np.ascontiguousarray(img), h,
+                                         PerceptionConfig(), cfg)
+                np.testing.assert_array_equal(got[0].distances,
+                                              want[0].distances)
+                for stage, copy_stage in zip(got[1:], want[1:]):
+                    np.testing.assert_array_equal(stage, copy_stage)
 
 
 def pose_near(sampler, i, offset, heading) -> VehicleState:
@@ -383,11 +393,21 @@ class TestTruthMaskCells:
                 exact.append(len(pts))
             return margin(sampler, pts)
 
+        classify, calls = TrackSampler._classify, []
+
+        def count_calls(sampler, cx, cy):
+            calls.append(len(cx))
+            return classify(sampler, cx, cy)
+
         monkeypatch.setattr(gokart.sim, "bev_grass_mask", record)
         monkeypatch.setattr(TrackSampler, "lateral_margin", count)
+        monkeypatch.setattr(TrackSampler, "_classify", count_calls)
         run_closed_loop(scenario)
         pixels = sum(m.size for *_, m in masks)
         assert len(masks) == 100
+        # cells are classified a tile at a time: 19 calls here, where a
+        # frame's own unknown cells at a time took 97
+        assert len(calls) < 30
         # most pixels are decided by their cell or, in a mixed cell, by its
         # sub-cell: 1.5% reach the margin (7.7% without sub-cells)
         assert sum(exact) < 0.15 * pixels
@@ -396,6 +416,62 @@ class TestTruthMaskCells:
         for sampler, pose, bev, got in masks:
             np.testing.assert_array_equal(
                 got, bev_grass_mask_oracle(sampler, pose, bev))
+
+    def test_tiles_classify_each_cell_as_alone(self):
+        # frames across tile edges on and beside the track, and across the
+        # grid's near and far edges, whose last tiles the grid cuts short
+        track = oval_track()
+        sampler = TrackSampler(track)
+        tile, cell = gokart.sim._TILE, sampler._cell
+        ny, nx = sampler._verdicts.shape
+        assert nx % tile and ny % tile
+        rng = np.random.default_rng(17)
+        n = len(sampler.points)
+        poses = [pose_near(sampler, int(rng.integers(n)),
+                           rng.uniform(-6.0, 6.0),
+                           rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+        (x0, y0), (x1, y1) = sampler._grid_origin, \
+            sampler._grid_origin + np.array([nx, ny]) * cell
+        poses += [VehicleState(x=x0 + 3.0, y=y0 + 5.0, psi=-2.5),
+                  VehicleState(x=x1 - 4.0, y=y1 - 2.0, psi=0.8),
+                  VehicleState(x=x1 - 6.0, y=y0 + 0.7 * (y1 - y0), psi=0.1)]
+        bev = BevConfig()
+        forward, left = _bev_body_points(bev)
+        partly_off = 0
+        for pose in poses:
+            c, s = math.cos(pose.psi), math.sin(pose.psi)
+            x = pose.x + c * forward - s * left
+            y = pose.y + s * forward + c * left
+            np.testing.assert_array_equal(
+                sampler.inside(x, y),
+                sampler.lateral_margin(np.column_stack([x, y])) >= 0.0)
+            # every cell the frame reaches is classified
+            gx, gy = (x - x0) / cell, (y - y0) / cell
+            on = (gx >= 0.0) & (gx < nx) & (gy >= 0.0) & (gy < ny)
+            partly_off += on.any() and not on.all()
+            assert (sampler._verdicts[gy[on].astype(int), gx[on].astype(int)]
+                    != gokart.sim._UNKNOWN).all()
+        assert partly_off == 3
+        # whole tiles, cut only by the grid's edges
+        known = sampler._verdicts != gokart.sim._UNKNOWN
+        for ty in range(0, ny, tile):
+            for tx in range(0, nx, tile):
+                block = known[ty:ty + tile, tx:tx + tile]
+                assert block.all() or not block.any()
+        assert known[0].any() and known[-1].any()
+        assert known[:, 0].any() and known[:, -1].any()
+        # each known cell classified alone, one call each, in no order
+        alone = TrackSampler(track)
+        cy, cx = np.nonzero(known)
+        for k in rng.permutation(len(cx)):
+            one = slice(k, k + 1)
+            alone._verdicts[cy[one], cx[one]] = alone._classify(cx[one],
+                                                                 cy[one])
+        np.testing.assert_array_equal(alone._verdicts, sampler._verdicts)
+        np.testing.assert_array_equal(alone._mixed, sampler._mixed)
+        np.testing.assert_array_equal(alone._sub_verdicts,
+                                      sampler._sub_verdicts)
+        assert len(sampler._mixed) > 50
 
     def test_random_poses_on_and_off_the_oval(self):
         # on the track, and 5-30 m off it on either side (inward is the
@@ -993,6 +1069,30 @@ class TestClosedLoop:
         want = []
         for k, scan in enumerate(scans):
             t = float(rows[361 * k].split(",")[0])
+            want += [f"{t!r},{a!r},{d!r}" for a, d in
+                     zip(scan.angles.tolist(), scan.distances.tolist())]
+        assert rows == want
+
+    def test_cached_scan_cells_equal_plain_repr(self, tmp_path, monkeypatch):
+        # distances repeated within and across scans, some one rounding
+        # apart: each cached cell is repr() of its distance
+        rng = np.random.default_rng(4)
+        pool = [0.1, 0.2, 0.1 + 0.2, 0.3, math.nextafter(0.3, 1.0), 7.25,
+                20.0, 5e-324]
+        scans = [DepthScan(distances=rng.choice(pool, 361),
+                           angles=scan_angles(), max_range=20.0)
+                 for _ in range(10)]
+        feed = iter(scans)
+        monkeypatch.setattr(gokart.sim, "detect_boundaries",
+                            lambda *args: (next(feed), None, None))
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = ftg\ntrack = oval.csv\nduration_s = 1\nseed = 7\n")
+        report = run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        rows = report.logs["scans.csv"].splitlines()[1:]
+        want = []
+        for k, scan in enumerate(scans):
+            t = 10 * k * 0.01
             want += [f"{t!r},{a!r},{d!r}" for a, d in
                      zip(scan.angles.tolist(), scan.distances.tolist())]
         assert rows == want

@@ -332,6 +332,43 @@ class TestOptimizer:
         assert offset_curvature_cost(tr, alpha) <= \
             offset_curvature_cost(tr, np.zeros(len(tr)))
 
+    def test_singular_step_system_fails_with_the_last_iterate(self):
+        # no damping regularizes the third step's system: the second
+        # iterate comes back as a failure, bit for bit
+        tr = wiggly_track()
+        kappa, linearize = _curvature_residual(tr)
+        lo, hi = alpha_bounds(tr)
+        solves = []
+
+        def jac(x):
+            op = linearize(x)
+
+            def solve(free, b, reg):
+                solves.append(len(solves))
+                if len(solves) == 3:
+                    raise np.linalg.LinAlgError("no damping makes the "
+                                                "step's system regular")
+                return op.solve(free, b, reg)
+
+            return SimpleNamespace(rmatvec=op.rmatvec, solve=solve,
+                                   column_norms2=op.column_norms2)
+
+        x0 = np.zeros(len(tr))
+        got = minimize(kappa, x0, jac, lo, hi, reg=1e-6)
+        want = minimize(kappa, x0, linearize, lo, hi, reg=1e-6, max_iters=2)
+        assert not got.success and got.nit == 3
+        assert got.message == "no damping makes the step's system regular"
+        assert got.x.tobytes() == want.x.tobytes() and got.fun == want.fun
+        assert got.nfev == want.nfev
+
+    def test_reg_no_damping_regularizes_raises_with_the_start(self):
+        # reg = 1e100 on the offsets' diagonal dwarfs the KKT system's
+        # other pivots, whatever damping is added to the offsets
+        tr = oval_track()
+        with pytest.raises(OptimizationError, match="regular") as exc:
+            optimize_min_curvature(tr, reg=1e100)
+        np.testing.assert_array_equal(exc.value.alpha, np.zeros(len(tr)))
+
 
 def both_bounds_start():
     """The wiggly track from offsets a third on each bound, a third at 0."""
