@@ -38,6 +38,8 @@ STEERING_LIMIT = 1.0      # rad, physical steering stop
 
 _COMMAND = struct.Struct("<hhHBB")  # whole payloads, the sequence byte last
 _INT16, _UINT16 = struct.Struct("<h5xB"), struct.Struct("<H5xB")
+# the encoders build frames from these without CanFrame's checks
+assert _COMMAND.size == _INT16.size == _UINT16.size == 8
 
 
 class FrameDecodeError(ValueError):
@@ -76,9 +78,11 @@ class DriveCommand:
             raise ValueError(f"kill must be True or False, not {self.kill!r}")
 
 
-# The per-tick records below check their arguments in their own __init__
-# and store them through this, so no __post_init__ runs on the tick path.
-_set = object.__setattr__
+# CanFrame and SubsystemFeedback check their arguments in their own __init__
+# and store them through _set, so no __post_init__ runs. The codec builds
+# its frames and records with _new and writes the instance __dict__
+# directly, since the Python-level __init__ call is most of a record's cost.
+_set, _new = object.__setattr__, object.__new__
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,18 @@ def encode_command(cmd: DriveCommand, seq: int = 0) -> CanFrame:
     steering = round(cmd.steering * STEERING_SCALE)
     speed = round(cmd.speed * SPEED_SCALE)
     brake = round(cmd.brake * BRAKE_SCALE)
-    return CanFrame(COMMAND_FRAME_ID, _COMMAND.pack(
+    frame = _new(CanFrame)
+    fields = frame.__dict__
+    fields["can_id"] = COMMAND_FRAME_ID
+    fields["payload"] = _COMMAND.pack(
         -32768 if steering < -32768 else 32767 if steering > 32767
         else steering,
         -32768 if speed < -32768 else 32767 if speed > 32767 else speed,
         0 if brake < 0 else 65535 if brake > 65535 else brake,
         (cmd.kill & 0x1) | ((cmd.mode & 0x3) << 1),
         seq & 255,
-    ))
+    )
+    return frame
 
 
 # mode bits 1-2 of the flags byte -> Mode; the value 3 names no mode
@@ -142,18 +150,26 @@ def decode_command(frame: CanFrame) -> DriveCommand:
     bits = (flags >> 1) & 0x3
     if bits == 3:
         raise FrameDecodeError(f"mode bits {bits} name no mode")
-    return DriveCommand(steering / STEERING_SCALE, speed / SPEED_SCALE,
-                        brake / BRAKE_SCALE, _MODE_BITS[bits],
-                        bool(flags & 0x1))
+    cmd = _new(DriveCommand)
+    fields = cmd.__dict__
+    fields["steering"] = steering / STEERING_SCALE
+    fields["speed"] = speed / SPEED_SCALE
+    fields["brake"] = brake / BRAKE_SCALE
+    fields["mode"] = _MODE_BITS[bits]
+    fields["kill"] = bool(flags & 0x1)
+    cmd.__post_init__()  # the constructor's checks, on the decoded values
+    return cmd
 
 
-# feedback id -> (SubsystemFeedback field position, wire scale, payload
-# struct (value, five pad bytes, sequence), saturation range of the raw value)
+# feedback id -> (SubsystemFeedback field, wire scale, payload struct
+# (value, five pad bytes, sequence), saturation range of the raw value)
 _FEEDBACK = {
-    TBWS_FEEDBACK_ID: (0, SPEED_SCALE, _INT16, -32768, 32767),
-    SBWS_FEEDBACK_ID: (1, STEERING_SCALE, _INT16, -32768, 32767),
-    EBS_FEEDBACK_ID: (2, BRAKE_SCALE, _UINT16, 0, 65535),
+    TBWS_FEEDBACK_ID: ("measured_speed", SPEED_SCALE, _INT16, -32768, 32767),
+    SBWS_FEEDBACK_ID: ("measured_steering", STEERING_SCALE, _INT16,
+                       -32768, 32767),
+    EBS_FEEDBACK_ID: ("brake_pressure", BRAKE_SCALE, _UINT16, 0, 65535),
 }
+_copysign = math.copysign
 
 
 def encode_feedback(can_id: int, value: float, seq: int = 0) -> CanFrame:
@@ -162,22 +178,41 @@ def encode_feedback(can_id: int, value: float, seq: int = 0) -> CanFrame:
         raise ValueError(f"not a feedback id: 0x{can_id:03x}")
     _, scale, payload, lo, hi = spec
     raw = round(value * scale)
-    return CanFrame(can_id, payload.pack(
-        lo if raw < lo else hi if raw > hi else raw, seq & 255))
+    # 513.0 and np.int64(513) find a key too; an exact int that does is one
+    # of the three feedback ids
+    if can_id.__class__ is not int:
+        raise ValueError(f"CAN id must be an int, not {can_id!r}")
+    frame = _new(CanFrame)
+    fields = frame.__dict__
+    fields["can_id"] = can_id
+    fields["payload"] = payload.pack(
+        lo if raw < lo else hi if raw > hi else raw, seq & 255)
+    return frame
 
 
 def apply_feedback(fb: SubsystemFeedback, frame: CanFrame) -> SubsystemFeedback:
-    """Fold one feedback frame into the gathered subsystem state."""
+    """Fold one feedback frame into the gathered subsystem state.
+
+    Returns `fb` itself when the frame's value is the float the field
+    already holds; otherwise a new record with that one field replaced.
+    """
     spec = _FEEDBACK.get(frame.can_id)
     if spec is None:
         raise FrameDecodeError(f"unexpected frame id 0x{frame.can_id:03x}")
-    index, scale, payload, _, _ = spec
+    name, scale, payload, _, _ = spec
     value = payload.unpack(frame.payload)[0] / scale
-    if index == 0:
-        return SubsystemFeedback(value, fb.measured_steering, fb.brake_pressure)
-    if index == 1:
-        return SubsystemFeedback(fb.measured_speed, value, fb.brake_pressure)
-    return SubsystemFeedback(fb.measured_speed, fb.measured_steering, value)
+    fields = fb.__dict__
+    old = fields[name]
+    # an int over a scale is never -0.0 or nan, so an equal float field
+    # holds the same bits unless it is -0.0
+    if value == old and old.__class__ is float and (
+            value or _copysign(1.0, old) > 0.0):
+        return fb
+    new = _new(SubsystemFeedback)
+    record = new.__dict__
+    record.update(fields)
+    record[name] = value
+    return new
 
 
 class ModeArbiter:
@@ -288,6 +323,10 @@ class CanBus:
         return frames
 
 
+# the id_hex cell of every id a CanFrame can hold
+_ID_CELLS = tuple(f"{can_id:03x}" for can_id in range(0x800))
+
+
 def format_trace_row(t: float, frame: CanFrame) -> list[str]:
     """One frame-trace CSV record: t_s, id_hex, payload_hex."""
-    return [repr(float(t)), f"{frame.can_id:03x}", frame.payload.hex()]
+    return [repr(float(t)), _ID_CELLS[frame.can_id], frame.payload.hex()]

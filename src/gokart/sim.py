@@ -77,10 +77,14 @@ MAX_DT = 0.05
 MAX_TICKS = 10**7
 # Most pixels of an FTG run's camera or BEV frame (3840x2160 is 8,294,400).
 MAX_FRAME_PIXELS = 2**24
-# RK4's real-axis stability limit: its amplification R(z) = 1 + z + z^2 / 2
-# + z^3 / 6 + z^4 / 24 has |R(z)| = 1 at z = -RK4_REAL_LIMIT, and the plant's
-# speed lag dv/dt = (v_target - v) / tau steps with z = -dt / tau
-RK4_REAL_LIMIT = 2.785293563405282
+# The plant's speed lag dv/dt = (v_target - v) / tau steps with z = -dt / tau
+# through RK4's R(z) = 1 + z + z^2 / 2 + z^3 / 6 + z^4 / 24. Its derivative
+# 1 + z + z^2 / 2 + z^3 / 6 has one real root; with z = w - 1 it reads
+# w^3 + 3 w + 2 = 0, so by Cardano z = -(1 + c - 1 / c), c = cbrt(1 + sqrt 2).
+# There R has its real-axis minimum, about 0.2704. On [-RK4_MONOTONE_LIMIT, 0)
+# a shorter time constant converges faster; past it R climbs back to 1 at
+# z = -2.785, where the speed never moves.
+RK4_MONOTONE_LIMIT = 1.5960716379833215
 
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
@@ -769,12 +773,12 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
     require(steps <= MAX_TICKS and round(steps) >= 1, "duration_s",
             f"cover from 1 to {MAX_TICKS} dt steps", cfg.duration_s)
     require(cfg.spacing_m > 0.0, "spacing_m", "be > 0", cfg.spacing_m)
-    # below this the speed error grows every step, and bicycle_step's
-    # inner stages carry the unclamped speed into x and y
-    tau_min = cfg.dt / RK4_REAL_LIMIT
+    # below this the speed error decays more slowly, then not at all, then
+    # grows every step while bicycle_step's inner stages carry it into x and y
+    tau_min = cfg.dt / RK4_MONOTONE_LIMIT
     require(cfg.vehicle.v_time_constant >= tau_min, "vehicle.v_time_constant",
-            f"be >= dt / {RK4_REAL_LIMIT!r} = {tau_min!r} s, RK4's real-axis "
-            "stability limit", cfg.vehicle.v_time_constant)
+            f"be >= dt / {RK4_MONOTONE_LIMIT!r} = {tau_min!r} s, where RK4 "
+            "damps the speed lag most", cfg.vehicle.v_time_constant)
     for key, value in (("seed", cfg.seed), ("sensors.seed", cfg.sensors.seed),
                        ("opt.reg", cfg.opt_reg)):
         require(value >= 0, key, "be >= 0", value)

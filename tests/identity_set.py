@@ -69,6 +69,14 @@ SIMULATE = {
     "ftg_varying_width": ("mode = ftg\ntrack = varying.csv\n"
                           "track.closed = true\nduration_s = 10\n"
                           "seed = 7\n", []),
+    # 40 m/s commanded: every command frame's speed saturates its int16
+    # wire scale at 32.767, and the speed feedback climbs to 98% of that
+    # scale (vehicle.max_speed may not pass 32.767, the fastest it reports)
+    "wire_speed_limit": (README, ["duration_s=3", "vehicle.max_speed=32.767",
+                                  "limits.v_max=40", "pursuit.v_max=40",
+                                  "limits.a_lat_max=1000",
+                                  "limits.a_lon_max=1000",
+                                  "vehicle.v_time_constant=0.01"]),
     "never_localized": (README, ["sensors.gnss_dropout=0:100",
                                  "duration_s=3"]),
     # FTG on an open track, past its end: the truth mask's end caps

@@ -18,7 +18,7 @@ from gokart.fileio import parse_float, read_netpbm, write_netpbm
 from gokart.localization import GeoFix, LocalPoint, local_to_geo
 from gokart.perception import MIN_BLUR_SIGMA, BevConfig, ImageFormatError
 from gokart.sim import (_SCENARIO_KEYS, MAX_FRAME_PIXELS, MAX_TICKS,
-                        RK4_REAL_LIMIT, ScenarioError,
+                        RK4_MONOTONE_LIMIT, ScenarioError,
                         TrackSampler, VehicleState, build_scenario,
                         default_camera_homography, render_scene)
 from gokart.track import (MAX_WAYPOINTS, VehicleLimits, build_raceline,
@@ -538,12 +538,14 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["ticks"] == 20
 
-    # RK4's real-axis stability limit on the plant's speed lag at dt = 0.01
-    TAU_BOUND = 0.01 / RK4_REAL_LIMIT
+    # where RK4 damps the plant's speed lag most, at dt = 0.01
+    TAU_BOUND = 0.01 / RK4_MONOTONE_LIMIT
 
     @pytest.mark.parametrize("mode", ["pursuit", "ftg"])
     @pytest.mark.parametrize("tau", [
-        repr(math.nextafter(TAU_BOUND, 0.0)), "0.003", "1e-10", "1e-300"])
+        repr(math.nextafter(TAU_BOUND, 0.0)), "0.006",
+        # where the speed never moves (R(z) = 1), and past it
+        "0.003590285825302402", "0.003", "1e-10", "1e-300"])
     def test_speed_lag_past_rk4_stability_exits_2(self, tmp_path, capsys,
                                                   mode, tau):
         self._write_oval(tmp_path)
@@ -558,23 +560,26 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["pursuit", "ftg"])
     def test_speed_lag_at_rk4_stability_runs(self, tmp_path, capsys, mode):
-        # at the bound |R(z)| = 1: the speed error neither grows nor decays,
+        # at the bound R(z) is about 0.27: the speed follows its command,
         # and the run goes to its end
         self._write_oval(tmp_path)
         rc = main(["simulate", str(tmp_path / "scenario.txt"),
                    "--set", f"mode={mode}", "--set", "duration_s=2",
                    "--set", f"vehicle.v_time_constant={self.TAU_BOUND!r}",
                    "--out-dir", str(tmp_path / "out")])
-        assert rc in (0, 1)
+        assert rc == 0
         assert "error" not in capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["ticks"] == 200
+        speeds = [float(row.split(",")[4]) for row in (
+            tmp_path / "out" / "poses.csv").read_text().splitlines()[1:]]
+        assert max(speeds) > 1.0
 
     def test_speed_lag_bound_follows_dt(self):
-        # dt = 0.005 halves the bound, so 0.003 loads there
-        raw = {"dt": "0.005", "vehicle.v_time_constant": "0.003"}
-        assert build_scenario(raw).vehicle.v_time_constant == 0.003
-        bound = 0.005 / RK4_REAL_LIMIT
+        # dt = 0.005 halves the bound, so 0.004 loads there
+        raw = {"dt": "0.005", "vehicle.v_time_constant": "0.004"}
+        assert build_scenario(raw).vehicle.v_time_constant == 0.004
+        bound = 0.005 / RK4_MONOTONE_LIMIT
         raw["vehicle.v_time_constant"] = repr(math.nextafter(bound, 0.0))
         with pytest.raises(ScenarioError, match=repr(bound)):
             build_scenario(raw)
@@ -1014,8 +1019,9 @@ for _key in ("pursuit.kp", "pursuit.kd", "perception.tau"):
 for _key in ("rates.controller_hz", "rates.perception_hz", "rates.command_hz",
              "sensors.gnss_rate", "sensors.imu_rate"):
     LIMIT_VALUES[_key] = LIMIT_VALUES[_key] + ["5e-324", "1e-310"]
-# below RK4's stability limit on the speed lag (dt / 2.785...)
-LIMIT_VALUES["vehicle.v_time_constant"] += ["0.003", "1e-10", "1e-300"]
+# below where RK4 damps the speed lag most (dt / 1.596...)
+LIMIT_VALUES["vehicle.v_time_constant"] += ["0.006", "0.003", "1e-10",
+                                            "1e-300"]
 # the speed feedback frame reports at most 32.767 m/s
 LIMIT_VALUES["vehicle.max_speed"] += ["32.767", "32.768", "1e300"]
 for _key, (_, _, _parse) in _SCENARIO_KEYS.items():

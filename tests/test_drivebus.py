@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import struct
 import types
 
@@ -379,6 +380,107 @@ class TestCodecAgainstOracle:
         assert fb == SubsystemFeedback(*before)
 
 
+def field_bits(fb):
+    """Each field's type and, for a float, its bits (nan and -0.0 too)."""
+    return [(type(v), v.hex() if type(v) is float else v)
+            for v in (getattr(fb, f.name)
+                      for f in dataclasses.fields(SubsystemFeedback))]
+
+
+def alike(value):
+    """Fields that equal a decoded wire value or lie next to it: the value
+    itself, one float either side, 1e-9 off, -0.0 for 0.0, its int and
+    numpy forms, and any float at all."""
+    return st.sampled_from([
+        value, math.nextafter(value, math.inf),
+        math.nextafter(value, -math.inf), value + 1e-9, value - 1e-9,
+        -value, int(value), np.float64(value), math.nan]) | st.floats()
+
+
+class TestConstructionPaths:
+    """The codec builds its frames and records without calling their
+    __init__; each must be the record the checked constructor builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=st.one_of(
+        st.builds(encode_command, command_strategy, sequence),
+        st.builds(encode_command, st.builds(
+            # values past every saturation limit, both ways
+            types.SimpleNamespace, steering=st.floats(-1e6, 1e6),
+            speed=st.floats(-1e6, 1e6), brake=st.floats(-1e3, 1e3),
+            mode=st.sampled_from(list(Mode)), kill=st.booleans()), sequence),
+        st.builds(encode_feedback, st.sampled_from(sorted(FEEDBACK_FIELDS)),
+                  st.floats(-1e9, 1e9), sequence)))
+    def test_encoded_frames_are_checked_frames(self, frame):
+        checked = CanFrame(frame.can_id, frame.payload)
+        assert type(frame) is CanFrame
+        assert vars(frame) == vars(checked) and frame == checked
+        assert type(frame.can_id) is int and type(frame.payload) is bytes
+        assert_frozen_value(frame, "can_id", 0x7FF)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), can_id=st.sampled_from(sorted(FEEDBACK_FIELDS)),
+           before=st.tuples(*[st.floats()] * 3), seq=sequence)
+    def test_fold_is_the_oracle_and_keeps_an_unchanged_record(
+            self, data, can_id, before, seq):
+        name, scale, fmt, lo, hi = FEEDBACK_FIELDS[can_id]
+        raw = data.draw(st.integers(lo, hi) | st.sampled_from([lo, 0, hi]))
+        frame = CanFrame(can_id, struct.pack(fmt, raw) + bytes(5)
+                         + bytes([seq & 255]))
+        fb = dataclasses.replace(SubsystemFeedback(*before),
+                                 **{name: data.draw(alike(raw / scale))})
+        kept = field_bits(fb)
+        got, want = apply_feedback(fb, frame), apply_feedback_oracle(fb, frame)
+        assert type(got) is SubsystemFeedback
+        assert field_bits(got) == field_bits(want)
+        assert (got is fb) == (field_bits(want) == kept)
+        assert field_bits(fb) == kept
+        if got is not fb:
+            assert_frozen_value(got, name, 0.125)
+
+    @settings(max_examples=500, deadline=None)
+    @given(steering=st.integers(-1100, 1100), speed=st.integers(-100, 32767),
+           brake=st.integers(0, 11000), flags=st.integers(0, 255))
+    def test_decoded_commands_are_checked_commands(self, steering, speed,
+                                                   brake, flags):
+        # values inside and just past each of DriveCommand's limits
+        frame = CanFrame(COMMAND_FRAME_ID, struct.pack(
+            "<hhHBB", steering, speed, brake, flags, 0))
+        if (flags >> 1) & 0x3 == 3:
+            return
+        args = (steering / STEERING_SCALE, speed / SPEED_SCALE,
+                brake / BRAKE_SCALE, Mode((flags >> 1) & 0x3),
+                bool(flags & 0x1))
+        try:
+            want = DriveCommand(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                decode_command(frame)
+            return
+        got = decode_command(frame)
+        assert type(got) is DriveCommand
+        assert vars(got) == vars(want) and got == want
+        assert_frozen_value(got, "brake", 0.25 if want.brake != 0.25 else 0.5)
+
+    @pytest.mark.parametrize("can_id", sorted(FEEDBACK_FIELDS))
+    def test_every_wire_value_once_more_is_the_same_record(self, can_id):
+        name, scale, fmt, lo, hi = FEEDBACK_FIELDS[can_id]
+        fb = SubsystemFeedback()
+        for raw in range(lo, hi + 1, 7):
+            frame = CanFrame(can_id, struct.pack(fmt, raw) + bytes(6))
+            fb = apply_feedback(fb, frame)
+            assert getattr(fb, name) == raw / scale
+            assert apply_feedback(fb, frame) is fb
+
+    @pytest.mark.parametrize("can_id, message", [
+        (np.int64(513), "CAN id must be an int, not np.int64(513)"),
+        (True, "not a feedback id: 0x001")])
+    def test_ids_that_are_not_ints_raise(self, can_id, message):
+        # 513.0: TestCodec.test_float_feedback_id_rejected
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_feedback(can_id, 1.0)
+
+
 class TestArbitration:
     @pytest.mark.parametrize("source_mode", list(Mode))
     @pytest.mark.parametrize("mode", list(Mode))
@@ -570,3 +672,8 @@ class TestCanBus:
         assert id_hex == "100"
         assert len(payload_hex) == 16
         assert payload_hex.startswith("e803")
+
+    def test_trace_row_id_cells(self):
+        for can_id in range(0x800):
+            row = format_trace_row(0.5, CanFrame(can_id, bytes(8)))
+            assert row == ["0.5", f"{can_id:03x}", "00" * 8]

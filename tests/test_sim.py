@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -11,9 +12,10 @@ from gokart.localization import (CHI2_3_95, GeoFix, LocalPoint, fuse_step,
                                  local_to_geo, project_to_local)
 from gokart.perception import BevConfig, DepthScan, PerceptionConfig, \
     detect_boundaries, scan_angles
-from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, GnssSimulator,
-                        ImuSimulator, ScenarioError, SensorConfig, TrackSampler,
-                        VehicleParams, VehicleState, _bev_body_points,
+from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, RK4_MONOTONE_LIMIT,
+                        GnssSimulator, ImuSimulator, ScenarioError,
+                        SensorConfig, TrackSampler, VehicleParams,
+                        VehicleState, _bev_body_points,
                         bev_grass_mask, bicycle_step, build_scenario,
                         default_camera_homography, load_scenario,
                         parse_scenario_text, prepare_raceline, render_scene,
@@ -100,6 +102,37 @@ class TestBicycleModel:
         args = (state, steering, speed_cmd, brake, params, dt)
         got, want = bicycle_step(*args), bicycle_step_oracle(*args)
         assert float_bits(got) == float_bits(want)
+
+    def test_speed_lag_limit_is_where_rk4_damps_most(self):
+        # the real root of R'(z) = 1 + z + z^2 / 2 + z^3 / 6, by Newton in
+        # 50 digits, and Cardano's form of it
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            z = decimal.Decimal(-1.6)
+            for _ in range(60):
+                z -= (z**3 + 3 * z**2 + 6 * z + 6) / (3 * z**2 + 6 * z + 6)
+        assert float(-z) == RK4_MONOTONE_LIMIT
+        c = math.cbrt(1.0 + math.sqrt(2.0))
+        assert 1.0 + c - 1.0 / c == pytest.approx(RK4_MONOTONE_LIMIT,
+                                                  rel=1e-15)
+
+    def test_shorter_speed_lag_converges_faster_down_to_the_limit(self):
+        # one step from rest toward 5 m/s leaves 5 R(-dt / tau) of the error
+        dt = 0.01
+
+        def error(ratio):
+            lag = VehicleParams(v_time_constant=dt / ratio, max_speed=8.0)
+            return 5.0 - bicycle_step(VehicleState(), 0.0, 5.0, 0.0, lag,
+                                      dt).v
+
+        inside = [error(r) for r in (0.5, 1.0, 1.5, 1.59, RK4_MONOTONE_LIMIT)]
+        assert all(a > b for a, b in zip(inside, inside[1:]))
+        assert inside[-1] / 5.0 == pytest.approx(0.2704, abs=1e-4)
+        # past it the error grows back, to all of it where R(z) = 1
+        past = [error(r) for r in (1.6, 2.0, 2.5, 2.785293563405282)]
+        assert inside[-1] < past[0]
+        assert all(a < b for a, b in zip(past, past[1:]))
+        assert past[-1] == pytest.approx(5.0, abs=1e-9)
 
 
 class TestSensors:
