@@ -327,6 +327,8 @@ class CanBus:
 _ID_CELLS = tuple(f"{can_id:03x}" for can_id in range(0x800))
 
 
-def format_trace_row(t: float, frame: CanFrame) -> list[str]:
-    """One frame-trace CSV record: t_s, id_hex, payload_hex."""
-    return [repr(float(t)), _ID_CELLS[frame.can_id], frame.payload.hex()]
+def format_trace_row(t_cell: str, frame: CanFrame) -> str:
+    """One frame-trace CSV line, t_s,id_hex,payload_hex, with the t_s cell
+    given as formatted (the closed loop formats each tick's time once for
+    all of that tick's rows)."""
+    return f"{t_cell},{_ID_CELLS[frame.can_id]},{frame.payload.hex()}"

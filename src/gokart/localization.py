@@ -33,9 +33,10 @@ EARTH_RADIUS_M = 6_371_000.0
 # to zero the position gain without making (P + M) singular.
 GNSS_DROPOUT_VARIANCE = 1e12
 
-# ImuReading and MotionInput, built once per IMU sample, check their
-# arguments in their own __init__ and store them through this.
-_set = object.__setattr__
+# ImuReading and MotionInput check their arguments in their own __init__
+# and store them through _set. Localizer.step builds its MotionInput with
+# _new and writes the instance __dict__ directly.
+_set, _new = object.__setattr__, object.__new__
 
 
 class ReplayFormatError(ValueError):
@@ -312,8 +313,16 @@ class Localizer:
     def step(self, t, v, dt, gnss: GeoFix | None, imu: ImuReading):
         """The estimate after the IMU sample at time t; None before a fix."""
         if self.state is not None:
-            self.state = self.fuse(self.state, MotionInput(v, imu.yaw_rate, dt),
-                                   gnss, imu, self.origin, self.params)
+            # MotionInput's own check, without its constructor call
+            if not dt > 0.0:
+                raise ValueError("dt must be > 0")
+            u = _new(MotionInput)
+            fields = u.__dict__
+            fields["v"] = v
+            fields["omega"] = imu.yaw_rate
+            fields["dt"] = dt
+            self.state = self.fuse(self.state, u, gnss, imu, self.origin,
+                                   self.params)
             if gnss is not None:
                 self.nis.append(self.state.nis)
         elif gnss is not None:

@@ -157,8 +157,13 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     planes = img[..., None] if img.ndim == 2 else img
     out = np.empty(planes.shape, dtype=np.uint8)
     # a (cols, rows) pair of float buffers for each thread; the worker's
-    # pages are never touched for a 1-plane image
-    mine, theirs = np.empty((2, 2) + planes.shape[:2])
+    # pages are never touched for a 1-plane image. The column pass writes
+    # column-major, so each filtered column line lands contiguous; the
+    # row pass writes row-major
+    height, width = planes.shape[:2]
+    cols = np.empty((2, width, height)).transpose(0, 2, 1)
+    rows = np.empty((2, height, width))
+    mine, theirs = zip(cols, rows)
 
     def blur(channels, cols, rows):
         for c in channels:

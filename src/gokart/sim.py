@@ -86,6 +86,13 @@ MAX_FRAME_PIXELS = 2**24
 # z = -2.785, where the speed never moves.
 RK4_MONOTONE_LIMIT = 1.5960716379833215
 
+# The plant, the IMU and the pursuit planner build their per-tick records
+# with _new and write the instance __dict__ directly: each value is already
+# what the record's checks would leave it (a heading in (-pi, pi], which
+# normalize_angle returns unchanged, and a speed >= 0 or nan), and the
+# Python-level constructor call is most of a record's cost.
+_new = object.__new__
+
 
 def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
                  brake: float, params: VehicleParams, dt: float) -> VehicleState:
@@ -122,8 +129,13 @@ def bicycle_step(state: VehicleState, steering: float, speed_cmd: float,
                            + 2.0 * (v3 * sin(psi3)) + v4 * sin(psi4))
     psi = psi1 + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
     v = v1 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return VehicleState(x=float(x), y=float(y), psi=normalize_angle(float(psi)),
-                        v=float(min(max(v, 0.0), params.max_speed)))
+    new = _new(VehicleState)
+    fields = new.__dict__
+    fields["x"] = float(x)
+    fields["y"] = float(y)
+    fields["psi"] = normalize_angle(float(psi))
+    fields["v"] = float(min(max(v, 0.0), params.max_speed))
+    return new
 
 
 # sensor noise pairs drawn per generator call
@@ -173,13 +185,17 @@ class ImuSimulator:
         self.config = config
         self._noise = _noise_pairs(np.random.default_rng([config.seed, 1]),
                                    config.imu_sigma_yaw, config.imu_sigma_rate)
+        self._yaw_variance = config.imu_sigma_yaw ** 2  # >= 0, as checked
 
     def sample(self, state: VehicleState, omega_true: float,
                t: float) -> ImuReading:
         ny, nr = next(self._noise)
-        return ImuReading(yaw=normalize_angle(state.psi + ny),
-                          yaw_rate=omega_true + nr,
-                          yaw_variance=self.config.imu_sigma_yaw ** 2)
+        reading = _new(ImuReading)
+        fields = reading.__dict__
+        fields["yaw"] = normalize_angle(state.psi + ny)
+        fields["yaw_rate"] = omega_true + nr
+        fields["yaw_variance"] = self._yaw_variance
+        return reading
 
 
 # verdicts of the world cells behind TrackSampler.inside, and of the
@@ -549,10 +565,14 @@ def bev_grass_mask(sampler: TrackSampler, pose: VehicleState,
                    bev: BevConfig) -> np.ndarray:
     """Ground-truth top-down grass mask (1 = grass) in the vehicle frame."""
     forward, left = _bev_body_points(bev)
+    # forward varies only along the rows and left only along the columns
+    fwd_rows, left_cols = forward[::bev.width], left[:bev.width]
     c, s = math.cos(pose.psi), math.sin(pose.psi)
-    # body_to_world's arithmetic, one coordinate at a time
-    grass = sampler.inside(pose.x + c * forward - s * left,
-                           pose.y + s * forward + c * left)
+    # body_to_world's arithmetic per pixel, in its order: the row and column
+    # terms once each, then one outer operation per coordinate
+    x = np.subtract.outer(pose.x + c * fwd_rows, s * left_cols)
+    y = np.add.outer(pose.y + s * fwd_rows, c * left_cols)
+    grass = sampler.inside(x.reshape(-1), y.reshape(-1))
     return np.logical_not(grass, out=grass).view(np.uint8).reshape(
         bev.height, bev.width)
 
@@ -915,8 +935,12 @@ class _PursuitPlanner:
     def plan(self, t, estimate: EkfState, measured_speed, truth):
         if self.ended:
             return None
-        x, y, psi = estimate.mean
-        pose = VehicleState(x=x, y=y, psi=psi, v=measured_speed)
+        # the filter keeps its heading normalized, and the speed feedback
+        # decodes a wire value >= 0
+        pose = _new(VehicleState)
+        fields = pose.__dict__
+        fields["x"], fields["y"], fields["psi"] = estimate.mean
+        fields["v"] = measured_speed
         try:
             cmd = pursuit_step(self.reference, pose, self.state, self.params,
                                self.step_s)
@@ -982,7 +1006,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     track = read_track_csv(scenario.track, scenario.track_closed,
                            scenario.vehicle_half_width)
     sampler = TrackSampler(track)
-    dt = scenario.dt
+    dt = float(scenario.dt)  # so that each tick's time cell is a float's repr
     ticks = int(round(scenario.duration_s / dt))
     ctrl_every = _interval(scenario.controller_rate_hz, dt)
     perc_every = _interval(scenario.perception_rate_hz, dt)
@@ -1026,10 +1050,11 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     wheelbase, max_speed = vehicle.wheelbase, vehicle.max_speed
     kill_at = math.inf if scenario.kill_at_s is None else scenario.kill_at_s
     imu_dt = imu_every * dt
-    send, add_frame, join = bus.send, frame_rows.append, ",".join
+    send, add_frame = bus.send, frame_rows.append
 
     for k in range(ticks):
         t = k * dt
+        t_cell = repr(t)  # the t_s cell of every row this tick logs
         kill_active = t >= kill_at
         omega_true = truth.v / wheelbase * math.tan(delta_act)
 
@@ -1045,7 +1070,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 pending_cmd, gap, stop = planned
                 safety_stops += stop
                 gap_cells = "," if gap is None else f"{gap.i},{gap.j}"
-                command_rows.append(f"{t!r},{pending_cmd.steering!r},"
+                command_rows.append(f"{t_cell},{pending_cmd.steering!r},"
                                     f"{pending_cmd.speed!r},{gap_cells}")
 
         if k % mcs_every == 0:
@@ -1054,7 +1079,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             pending_cmd = None
             frame = encode_command(arbitrated, k // mcs_every)
             send(frame)
-            add_frame(join(format_trace_row(t, frame)))
+            add_frame(format_trace_row(t_cell, frame))
             for delivered in bus.deliver():
                 if delivered.can_id == COMMAND_FRAME_ID:
                     active = decode_command(delivered)
@@ -1071,13 +1096,13 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
 
         frame = encode_feedback(TBWS_FEEDBACK_ID, truth.v, k)
         send(frame)
-        add_frame(join(format_trace_row(t, frame)))
+        add_frame(format_trace_row(t_cell, frame))
         frame = encode_feedback(SBWS_FEEDBACK_ID, delta_act, k)
         send(frame)
-        add_frame(join(format_trace_row(t, frame)))
+        add_frame(format_trace_row(t_cell, frame))
         frame = encode_feedback(EBS_FEEDBACK_ID, pressure, k)
         send(frame)
-        add_frame(join(format_trace_row(t, frame)))
+        add_frame(format_trace_row(t_cell, frame))
 
         positions.append((truth.x, truth.y))
         if localizer.state is None:
@@ -1085,7 +1110,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         else:
             ex, ey, epsi = localizer.state.mean
             est = f"{ex!r},{ey!r},{epsi!r}"
-        pose_rows.append(f"{t!r},{truth.x!r},{truth.y!r},{truth.psi!r},"
+        pose_rows.append(f"{t_cell},{truth.x!r},{truth.y!r},{truth.psi!r},"
                          f"{truth.v!r},{est}")
 
     # score the truth trajectory against the reference

@@ -206,6 +206,15 @@ def assert_frozen_value(record, name, value):
         getattr(record, n) for n in names if n != name]
 
 
+def assert_same_fields(record, rebuilt):
+    """record and rebuilt: the same class, and float fields of the same
+    classes and bits, in the same order."""
+    assert type(record) is type(rebuilt)
+    assert vars(record) == vars(rebuilt)
+    assert [(type(v), float(v).hex()) for v in vars(record).values()] == \
+        [(type(v), float(v).hex()) for v in vars(rebuilt).values()]
+
+
 # --- oracles -----------------------------------------------------------------
 
 def haversine_m(lat1, lon1, lat2, lon2, radius=6_371_000.0) -> float:

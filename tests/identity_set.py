@@ -77,6 +77,9 @@ SIMULATE = {
                                   "limits.a_lat_max=1000",
                                   "limits.a_lon_max=1000",
                                   "vehicle.v_time_constant=0.01"]),
+    # a 7 ms tick: many time cells k * dt run to 18-19 characters
+    # (0.11900000000000001), as every log row of the tick spells them
+    "pursuit_dt_7ms": (README, ["dt=0.007", "duration_s=3"]),
     "never_localized": (README, ["sensors.gnss_dropout=0:100",
                                  "duration_s=3"]),
     # FTG on an open track, past its end: the truth mask's end caps

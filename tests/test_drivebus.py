@@ -667,13 +667,18 @@ class TestCanBus:
 
     def test_trace_row_format(self):
         frame = encode_command(DriveCommand(steering=1.0), 3)
-        t, id_hex, payload_hex = format_trace_row(1.25, frame)
+        line = format_trace_row("1.25", frame)
+        assert line == f"1.25,100,{frame.payload.hex()}"
+        t, id_hex, payload_hex = line.split(",")
         assert t == "1.25"
         assert id_hex == "100"
         assert len(payload_hex) == 16
         assert payload_hex.startswith("e803")
+        # the time cell goes in as given, however the tick spelled it
+        assert format_trace_row("0.11900000000000001", frame).startswith(
+            "0.11900000000000001,100,")
 
     def test_trace_row_id_cells(self):
         for can_id in range(0x800):
-            row = format_trace_row(0.5, CanFrame(can_id, bytes(8)))
-            assert row == ["0.5", f"{can_id:03x}", "00" * 8]
+            line = format_trace_row("0.5", CanFrame(can_id, bytes(8)))
+            assert line == f"0.5,{can_id:03x},{'00' * 8}"

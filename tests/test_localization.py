@@ -14,8 +14,9 @@ from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  fuse_step, local_to_geo, project_to_local,
                                  read_replay_log, run_replay)
 from helpers import (assert_frozen_value, assert_matches_oracle,
-                     assert_state_close, fuse_step_oracle, haversine_m,
-                     read_pose_log, reference_linear_kalman)
+                     assert_same_fields, assert_state_close,
+                     fuse_step_oracle, haversine_m, read_pose_log,
+                     reference_linear_kalman)
 
 
 def default_params():
@@ -618,6 +619,32 @@ class TestLocalizer:
         assert loc.nis == expected and len(expected) == 2
         assert loc.nis_mean() == sum(expected) / 2
         assert loc.nis_over_chi2_95() == sum(n > 7.81 for n in expected) / 2
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_rejects_dt_once_anchored(self, dt):
+        loc = Localizer(self.ORIGIN, EkfParams())
+        state = loc.step(0.0, 2.0, 0.01, self._fix(0.0, 0.0), self.IMU)
+        with pytest.raises(ValueError, match=r"^dt must be > 0$"):
+            loc.step(0.01, 2.0, dt, None, self.IMU)
+        assert loc.state is state
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.floats(allow_nan=False, allow_infinity=False),
+           omega=st.floats(allow_nan=False, allow_infinity=False),
+           dt=st.floats(min_value=5e-324, max_value=1e300))
+    def test_motion_input_is_the_checked_record(self, v, omega, dt):
+        inputs = []
+
+        def fuse(state, u, gnss, imu, origin, params):
+            inputs.append(u)
+            return state
+
+        loc = Localizer(self.ORIGIN, EkfParams(), fuse)
+        loc.step(0.0, v, dt, self._fix(0.0, 0.0), self.IMU)
+        loc.step(0.01, v, dt, None, ImuReading(0.3, omega, 1e-4))
+        (u,) = inputs
+        assert_same_fields(u, MotionInput(v, omega, dt))
+        assert_frozen_value(u, "dt", 2.0 * dt)
 
     def test_calls_the_fuse_it_was_given(self):
         calls = []

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gokart.control import pursuit_step
 from gokart.geometry import Polyline, body_to_world, normalize_angle
-from gokart.localization import (CHI2_3_95, GeoFix, LocalPoint, fuse_step,
-                                 local_to_geo, project_to_local)
+from gokart.localization import (CHI2_3_95, GeoFix, ImuReading, LocalPoint,
+                                 fuse_step, local_to_geo, project_to_local)
 from gokart.perception import BevConfig, DepthScan, PerceptionConfig, \
     detect_boundaries, scan_angles
 from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, RK4_MONOTONE_LIMIT,
@@ -22,7 +23,8 @@ from gokart.sim import (_NOISE_BLOCK, _SCENARIO_KEYS, RK4_MONOTONE_LIMIT,
                         run_closed_loop)
 from gokart.track import read_track_csv
 import gokart.sim
-from helpers import (FUSE_RTOL, alternating, bev_grass_mask_oracle,
+from helpers import (FUSE_RTOL, alternating, assert_frozen_value,
+                     assert_same_fields, bev_grass_mask_oracle,
                      bicycle_step_oracle, circle_track,
                      detect_boundaries_oracle, fuse_step_oracle,
                      geometric_scan_oracle, hairpin_track, mean_gap,
@@ -189,6 +191,69 @@ class TestSensors:
             fa = a.sample(VehicleState(x=k), k * 0.1)
             fb = b.sample(VehicleState(x=k), k * 0.1)
             assert fa.lat == fb.lat and fa.lon == fb.lon
+
+
+# headings of every size, and the floats at and either side of +-pi
+HEADINGS = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.sampled_from([h for pi in (math.pi, -math.pi)
+                     for h in (pi, math.nextafter(pi, 0.0),
+                               math.nextafter(pi, 2.0 * pi))]))
+
+
+class TestConstructionPaths:
+    """The plant, the IMU and the pursuit planner build their per-tick
+    records without a constructor call: each is the record the constructor
+    builds from the same fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(min_value=-1e6, max_value=1e6),
+           y=st.floats(min_value=-1e6, max_value=1e6), psi=HEADINGS,
+           v=st.floats(min_value=0.0, max_value=8.0),
+           steering=st.floats(min_value=-0.6, max_value=0.6),
+           speed=st.floats(min_value=-2.0, max_value=12.0),
+           brake=st.floats(min_value=-0.5, max_value=1.5),
+           dt=st.floats(min_value=1e-4, max_value=0.05))
+    def test_bicycle_step_record(self, x, y, psi, v, steering, speed, brake,
+                                 dt):
+        state = bicycle_step(VehicleState(x, y, psi, v), steering, speed,
+                             brake, VehicleParams(), dt)
+        assert_same_fields(state, VehicleState(**vars(state)))
+        assert -math.pi < state.psi <= math.pi and state.v >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(psi=HEADINGS, omega=st.floats(min_value=-10.0, max_value=10.0),
+           sigma_yaw=st.floats(min_value=0.0, max_value=5.0),
+           sigma_rate=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32))
+    def test_imu_sample_record(self, psi, omega, sigma_yaw, sigma_rate,
+                               seed):
+        sim = ImuSimulator(SensorConfig(imu_sigma_yaw=sigma_yaw,
+                                        imu_sigma_rate=sigma_rate, seed=seed))
+        state = VehicleState(psi=psi)
+        for k in range(3):
+            reading = sim.sample(state, omega, k * 0.01)
+            assert_same_fields(reading, ImuReading(
+                reading.yaw, reading.yaw_rate, reading.yaw_variance))
+            assert reading.yaw_variance == sigma_yaw ** 2
+            assert_frozen_value(reading, "yaw_rate", reading.yaw_rate + 1.0)
+
+    def test_pursuit_planner_pose(self, tmp_path, monkeypatch):
+        poses = []
+
+        def recording(raceline, pose, state, params, dt):
+            poses.append(pose)
+            return pursuit_step(raceline, pose, state, params, dt)
+
+        monkeypatch.setattr(gokart.sim, "pursuit_step", recording)
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 3\nseed = 7\n")
+        run_closed_loop(load_scenario(tmp_path / "s.txt"))
+        assert len(poses) == 60
+        for pose in poses:
+            assert_same_fields(pose, VehicleState(**vars(pose)))
 
 
 class TestSensorNoiseBlocks:
@@ -637,6 +702,31 @@ class TestTruthMaskCells:
                                       bev_grass_mask_oracle(sampler, pose, bev))
         assert not got.reshape(-1)[on_line].any()
 
+    def test_pixel_world_points_are_body_to_world_bit_for_bit(self,
+                                                            monkeypatch):
+        # the mask's row and column terms against body_to_world's
+        # arithmetic on every pixel, at headings in every quadrant
+        sampler = TrackSampler(oval_track())
+        bev = BevConfig()
+        points = np.column_stack(_bev_body_points(bev))
+        asked, inside = [], TrackSampler.inside
+
+        def record(self, x, y):
+            asked.append((x, y))
+            return inside(self, x, y)
+
+        monkeypatch.setattr(TrackSampler, "inside", record)
+        rng = np.random.default_rng(5)
+        for psi in [0.0, math.pi, -0.5 * math.pi,
+                    *rng.uniform(-math.pi, math.pi, 12).tolist()]:
+            pose = VehicleState(x=float(rng.uniform(-30.0, 30.0)),
+                                y=float(rng.uniform(-25.0, 25.0)), psi=psi)
+            bev_grass_mask(sampler, pose, bev)
+            want = body_to_world(pose.x, pose.y, pose.psi, points)
+            for got, col in zip(asked.pop(), want.T):
+                np.testing.assert_array_equal(got.view(np.uint64),
+                                              col.copy().view(np.uint64))
+
     def test_masks_do_not_depend_on_what_was_asked_before(self):
         track = oval_track()
         bev = BevConfig()
@@ -950,6 +1040,22 @@ class TestClosedLoop:
         assert report.ticks == 0
         assert report.max_cross_track_error_m == 0.0
         assert report.lap_time_s is None
+
+    def test_every_row_of_a_tick_starts_with_its_time_cell(self, tmp_path):
+        # at a 7 ms tick many times k * dt are 18-19 characters long
+        scenario = self._oval_scenario(tmp_path)
+        scenario.dt, scenario.duration_s = 0.007, 1.0
+        report = run_closed_loop(scenario)
+        cells = [repr(k * 0.007) for k in range(report.ticks)]
+        assert len(cells) == 143 and "0.11900000000000001" in cells
+        first = {name: [row.split(",", 1)[0] for row in log.splitlines()[1:]]
+                 for name, log in report.logs.items()}
+        assert first["poses.csv"] == cells
+        # a command frame on every third tick, then the three feedback frames
+        assert first["frames.csv"] == [cell for k, cell in enumerate(cells)
+                                       for _ in range(4 if k % 3 == 0 else 3)]
+        # the first fix is at 0 s and the planner runs on every seventh tick
+        assert first["commands.csv"] == cells[::7]
 
     def test_frame_sequence_bytes(self, tmp_path):
         # 600 ticks and a command frame every other tick: both counters wrap
