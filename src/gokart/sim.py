@@ -36,7 +36,7 @@ from .perception import (BevConfig, GRASS_RGB, PerceptionConfig, SKY_RGB,
                          TRACK_RGB, detect_boundaries, homography_from_points,
                          pixel_map, scan_angles)
 from .planning import FtgParams, SpeedLaw, ftg_step
-from .track import (Raceline, Track, VehicleLimits, build_raceline, fit_spline,
+from .track import (Raceline, Spline2D, Track, VehicleLimits, build_raceline,
                     optimize_min_curvature, read_raceline_csv, read_track_csv)
 
 
@@ -218,7 +218,7 @@ class TrackSampler:
     """Dense geometric view of a track for inside tests and boundary margins."""
 
     def __init__(self, track: Track):
-        sp = fit_spline(track.xy, track.closed)
+        sp = Spline2D(track.xy, track.closed)
         count = max(int(math.ceil(sp.t_max / _SAMPLE_STEP)), 4 * len(track))
         t = np.linspace(0.0, sp.t_max, count, endpoint=not track.closed)
         self.points = sp.point(t)
@@ -927,7 +927,7 @@ class _PursuitPlanner:
         self.reference = raceline
         self.params = scenario.pursuit
         self.period = period
-        self.step_s = period * scenario.dt
+        self.step_s = period * float(scenario.dt)
         self.state = PursuitState()
         self.ended = False
         self.rows: dict[str, list[str]] = {}

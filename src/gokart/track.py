@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
-from scipy.optimize import OptimizeResult
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dpbtrs
 
 from .fileio import read_table, require, write_table
 from .geometry import Polyline
@@ -99,7 +97,12 @@ class Spline2D:
     """C2 cubic spline through 2D points, chord-length parameterized.
 
     Closed curves get periodic end conditions, open curves natural ones.
-    `t_knots` holds one parameter per input point.
+    `t_knots` holds one parameter per input point. The fit and the
+    evaluation repeat scipy's `CubicSpline(t, data, bc_type="periodic"` or
+    `"natural")` operation for operation, so they return its bits (the tests
+    keep it as the oracle): the knot slopes solve its tridiagonal system,
+    periodic ones condensed as it does, on LAPACK's dgtsv, which its
+    `solve_banded((1, 1), ...)` calls.
     """
 
     def __init__(self, xy: np.ndarray, closed: bool):
@@ -109,26 +112,110 @@ class Spline2D:
         if len(xy) < 4:
             raise ValueError("spline fitting needs at least 4 points")
         data = np.vstack([xy, xy[:1]]) if closed else xy
-        seg = np.linalg.norm(np.diff(data, axis=0), axis=1)
-        if np.any(seg <= 0.0):
+        t = np.concatenate([[0.0], np.cumsum(
+            np.linalg.norm(np.diff(data, axis=0), axis=1))])
+        if not np.isfinite(t[-1]):
+            raise ValueError("the chord lengths must sum to a finite length")
+        dx = np.diff(t)
+        if np.any(dx <= 0.0):
             raise ValueError("coincident consecutive points")
-        t = np.concatenate([[0.0], np.cumsum(seg)])
-        bc = "periodic" if closed else "natural"
-        self._curve = CubicSpline(t, data, bc_type=bc)
+        slope = np.diff(data, axis=0) / dx[:, None]
+        s = _knot_slopes(dx, slope, data, closed)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("the spline's knot slopes must be finite")
+        # CubicHermiteSpline's coefficients, by ascending power of t - t[i],
+        # each a C-ordered copy that one gather per piece reads
+        bend = (s[:-1] + s[1:] - 2 * slope) / dx[:, None]
+        self._coef = tuple(np.array(c, order="C") for c in (
+            data[:-1], s[:-1], (slope - s[:-1]) / dx[:, None] - bend,
+            bend / dx[:, None]))
+        self._t = t
         self.closed = closed
         self.t_knots = t[:-1] if closed else t
         self.t_max = float(t[-1])
 
     def point(self, t):
-        return self._curve(t)
+        return self._at(t, 0)
 
     def derivative(self, t, order: int = 1):
-        return self._curve(t, order)
+        return self._at(t, order)
+
+    def _at(self, t, order: int) -> np.ndarray:
+        """What scipy's `PPoly.__call__(t, order)` returns. A closed curve
+        maps t to 0.0 + t % t_max and gives NaN where that is not in
+        [0, t_max]; an open one extrapolates its end pieces. The last piece
+        is closed on the right, and a piece sums the terms
+        c_k (t - t_i) ** (k - order) k! / (k - order)! from 0.0 up, in
+        scipy's order of operations."""
+        shape = np.shape(t)
+        x = np.ascontiguousarray(np.ravel(t), dtype=float)
+        undefined = None
+        if not self.closed:
+            undefined = np.isnan(x)
+        elif x.size and 0.0 <= x.min() and x.max() <= self.t_max:
+            # within one period `%` is exact: it only sends t_max to 0.0,
+            # and the 0.0 + turns -0.0 into 0.0
+            x = x + 0.0
+            x[x == self.t_max] = 0.0
+        else:
+            x = 0.0 + x % self.t_max
+            undefined = ~(x <= self.t_max)
+        # the piece whose first knot is the last one at or below x, clipped
+        # to the end pieces; t - t_i once per coordinate, so that every
+        # product below runs on two whole (N, 2) arrays
+        piece = np.searchsorted(self._t[1:-1], x, side="right")
+        s = np.repeat(x - self._t.take(piece), 2).reshape(-1, 2)
+        out = np.zeros((len(x), 2))
+        for k in range(order, 4):
+            term = self._coef[k].take(piece, axis=0)
+            if k > order:  # s ** (k - order), multiplied up as scipy does
+                power = s if k == order + 1 else power * s
+                term *= power
+            factor = math.perm(k, order)  # k! / (k - order)!
+            if factor > 1:
+                term *= factor
+            out += term
+        if undefined is not None and undefined.any():
+            out[undefined] = np.nan
+        return out.reshape(shape + (2,))
 
 
-def fit_spline(points, closed: bool = False) -> Spline2D:
-    """Fit a per-axis cubic spline through the points (periodic when closed)."""
-    return Spline2D(np.asarray(points, dtype=float), closed)
+def _knot_slopes(dx, slope, y, closed: bool) -> np.ndarray:
+    """The knot slopes of scipy's periodic or natural spline, from its
+    system in its own expressions; `rows` and `diag` are the right-hand
+    sides and diagonal at the inner knots 1..n-2."""
+    rows = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    diag = 2 * (dx[:-1] + dx[1:])
+    if closed:
+        # the cyclic system of all but the repeated knot: scipy solves its
+        # first m rows for b and for the corner column (one dgtsv call
+        # here), then its last row for the last slope
+        m = len(dx) - 1
+        b = np.zeros((m, 3))
+        b[0, :2] = 3 * (dx[0] * slope[-1] + dx[-1] * slope[0])
+        b[1:, :2] = rows[:m - 1]
+        b[0, 2] = -dx[0]
+        b[-1, 2] = -dx[-3]
+        system = (dx[1:m].copy(),
+                  np.append(2 * (dx[-1] + dx[0]), diag[:m - 1]),
+                  np.append(dx[-1], dx[:m - 2]), b)
+    else:
+        # zero second derivatives at both ends, whose zero terms are kept:
+        # NaN when dx**2 overflows, and 0.0 + turns -0.0 into 0.0
+        b = np.vstack([-0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0]), rows,
+                       0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])])
+        system = (np.append(dx[1:], dx[-1]),
+                  np.concatenate([[2 * dx[0]], diag, [2 * dx[-1]]]),
+                  np.append(dx[0], dx[:-1]), b)
+    x, info = dgtsv(*system, True, True, True, True)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if not closed:
+        return x
+    s1, s2 = x[:, :2], x[:, 2:]
+    s_m1 = ((rows[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+            / (diag[-1] + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    return np.vstack([s1 + s_m1 * s2, s_m1, s1[0] + s_m1 * s2[0]])
 
 
 def curvature_at(spline: Spline2D, t):
@@ -146,7 +233,7 @@ def curvature_at(spline: Spline2D, t):
 
 def normals(track: Track) -> np.ndarray:
     """Unit normals at the centerline points, pointing left of travel."""
-    sp = fit_spline(track.xy, track.closed)
+    sp = Spline2D(track.xy, track.closed)
     d1 = sp.derivative(sp.t_knots, 1)
     norm = np.hypot(d1[:, 0], d1[:, 1])
     if np.any(norm < 1e-12):
@@ -403,8 +490,21 @@ def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray,
     raise np.linalg.LinAlgError("no damping makes the step's system regular")
 
 
+@dataclass(frozen=True)
+class SolverResult:
+    """The last iterate x of `minimize`, its objective, whether the solve
+    converged and why it stopped, and its step and residual counts."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    nit: int
+    nfev: int
+    message: str
+
+
 def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
-             max_iters: int = 5000) -> OptimizeResult:
+             max_iters: int = 5000) -> SolverResult:
     """Projected Gauss-Newton on ||fun(x)||^2 + reg ||x||^2 over lo <= x <= hi.
 
     `fun` gives the residual vector and `jac(x)` its Jacobian J at x as an
@@ -440,9 +540,9 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
         diag = j.column_norms2(mask) + reg
         return np.where(diag > 0.0, diag, 1.0)
 
-    def result(success: bool, message: str) -> OptimizeResult:
-        return OptimizeResult(x=x, fun=f, success=success, nit=nit,
-                              nfev=nfev, message=message)
+    def result(success: bool, message: str) -> SolverResult:
+        return SolverResult(x=x, fun=f, success=success, nit=nit, nfev=nfev,
+                            message=message)
 
     for nit in range(1, max_iters + 1):
         j = jac(x)
@@ -521,14 +621,14 @@ def optimize_min_curvature(track: Track, reg: float = 1e-6,
 
 def centerline_curvature_cost(track: Track) -> float:
     """Summed squared curvature of the raw centerline (reporting helper)."""
-    sp = fit_spline(track.xy, track.closed)
+    sp = Spline2D(track.xy, track.closed)
     return float(np.sum(curvature_at(sp, sp.t_knots) ** 2))
 
 
 def offset_curvature_cost(track: Track, alpha: np.ndarray) -> float:
     """Summed squared curvature of the spline refit through the offset points."""
     pts = track.xy + np.asarray(alpha, dtype=float)[:, None] * normals(track)
-    sp = fit_spline(pts, track.closed)
+    sp = Spline2D(pts, track.closed)
     return float(np.sum(curvature_at(sp, sp.t_knots) ** 2))
 
 
@@ -637,7 +737,7 @@ def build_raceline(track: Track, alpha: np.ndarray, limits: VehicleLimits,
                    spacing: float = 1.0) -> Raceline:
     """Offset the centerline by alpha along the normals, refit, and resample."""
     pts = track.xy + np.asarray(alpha, dtype=float)[:, None] * normals(track)
-    return resample_raceline(fit_spline(pts, track.closed), limits, spacing)
+    return resample_raceline(Spline2D(pts, track.closed), limits, spacing)
 
 
 def estimated_lap_time(raceline: Raceline) -> float:

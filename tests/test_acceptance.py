@@ -20,9 +20,9 @@ from gokart.perception import (BevConfig, PerceptionConfig, detect_boundaries,
 from gokart.planning import FtgParams, ftg_step
 from gokart.sim import (TrackSampler, VehicleState, default_camera_homography,
                         load_scenario, render_scene, run_closed_loop)
-from gokart.track import (VehicleLimits, alpha_bounds, build_raceline,
-                          centerline_curvature_cost, curvature_at, fit_spline,
-                          normals, offset_curvature_cost,
+from gokart.track import (Spline2D, VehicleLimits, alpha_bounds,
+                          build_raceline, centerline_curvature_cost,
+                          curvature_at, normals, offset_curvature_cost,
                           optimize_min_curvature)
 from helpers import (batch_brute_force_gaps, circle_track,
                      geometric_scan_oracle, haversine_m, oval_track,
@@ -156,7 +156,7 @@ def test_04_min_curvature_optimizer():
         tr = circle_track(radius=20.0, width=1.9, vhw=0.4, clockwise=True)
         alpha = optimize_min_curvature(tr)
         pts = tr.xy + alpha[:, None] * normals(tr)
-        sp = fit_spline(pts, closed=True)
+        sp = Spline2D(pts, closed=True)
         kappa = np.abs(curvature_at(sp, sp.t_knots))
         np.testing.assert_allclose(kappa, 1.0 / 21.5, rtol=0.02)
         fixtures = [circle_track(), oval_track(), wiggly_track(),

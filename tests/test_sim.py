@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import math
@@ -1001,6 +1002,17 @@ class TestClosedLoop:
         b = run_closed_loop(self._oval_scenario(tmp_path))
         assert a.logs == b.logs
         assert a.to_json() == b.to_json()
+
+    def test_numpy_dt_logs_like_a_float(self, tmp_path):
+        # a scenario built in code may carry a numpy dt; the loader always
+        # gives a float, and every log must read the same either way
+        scenario = dataclasses.replace(self._oval_scenario(tmp_path),
+                                       duration_s=0.5)
+        floats = run_closed_loop(scenario)
+        numpy = run_closed_loop(dataclasses.replace(scenario,
+                                                    dt=np.float64(0.01)))
+        assert len(floats.logs["commands.csv"].splitlines()) > 2
+        assert numpy.logs == floats.logs
 
     def test_circle_cross_track_bound(self, tmp_path):
         write_track_csv(tmp_path / "circle.csv",

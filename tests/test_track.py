@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from gokart.track import (OptimizationError, Raceline, Track,
+from gokart.track import (OptimizationError, Raceline, Spline2D, Track,
                           TrackFormatError, VehicleLimits,
                           _curvature_residual, alpha_bounds,
                           build_raceline, centerline_curvature_cost,
-                          curvature_at, estimated_lap_time, fit_spline,
+                          curvature_at, estimated_lap_time,
                           minimize, normals, offset_curvature_cost,
                           optimize_min_curvature, read_raceline_csv,
                           read_track_csv, resample_raceline,
@@ -27,14 +32,14 @@ from helpers import (DenseJacobian, circle_track, dense_curvature_residual,
 class TestSpline:
     def test_collinear_points_have_zero_curvature(self):
         x = np.arange(8.0)
-        sp = fit_spline(np.column_stack([x, 2.0 * x + 1.0]), closed=False)
+        sp = Spline2D(np.column_stack([x, 2.0 * x + 1.0]), closed=False)
         t = np.linspace(0.0, sp.t_max, 200)
         assert np.max(np.abs(curvature_at(sp, t))) < 1e-9
 
     def test_circle_curvature_within_one_percent(self):
         th = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         xy = np.column_stack([10.0 * np.cos(th), 10.0 * np.sin(th)])
-        sp = fit_spline(xy, closed=True)
+        sp = Spline2D(xy, closed=True)
         mids = 0.5 * (sp.t_knots + np.append(sp.t_knots[1:], sp.t_max))
         k = curvature_at(sp, mids)
         np.testing.assert_allclose(k, 0.1, rtol=0.01)
@@ -42,12 +47,12 @@ class TestSpline:
     def test_knots_reproduce_points(self):
         rng = np.random.default_rng(0)
         xy = np.cumsum(rng.uniform(0.5, 1.5, size=(12, 2)), axis=0)
-        sp = fit_spline(xy, closed=False)
+        sp = Spline2D(xy, closed=False)
         np.testing.assert_allclose(sp.point(sp.t_knots), xy, atol=1e-12)
 
     def test_periodic_seam_continuity(self):
         tr = wiggly_track()
-        sp = fit_spline(tr.xy, closed=True)
+        sp = Spline2D(tr.xy, closed=True)
         d1a = sp.derivative(0.0, 1)
         d1b = sp.derivative(sp.t_max, 1)
         d2a = sp.derivative(0.0, 2)
@@ -57,15 +62,15 @@ class TestSpline:
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            fit_spline(np.zeros((3, 2)), closed=False)
+            Spline2D(np.zeros((3, 2)), closed=False)
 
     def test_curvature_sign_convention(self):
         th = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
         ccw = np.column_stack([5.0 * np.cos(th), 5.0 * np.sin(th)])
         cw = ccw[::-1]
-        k_ccw = curvature_at(fit_spline(ccw, True),
-                             fit_spline(ccw, True).t_knots)
-        k_cw = curvature_at(fit_spline(cw, True), fit_spline(cw, True).t_knots)
+        k_ccw = curvature_at(Spline2D(ccw, True),
+                             Spline2D(ccw, True).t_knots)
+        k_cw = curvature_at(Spline2D(cw, True), Spline2D(cw, True).t_knots)
         assert np.all(k_ccw > 0.0)
         assert np.all(k_cw < 0.0)
         np.testing.assert_allclose(k_ccw, 0.2, rtol=0.01)
@@ -96,7 +101,7 @@ class TestSplineAgainstPerAxisFits:
         heading = rng.uniform(-math.pi, math.pi, n)
         xy = np.cumsum(step * np.column_stack([np.cos(heading),
                                                np.sin(heading)]), axis=0)
-        sp = fit_spline(xy, closed)
+        sp = Spline2D(xy, closed)
         sx, sy = per_axis_spline(xy, closed)
         assert sp.t_max == sx.x[-1]
         # knots, both ends, random points and points beyond either end
@@ -109,6 +114,118 @@ class TestSplineAgainstPerAxisFits:
                 np.testing.assert_array_equal(
                     got, np.stack([sx(arg, order), sy(arg, order)], axis=-1))
                 assert got.shape == np.shape(arg) + (2,)
+
+
+def scipy_spline(xy, closed):
+    """scipy's vector-valued spline through the points on their chord
+    lengths: the oracle that Spline2D repeats bit for bit."""
+    data = np.vstack([xy, xy[:1]]) if closed else xy
+    t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(data, axis=0),
+                                                        axis=1))])
+    return CubicSpline(t, data, bc_type="periodic" if closed else "natural")
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # -0.0 and NaN payloads too
+
+
+class TestSplineAgainstScipy:
+    """Spline2D's fit and evaluation return CubicSpline's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 400), closed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), scalar=st.floats(-0.5, 1.5),
+           kind=st.sampled_from(["spread", "grid"]))
+    def test_fit_and_evaluation(self, n, closed, seed, scalar, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "spread":
+            # spacings from 1e-4 to 1 m: a short step before a long one
+            # makes dgtsv interchange rows
+            step = 10.0 ** rng.uniform(-4.0, 0.0, n)[:, None]
+            heading = rng.uniform(-math.pi, math.pi, n)
+            xy = np.cumsum(step * np.column_stack([np.cos(heading),
+                                                   np.sin(heading)]), axis=0)
+        else:
+            # whole-metre runs along the axes: collinear points, exact data
+            # and many zero coefficients of either sign
+            axis = np.repeat(rng.integers(0, 4, n), rng.integers(1, 8, n))[:n]
+            unit = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+            xy = np.cumsum(rng.integers(1, 4, n)[:, None] * unit[axis], axis=0)
+            if closed and np.array_equal(xy[-1], xy[0]):  # a closing seam
+                xy[-1] += 1.0
+        ref = scipy_spline(xy, closed)
+        sp = Spline2D(xy, closed)
+        assert sp.t_max == ref.x[-1]
+        assert_same_bits(sp.t_knots, ref.x[:-1] if closed else ref.x)
+        t_max = sp.t_max
+        # knots, random points, both ends, points beyond either end and the
+        # values a closed curve maps to NaN or to 0
+        args = np.concatenate([ref.x, rng.uniform(-0.5, 1.5, 64) * t_max,
+                               [-0.0, np.nextafter(t_max, np.inf), -1e-300,
+                                3.5 * t_max, -2.25 * t_max, np.nan, np.inf]])
+        for arg in (args, scalar * t_max, np.float64(t_max), 0, [-0.0, t_max]):
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(sp.point(arg), ref(arg))
+                for order in (1, 2):
+                    assert_same_bits(sp.derivative(arg, order),
+                                     ref(arg, order))
+
+    def test_short_step_before_a_long_one(self):
+        # the first row of the natural system has 2e-4 on the diagonal and
+        # 1 below it, so dgtsv swaps rows 0 and 1
+        x = np.cumsum([0.0, 1e-4, 1.0, 2.0, 1e-4, 3.0, 0.5, 1e-3])
+        xy = np.column_stack([x, np.sin(x)])
+        for closed in (False, True):
+            ref = scipy_spline(xy, closed)
+            arg = np.linspace(-1.0, ref.x[-1] + 1.0, 257)
+            for order in (0, 1, 2):
+                assert_same_bits(Spline2D(xy, closed).derivative(arg, order),
+                                 ref(arg, order))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_overflowing_chord_raises_at_fit(self, closed):
+        # each chord is finite in x and y but overflows as a length
+        xy = 1e155 * np.column_stack([np.cos(np.arange(8.0)),
+                                      np.sin(np.arange(8.0))])
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            scipy_spline(xy, closed)
+        with pytest.raises(ValueError, match="finite length"), \
+                np.errstate(over="ignore"):
+            Spline2D(xy, closed)
+
+    def test_overflowing_chord_rejected_at_load(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x_m,y_m,w_left_m,w_right_m\n" + "".join(
+            f"{1e155 * math.cos(k)!r},{1e155 * math.sin(k)!r},2,2\n"
+            for k in range(8)))
+        with pytest.raises(TrackFormatError, match="huge.csv: .*finite"), \
+                np.errstate(over="ignore"):
+            read_track_csv(path, closed=True)
+
+
+class TestSolverResult:
+    def test_six_attributes_and_their_types(self):
+        result = minimize(lambda x: x - 0.25, np.array([0.5, -0.25]),
+                          lambda x: DenseJacobian(np.eye(2)),
+                          -np.ones(2), np.ones(2))
+        assert [f.name for f in dataclasses.fields(result)] == \
+            ["x", "fun", "success", "nit", "nfev", "message"]
+        assert type(result.x) is np.ndarray and result.x.shape == (2,)
+        assert type(result.fun) is float and type(result.success) is bool
+        assert type(result.nit) is int and type(result.nfev) is int
+        assert type(result.message) is str
+        assert result.success and (result.nit, result.nfev) == (2, 2)
+        np.testing.assert_array_equal(result.x, [0.25, 0.25])
+
+
+def test_package_imports_neither_scipy_interpolate_nor_optimize():
+    code = ("import sys, gokart.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestNormals:
@@ -242,7 +359,7 @@ class TestOptimizer:
         alpha = optimize_min_curvature(tr)
         np.testing.assert_allclose(alpha, 1.5, atol=0.02)
         pts = tr.xy + alpha[:, None] * normals(tr)
-        sp = fit_spline(pts, closed=True)
+        sp = Spline2D(pts, closed=True)
         k = np.abs(curvature_at(sp, sp.t_knots))
         np.testing.assert_allclose(k, 1.0 / 21.5, rtol=0.02)
 
@@ -533,8 +650,8 @@ class TestResampling:
     def test_circle_waypoint_count(self):
         # circumference 2 pi 10 = 62.83 m at 1 m spacing
         th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        sp = fit_spline(np.column_stack([10.0 * np.cos(th),
-                                         10.0 * np.sin(th)]), closed=True)
+        sp = Spline2D(np.column_stack([10.0 * np.cos(th),
+                                       10.0 * np.sin(th)]), closed=True)
         rl = resample_raceline(sp, VehicleLimits(), spacing=1.0)
         assert len(rl) in (62, 63)
 
