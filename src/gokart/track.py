@@ -149,14 +149,8 @@ class Spline2D:
         scipy's order of operations."""
         shape = np.shape(t)
         x = np.ascontiguousarray(np.ravel(t), dtype=float)
-        undefined = None
         if not self.closed:
             undefined = np.isnan(x)
-        elif x.size and 0.0 <= x.min() and x.max() <= self.t_max:
-            # within one period `%` is exact: it only sends t_max to 0.0,
-            # and the 0.0 + turns -0.0 into 0.0
-            x = x + 0.0
-            x[x == self.t_max] = 0.0
         else:
             x = 0.0 + x % self.t_max
             undefined = ~(x <= self.t_max)
@@ -175,7 +169,7 @@ class Spline2D:
             if factor > 1:
                 term *= factor
             out += term
-        if undefined is not None and undefined.any():
+        if undefined.any():
             out[undefined] = np.nan
         return out.reshape(shape + (2,))
 
@@ -490,21 +484,8 @@ def _solve_psd(band: np.ndarray, b: np.ndarray, block: np.ndarray,
     raise np.linalg.LinAlgError("no damping makes the step's system regular")
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    """The last iterate x of `minimize`, its objective, whether the solve
-    converged and why it stopped, and its step and residual counts."""
-
-    x: np.ndarray
-    fun: float
-    success: bool
-    nit: int
-    nfev: int
-    message: str
-
-
 def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
-             max_iters: int = 5000) -> SolverResult:
+             max_iters: int = 5000) -> SimpleNamespace:
     """Projected Gauss-Newton on ||fun(x)||^2 + reg ||x||^2 over lo <= x <= hi.
 
     `fun` gives the residual vector and `jac(x)` its Jacobian J at x as an
@@ -540,9 +521,9 @@ def minimize(fun, x0, jac, lo, hi, reg: float = 0.0,
         diag = j.column_norms2(mask) + reg
         return np.where(diag > 0.0, diag, 1.0)
 
-    def result(success: bool, message: str) -> SolverResult:
-        return SolverResult(x=x, fun=f, success=success, nit=nit, nfev=nfev,
-                            message=message)
+    def result(success: bool, message: str) -> SimpleNamespace:
+        return SimpleNamespace(x=x, fun=f, success=success, nit=nit,
+                               nfev=nfev, message=message)
 
     for nit in range(1, max_iters + 1):
         j = jac(x)

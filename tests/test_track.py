@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -209,8 +208,8 @@ class TestSolverResult:
         result = minimize(lambda x: x - 0.25, np.array([0.5, -0.25]),
                           lambda x: DenseJacobian(np.eye(2)),
                           -np.ones(2), np.ones(2))
-        assert [f.name for f in dataclasses.fields(result)] == \
-            ["x", "fun", "success", "nit", "nfev", "message"]
+        assert sorted(vars(result)) == \
+            ["fun", "message", "nfev", "nit", "success", "x"]
         assert type(result.x) is np.ndarray and result.x.shape == (2,)
         assert type(result.fun) is float and type(result.success) is bool
         assert type(result.nit) is int and type(result.nfev) is int
