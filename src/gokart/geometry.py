@@ -6,7 +6,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,8 +50,9 @@ class Polyline:
         self.extent = float(np.abs(xy).max(initial=0.0))
 
     @functools.cached_property
-    def tree(self) -> cKDTree:
+    def tree(self):
         """A k-d tree over the vertices, built on first use."""
+        from scipy.spatial import cKDTree  # deferred: optimize-raceline needs none
         return cKDTree(np.column_stack([self.x, self.y]))
 
     def nearest_vertex(self, x: float, y: float) -> int:

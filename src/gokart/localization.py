@@ -163,15 +163,6 @@ def local_to_geo(point: LocalPoint, origin: GeoFix,
     return GeoFix(lat=lat, lon=lon, pos_variance=pos_variance)
 
 
-def ekf_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
-    """Jacobian of the motion model with respect to [x, y, psi]."""
-    return np.array([
-        [1.0, 0.0, -dt * v * math.sin(psi)],
-        [0.0, 1.0, dt * v * math.cos(psi)],
-        [0.0, 0.0, 1.0],
-    ])
-
-
 def _require_finite(state: EkfState) -> None:
     """ValueError unless every number of the state is finite."""
     (r0, r1, r2), mean = state.cov, state.mean
@@ -183,8 +174,8 @@ def _require_finite(state: EkfState) -> None:
 
 def ekf_predict(state: EkfState, u: MotionInput, params: EkfParams) -> EkfState:
     """Prediction step: the motion model on the mean, J P J^T + q I on the
-    covariance. J is the identity but for J[0][2] = a and J[1][2] = b
-    (ekf_jacobian)."""
+    covariance. J, the motion model's Jacobian in [x, y, psi], is the
+    identity but for J[0][2] = a and J[1][2] = b."""
     _require_finite(state)
     if not (math.isfinite(u.v) and math.isfinite(u.omega) and math.isfinite(u.dt)):
         raise ValueError("non-finite motion input")

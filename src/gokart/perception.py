@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .fileio import require, write_table
 
@@ -151,6 +150,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     ndimage, which release the interpreter lock, each in its own float
     buffers. Every plane's arithmetic is the same on either thread.
     """
+    from scipy import ndimage  # deferred: only the camera pipeline blurs
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     radius = math.ceil(3.0 * sigma)

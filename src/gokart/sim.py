@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .control import (EndOfRaceline, PursuitParams, PursuitState, VehicleState,
                       pursuit_step)
@@ -218,6 +217,7 @@ class TrackSampler:
     """Dense geometric view of a track for inside tests and boundary margins."""
 
     def __init__(self, track: Track):
+        from scipy.spatial import cKDTree  # deferred: optimize-raceline needs none
         sp = Spline2D(track.xy, track.closed)
         count = max(int(math.ceil(sp.t_max / _SAMPLE_STEP)), 4 * len(track))
         t = np.linspace(0.0, sp.t_max, count, endpoint=not track.closed)

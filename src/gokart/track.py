@@ -77,9 +77,12 @@ class Track:
         self.w_right = w_right
         self.closed = bool(closed)
         self.vehicle_half_width = float(vehicle_half_width)
-        seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
-        if closed:
-            seg = np.append(seg, np.linalg.norm(self.xy[0] - self.xy[-1]))
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
+            if closed:
+                seg = np.append(seg, np.linalg.norm(self.xy[0] - self.xy[-1]))
+        if not np.all(np.isfinite(seg)):
+            raise ValueError("the chord lengths must be finite")
         if np.any(seg <= 1e-3):
             raise ValueError("consecutive centerline points closer than 1 mm")
 
@@ -112,8 +115,9 @@ class Spline2D:
         if len(xy) < 4:
             raise ValueError("spline fitting needs at least 4 points")
         data = np.vstack([xy, xy[:1]]) if closed else xy
-        t = np.concatenate([[0.0], np.cumsum(
-            np.linalg.norm(np.diff(data, axis=0), axis=1))])
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            t = np.concatenate([[0.0], np.cumsum(
+                np.linalg.norm(np.diff(data, axis=0), axis=1))])
         if not np.isfinite(t[-1]):
             raise ValueError("the chord lengths must sum to a finite length")
         dx = np.diff(t)

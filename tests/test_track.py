@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,15 +212,6 @@ class TestSolverResult:
         assert type(result.message) is str
         assert result.success and (result.nit, result.nfev) == (2, 2)
         np.testing.assert_array_equal(result.x, [0.25, 0.25])
-
-
-def test_package_imports_neither_scipy_interpolate_nor_optimize():
-    code = ("import sys, gokart.cli; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
 
 
 class TestNormals:
